@@ -54,9 +54,12 @@ def flow_workload():
             for v in range(u + 1, g.n)
             if not g.adjacent(u, v)
         ][:6]
+        net = _split_network(g)
         for u, v in pairs:
-            num, tails, heads, caps, s, t, _ = _split_network(g, u, v)
-            cases.append((f"{name} {u}-{v}", num, tails, heads, caps, s, t))
+            cases.append(
+                (f"{name} {u}-{v}", net.num_nodes, net.tails, net.heads, net.caps,
+                 2 * u + 1, 2 * v)
+            )
     for n, p in [(40, 0.2), (80, 0.12), (120, 0.08)]:
         edges = [
             (a, b)

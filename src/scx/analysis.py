@@ -195,6 +195,8 @@ def _check_t11(c: SimplicialComplex) -> PropertyCheckResult:
         return _skip(pid, "complex is not pure")
     if not _closed_normal(c):
         return _skip(pid, "not a closed normal pseudomanifold")
+    if c.dim < 1:
+        return _skip(pid, "the 0-sphere has no banner number")
     bn = banner_number(c)
     if bn.value is None:
         return _fail(pid, "banner number undefined", {"failing_face": bn.failing_face})
@@ -305,6 +307,8 @@ def _check_l44_homological(c: SimplicialComplex) -> PropertyCheckResult:
     pid = "L4.4-homological"
     if not c.is_pure:
         return _skip(pid, "complex is not pure")
+    if c.dim < 1:
+        return _skip(pid, "non-neighborhoods are empty in dimension 0")
     if not classify(c).banner:
         return _skip(pid, "not banner")
     mc = manifold_class(c)
@@ -414,6 +418,8 @@ def _check_p38iii(c: SimplicialComplex) -> PropertyCheckResult:
     pid = "P3.8iii"
     if not c.is_pure:
         return _skip(pid, "complex is not pure")
+    if c.dim < 1:
+        return _skip(pid, "a 0-dimensional complex has no boundary to cone over")
     if is_pseudomanifold(c) != "with_boundary":
         return _skip(pid, "not a pseudomanifold with boundary")
     for j in range(1, c.dim + 3):
@@ -471,7 +477,7 @@ def verify_property(property_id: str, c: SimplicialComplex) -> PropertyCheckResu
 class CorpusRow:
     name: str
     property_id: str
-    verdict: str
+    verdict: str  # "pass", "fail", "skip" or "error"
     detail: str
 
 
@@ -499,7 +505,9 @@ def verify_corpus(
     """Run the property checks over the default corpus or given complexes.
 
     Results are merged in (name, property) order regardless of the thread
-    count, so output is deterministic.
+    count, so output is deterministic.  A check that raises ``ScxError``
+    on one input becomes an "error" row and an entry of ``errors``; the
+    other rows are unaffected.
     """
     if named is None:
         named = [(display_name(spec), c) for spec, c in catalog()]
@@ -519,6 +527,8 @@ def verify_corpus(
             return CorpusRow(name, pid, res.verdict, res.detail)
         except NotPure:
             return CorpusRow(name, pid, "skip", "complex is not pure")
+        except ScxError as exc:
+            return CorpusRow(name, pid, "error", f"{type(exc).__name__}: {exc}")
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -528,4 +538,7 @@ def verify_corpus(
     else:
         rows = [run(t) for t in tasks]
     rows.sort(key=lambda r: (r.name, r.property_id))
-    return CorpusSummary(tuple(rows), ())
+    errors = tuple(
+        f"{r.name} {r.property_id}: {r.detail}" for r in rows if r.verdict == "error"
+    )
+    return CorpusSummary(tuple(rows), errors)

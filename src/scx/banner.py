@@ -209,8 +209,10 @@ def banner_number(c: SimplicialComplex) -> BannerNumber:
 
     The empty face counts at level 0, so value 0 means the complex itself
     qualifies.  When no level up to d-1 works the value is None and the
-    failing face documents the last failure; this cannot happen for
-    normal pseudomanifolds.
+    failing face documents the last failure.  On a closed normal
+    pseudomanifold this happens only in dimension 0: for d >= 1 the links
+    of its (d-1)-vertex faces are cycles, while the 0-sphere, whose one
+    level is the complex itself, is neither banner nor a triangle.
     """
     if not c.is_pure:
         raise NotPure("banner number needs a pure complex")

@@ -83,6 +83,7 @@ def _cmd_verify(args) -> int:
     props = [args.property] if args.property else None
     summary = analysis.verify_corpus(named, properties=props, threads=args.threads)
     rows = summary.rows
+    errors += summary.errors
     if args.json:
         payload = {
             "rows": [
@@ -96,12 +97,13 @@ def _cmd_verify(args) -> int:
         width = max((len(r.name) for r in rows), default=4)
         for r in rows:
             print(f"{r.name:<{width}}  {r.property_id:<18} {r.verdict:<5} {r.detail}")
-        counts = {"pass": 0, "fail": 0, "skip": 0}
+        counts = {"pass": 0, "fail": 0, "skip": 0, "error": 0}
         for r in rows:
             counts[r.verdict] += 1
         print(
             f"\n{counts['pass']} passed, {counts['fail']} failed, "
             f"{counts['skip']} skipped"
+            + (f", {counts['error']} errored" if counts["error"] else "")
         )
         for e in errors:
             print(f"error: {e}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Pure finite simplicial complexes stored as facet lists.
 
-Vertex labels are arbitrary non-whitespace strings, interned to dense
-integer ids in label-sorted order, so id-lexicographic and
-label-lexicographic enumeration agree.  At the API boundary faces travel
+Vertex labels are non-empty strings without whitespace that do not start
+with ``#``, which opens a comment in the ``.scx`` format.  They are
+interned to dense integer ids in label-sorted order, so id-lexicographic
+and label-lexicographic enumeration agree.  At the API boundary faces travel
 as sorted label tuples; internally they are sorted id tuples.
 
 A complex is immutable once built.  Per-cardinality face sets are
@@ -37,8 +38,11 @@ def _normalize_facet(facet: Iterable[Label]) -> tuple[Label, ...]:
     if not vertices:
         raise MalformedFace("empty facet")
     for v in vertices:
-        if not v or any(ch.isspace() for ch in v):
-            raise MalformedFace(f"label {v!r} is empty or contains whitespace")
+        # a facet line led by a '#' label would read back as a comment
+        if not v or v[0] == "#" or any(ch.isspace() for ch in v):
+            raise MalformedFace(
+                f"label {v!r} is empty, starts with '#' or contains whitespace"
+            )
     if len(set(vertices)) != len(vertices):
         raise MalformedFace(f"facet {vertices} repeats a vertex")
     return tuple(sorted(vertices))

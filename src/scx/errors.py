@@ -10,7 +10,7 @@ class EmptyComplex(ScxError):
 
 
 class MalformedFace(ScxError):
-    """A facet contained a repeated vertex or was empty."""
+    """A facet was empty, repeated a vertex or carried an unusable label."""
 
 
 class NotAFace(ScxError):

@@ -1,11 +1,26 @@
 """The 1-skeleton graph and its connectivity machinery.
 
-Vertex connectivity and independent path families come out of a
-unit-vertex-capacity flow network: every vertex is split into an in/out
-node pair joined by a capacity-1 arc, while edge arcs get capacity n so
-that minimum cuts consist of split arcs only.  Augmenting paths are found
-by BFS with ascending-neighbor order, so path families and cut
-certificates are deterministic.
+Vertex connectivity and independent path families come out of one
+unit-vertex-capacity flow network per graph.  Every vertex w is split
+into an in-node 2w and an out-node 2w+1 joined by a capacity-1 arc, and
+every edge a-b becomes the arcs 2a+1 -> 2b and 2b+1 -> 2a of capacity n,
+so that minimum cuts consist of split arcs only.  A u-v flow runs from
+the out-node of u to the in-node of v, so the split arcs of u and v
+never carry flow.  Augmenting paths are found by BFS with
+ascending-neighbor order, so path families and cut certificates are
+deterministic.
+
+Flow plan of ``vertex_connectivity`` (Esfahanian & Hakimi, Networks 14,
+1984).  Let m be the lowest-id vertex of minimum degree.  A minimum
+separator either misses m, and then separates m from one of its
+non-neighbors, or contains m, and then separates two non-adjacent
+neighbors of m, since every vertex of a minimum separator has a neighbor
+on each side.  So kappa is the least flow over those pairs: at most
+n + deg(m)^2 / 2 flows instead of one per non-adjacent pair.  The
+certificate then comes from a scan of the non-adjacent pairs in
+lexicographic order that stops at the first pair whose flow equals
+kappa, skipping pairs already known to need more; only that pair's cut
+is read off the residual network.
 """
 
 from __future__ import annotations
@@ -141,46 +156,64 @@ class LiuScan:
 # -- flow plumbing -----------------------------------------------------
 
 
-def _split_network(g: SkeletonGraph, u: int, v: int):
-    """Vertex-split flow network for internally disjoint u-v paths.
+@dataclass(frozen=True)
+class _SplitNetwork:
+    """The vertex-split flow network of a whole graph, shared by all pairs.
 
-    Returns (num_nodes, tails, heads, caps, source, sink, edge_arcs) where
-    edge_arcs maps arc index -> (a, b) for the skeleton edge arcs.  The
-    direct edge u-v, if present, is omitted; callers account for it.
+    Arc w < n is the split arc 2w -> 2w+1; the edge arcs follow, and
+    ``edge_arcs`` maps each of their indices to its edge (a, b), the arc
+    running 2a+1 -> 2b.
     """
+
+    num_nodes: int
+    tails: list[int]
+    heads: list[int]
+    caps: list[int]
+    edge_arcs: dict[int, tuple[int, int]]
+
+
+def _split_network(g: SkeletonGraph) -> _SplitNetwork:
     big = g.n  # effectively infinite for unit vertex capacities
-    tails: list[int] = []
-    heads: list[int] = []
-    caps: list[int] = []
+    tails = [2 * w for w in range(g.n)]
+    heads = [2 * w + 1 for w in range(g.n)]
+    caps = [1] * g.n
     edge_arcs: dict[int, tuple[int, int]] = {}
-    for w in range(g.n):
-        if w != u and w != v:
-            tails.append(2 * w)
-            heads.append(2 * w + 1)
-            caps.append(1)
     for a in range(g.n):
         for b in g.adj[a]:
-            if {a, b} == {u, v}:
-                continue
             edge_arcs[len(tails)] = (a, b)
             tails.append(2 * a + 1)
             heads.append(2 * b)
             caps.append(big)
-    return 2 * g.n, tails, heads, caps, 2 * u + 1, 2 * v, edge_arcs
+    return _SplitNetwork(2 * g.n, tails, heads, caps, edge_arcs)
 
 
-def _local_flow(g: SkeletonGraph, u: int, v: int):
-    num, tails, heads, caps, s, t, edge_arcs = _split_network(g, u, v)
-    value, flows = unit_maxflow(num, tails, heads, caps, s, t)
-    return value, flows, tails, heads, edge_arcs
+def _pair_flow(g: SkeletonGraph, net: _SplitNetwork, u: int, v: int):
+    """Maximum flow of internally disjoint u-v paths as ``(value, flows)``.
+
+    A direct edge u-v is left out (its arcs get capacity 0); callers
+    account for it.
+    """
+    caps = net.caps
+    if g.adjacent(u, v):
+        direct = ((u, v), (v, u))
+        caps = [
+            0 if net.edge_arcs.get(i) in direct else cap for i, cap in enumerate(caps)
+        ]
+    return unit_maxflow(net.num_nodes, net.tails, net.heads, caps, 2 * u + 1, 2 * v)
 
 
-def _min_cut_vertices(g: SkeletonGraph, u: int, v: int) -> tuple[int, tuple[int, ...]]:
-    """Size and members of a minimum u-v vertex separator (u,v non-adjacent)."""
-    num, tails, heads, caps, s, t, _ = _split_network(g, u, v)
-    value, flows = unit_maxflow(num, tails, heads, caps, s, t)
+def _cut_vertices(
+    g: SkeletonGraph, net: _SplitNetwork, flows: list[int], u: int, v: int
+) -> tuple[int, ...]:
+    """The minimum u-v separator that a maximum u-v flow leaves behind.
+
+    Its members are the vertices whose in-node, but not out-node, is
+    reachable from the source in the residual network.
+    """
+    s = 2 * u + 1
+    tails, heads, caps = net.tails, net.heads, net.caps
     res = {}
-    adj: list[list[int]] = [[] for _ in range(num)]
+    adj: list[list[int]] = [[] for _ in range(net.num_nodes)]
     for i in range(len(tails)):
         res[2 * i] = caps[i] - flows[i]
         res[2 * i + 1] = flows[i]
@@ -196,28 +229,27 @@ def _min_cut_vertices(g: SkeletonGraph, u: int, v: int) -> tuple[int, tuple[int,
                 if y not in reach:
                     reach.add(y)
                     queue.append(y)
-    cut = tuple(
+    return tuple(
         w
         for w in range(g.n)
         if w != u and w != v and (2 * w) in reach and (2 * w + 1) not in reach
     )
-    return value, cut
 
 
 def local_connectivity(g: SkeletonGraph, u: int, v: int) -> int:
     """Maximum number of independent u-v paths."""
     if u == v:
         raise SameVertex("need two distinct vertices")
-    direct = 1 if g.adjacent(u, v) else 0
-    value, _, _, _, _ = _local_flow(g, u, v)
-    return value + direct
+    value, _ = _pair_flow(g, _split_network(g), u, v)
+    return value + (1 if g.adjacent(u, v) else 0)
 
 
 def vertex_connectivity(g: SkeletonGraph) -> ConnectivityResult:
     """Vertex connectivity with a certificate.
 
     Complete graphs (and the one-vertex graph) have no cut; otherwise the
-    certificate is a minimum cut set together with a pair it separates.
+    certificate is a minimum cut set together with the lexicographically
+    first non-adjacent pair it separates.
     """
     if g.n <= 1:
         return ConnectivityResult(0, False, None)
@@ -228,21 +260,34 @@ def vertex_connectivity(g: SkeletonGraph) -> ConnectivityResult:
         return ConnectivityResult(
             0, False, CutSet((), (g.labels[pair[0]], g.labels[pair[1]]))
         )
-    best: tuple[int, tuple[int, ...], tuple[int, int]] | None = None
+    net = _split_network(g)
+    m = min(range(g.n), key=lambda w: len(g.adj[w]))
+    near = g.adj[m]
+    pairs = [(m, w) for w in range(g.n) if w != m and not g.adjacent(m, w)]
+    pairs += [
+        (x, y)
+        for i, x in enumerate(near)
+        for y in near[i + 1 :]
+        if not g.adjacent(x, y)
+    ]
+    known = {
+        (min(a, b), max(a, b)): _pair_flow(g, net, a, b)[0] for a, b in pairs
+    }
+    kappa = min(known.values())
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if g.adjacent(u, v):
+            if g.adjacent(u, v) or known.get((u, v), kappa) > kappa:
                 continue
-            value, cut = _min_cut_vertices(g, u, v)
-            if best is None or value < best[0]:
-                best = (value, cut, (u, v))
-    assert best is not None
-    value, cut, (u, v) = best
-    cutset = CutSet(
-        tuple(g.labels[w] for w in cut), (g.labels[u], g.labels[v])
-    )
-    _check_cut(g, cut, u, v)
-    return ConnectivityResult(value, False, cutset)
+            value, flows = _pair_flow(g, net, u, v)
+            if value == kappa:
+                cut = _cut_vertices(g, net, flows, u, v)
+                _check_cut(g, cut, u, v)
+                return ConnectivityResult(
+                    kappa,
+                    False,
+                    CutSet(tuple(g.labels[w] for w in cut), (g.labels[u], g.labels[v])),
+                )
+    raise AssertionError("no non-adjacent pair attains the connectivity")
 
 
 def _disconnected_pair(g: SkeletonGraph) -> tuple[int, int]:
@@ -277,13 +322,14 @@ def independent_paths(g: SkeletonGraph, u_label: str, v_label: str) -> PathFamil
     u, v = g.id_of(u_label), g.id_of(v_label)
     if u == v:
         raise SameVertex("need two distinct vertices")
-    value, flows, tails, heads, edge_arcs = _local_flow(g, u, v)
+    net = _split_network(g)
+    value, flows = _pair_flow(g, net, u, v)
 
     # Decompose the flow: walk saturated edge arcs from u, consuming them.
     out_of: dict[int, list[int]] = {}
-    for i, flow in enumerate(flows):
-        if i in edge_arcs and flow > 0:
-            out_of.setdefault(edge_arcs[i][0], []).append(edge_arcs[i][1])
+    for i, (a, b) in net.edge_arcs.items():
+        if flows[i] > 0:
+            out_of.setdefault(a, []).append(b)
     for lst in out_of.values():
         lst.sort(reverse=True)  # pop() yields ascending ids
 
@@ -335,6 +381,7 @@ def liu_scan(g: SkeletonGraph, k: int) -> LiuScan:
         raise TooSmall(f"need more than {k} vertices, have {g.n}")
     if not g.is_connected():
         raise GraphNotConnected("scan is defined for connected graphs")
+    net = _split_network(g)
     for u in range(g.n):
         at_two = sorted(
             {w for nb in g.adj[u] for w in g.adj[nb]} - set(g.adj[u]) - {u}
@@ -342,7 +389,7 @@ def liu_scan(g: SkeletonGraph, k: int) -> LiuScan:
         for v in at_two:
             if v <= u:
                 continue
-            if local_connectivity(g, u, v) < k:
+            if _pair_flow(g, net, u, v)[0] < k:
                 return LiuScan(False, k, (g.labels[u], g.labels[v]))
     return LiuScan(True, k, None)
 

@@ -5,6 +5,7 @@ algorithm/representation than the library uses, so tests compare two
 genuinely separate routes:
 
 - connectivity and separators by subset enumeration + BFS,
+- connectivity certificates by one flow per non-adjacent pair,
 - maximum independent path families by DFS packing over all simple paths,
 - GF(2) ranks by dense numpy elimination,
 - face counts by raw subset enumeration,
@@ -15,9 +16,12 @@ genuinely separate routes:
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
+
+from scx._kernels_py import unit_maxflow
 
 
 def components(n, adj, removed=frozenset()):
@@ -63,6 +67,71 @@ def brute_min_separator(g, u, v) -> int:
                         return k
                     break
     return len(others)
+
+
+def _pair_min_cut(g, u, v) -> tuple[int, tuple[int, ...]]:
+    """Least u-v separator of a non-adjacent pair, from a network of its own.
+
+    The network leaves out the split arcs of u and v; the separator is read
+    off the residual reachable set of the pure max-flow kernel's flow.
+    """
+    tails, heads, caps = [], [], []
+    for w in range(g.n):
+        if w != u and w != v:
+            tails.append(2 * w)
+            heads.append(2 * w + 1)
+            caps.append(1)
+    for a in range(g.n):
+        for b in g.adj[a]:
+            tails.append(2 * a + 1)
+            heads.append(2 * b)
+            caps.append(g.n)
+    s, t = 2 * u + 1, 2 * v
+    value, flows = unit_maxflow(2 * g.n, tails, heads, caps, s, t)
+    out: list[list[tuple[int, int]]] = [[] for _ in range(2 * g.n)]
+    for i, (a, b) in enumerate(zip(tails, heads)):
+        out[a].append((b, caps[i] - flows[i]))
+        out[b].append((a, flows[i]))
+    reach = {s}
+    queue = deque([s])
+    while queue:
+        x = queue.popleft()
+        for y, residual in out[x]:
+            if residual > 0 and y not in reach:
+                reach.add(y)
+                queue.append(y)
+    cut = tuple(
+        w for w in range(g.n)
+        if w not in (u, v) and 2 * w in reach and 2 * w + 1 not in reach
+    )
+    return value, cut
+
+
+def all_pairs_connectivity(g):
+    """Vertex connectivity with its certificate, one flow per non-adjacent pair.
+
+    Returns (value, cut, pair) with cut and pair as label tuples: both None
+    for n <= 1 and complete graphs, the empty cut and the first vertex
+    outside vertex 0's component for disconnected graphs, and otherwise
+    the least cut of the lexicographically first pair of least flow.
+    """
+    if g.n <= 1:
+        return 0, None, None
+    if all(len(a) == g.n - 1 for a in g.adj):
+        return g.n - 1, None, None
+    comps = components(g.n, g.adj)
+    if len(comps) > 1:
+        outside = min(set(range(g.n)) - comps[0])
+        return 0, (), (g.labels[0], g.labels[outside])
+    best = None
+    for u, v in itertools.combinations(range(g.n), 2):
+        if v in g.adj[u]:
+            continue
+        value, cut = _pair_min_cut(g, u, v)
+        if best is None or value < best[0]:
+            best = (value, cut, (u, v))
+    value, cut, pair = best
+    return value, tuple(g.labels[w] for w in cut), tuple(g.labels[w] for w in pair)
 
 
 def all_simple_paths(g, u, v, cap=200000):

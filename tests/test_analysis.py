@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from scx import cli
+from scx import analysis, cli
 from scx.analysis import (
     PROPERTY_IDS,
     analyze,
@@ -11,8 +11,8 @@ from scx.analysis import (
     verify_corpus,
     verify_property,
 )
-from scx.complexes import dumps, loads
-from scx.errors import ScxError, UnknownProperty
+from scx.complexes import dumps, from_facets, loads
+from scx.errors import NotAFace, ScxError, UnknownProperty
 from scx.generators import (
     banana,
     complete_graph_edges,
@@ -123,6 +123,19 @@ def test_verify_property_fail_payload():
     assert res.verdict == "pass"
 
 
+@pytest.mark.parametrize(
+    "pid, facets",
+    [
+        ("P3.8iii", [["a"]]),
+        ("L4.4-homological", [["a"]]),
+        ("T1.1", [["a"], ["b"]]),
+    ],
+)
+def test_degenerate_inputs_skip_with_a_reason(pid, facets):
+    res = verify_property(pid, from_facets(facets))
+    assert res.verdict == "skip" and res.detail
+
+
 def test_unknown_property():
     with pytest.raises(UnknownProperty):
         verify_property("T9.9", cycle(3))
@@ -135,6 +148,44 @@ def test_verify_corpus_clean(corpus):
     verdicts = {r.verdict for r in summary.rows}
     assert verdicts <= {"pass", "skip"}
     assert "skip" in verdicts and "pass" in verdicts
+
+
+def test_verify_corpus_isolates_a_raising_check(monkeypatch):
+    check = analysis._CHECKS["L4.3"]
+
+    def raising(c):
+        if c.n_vertices == 5:
+            raise NotAFace("boom")
+        return check(c)
+
+    monkeypatch.setitem(analysis._CHECKS, "L4.3", raising)
+    named = [("c4", cycle(4)), ("c5", cycle(5)), ("c6", cycle(6))]
+    summary = verify_corpus(named)
+    assert len(summary.rows) == 3 * len(PROPERTY_IDS)
+    errors = [r for r in summary.rows if r.verdict == "error"]
+    assert [(r.name, r.property_id) for r in errors] == [("c5", "L4.3")]
+    assert "boom" in errors[0].detail
+    assert len(summary.errors) == 1 and "c5" in summary.errors[0]
+    assert summary.exit_code == 2
+    assert verify_corpus(named[:1]).rows == tuple(
+        r for r in summary.rows if r.name == "c4"
+    )
+
+
+def test_cli_verify_reports_error_rows(monkeypatch, tmp_path, capsys):
+    def raising(c):
+        raise NotAFace("boom")
+
+    monkeypatch.setitem(analysis._CHECKS, "L4.3", raising)
+    path = tmp_path / "c6.scx"
+    path.write_text(dumps(cycle(6)))
+    assert cli.main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "1 errored" in captured.out and "boom" in captured.err
+    assert cli.main(["verify", str(path), "--json"]) == 2
+    data = json.loads(capsys.readouterr().out)
+    assert [r["verdict"] for r in data["rows"]].count("error") == 1
+    assert len(data["errors"]) == 1
 
 
 def test_verify_corpus_threads_deterministic():

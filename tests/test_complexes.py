@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scx.complexes import SimplicialComplex, dumps, from_facets, loads
 from scx.errors import (
@@ -197,6 +199,26 @@ def test_roundtrip_serialization(corpus):
 def test_serialization_is_sorted():
     text = dumps(from_facets([["b", "z"], ["a", "q"]]))
     assert text.splitlines() == ["a q", "b z"]
+
+
+def test_hash_label_rejected():
+    # a facet line led by such a label would read back as a comment
+    for facets in ([["#x", "a", "b"], ["a", "b", "c"]], [["#"]]):
+        with pytest.raises(MalformedFace):
+            from_facets(facets)
+    assert from_facets([["a#", "b"]]).vertices == ("a#", "b")
+
+
+_LABELS = st.text(
+    st.characters(codec="utf-8"), min_size=1, max_size=4
+).filter(lambda s: not s.startswith("#") and not any(ch.isspace() for ch in s))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sets(_LABELS, min_size=1, max_size=4), min_size=1, max_size=5))
+def test_roundtrip_over_accepted_labels(facets):
+    c = from_facets(facets)
+    assert loads(dumps(c)) == c
 
 
 def test_comments_and_blank_lines():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import scx.graphs
 from scx.banner import classify
 from scx.errors import EmptyOutside, SameVertex, TooSmall
 from scx.generators import (
@@ -11,6 +12,7 @@ from scx.generators import (
     fan_ball,
     ring_ball,
     simplex_boundary,
+    stacked_sphere,
 )
 from scx.graphs import (
     SkeletonGraph,
@@ -26,6 +28,7 @@ from scx.graphs import (
 from scx.manifold import is_pseudomanifold
 
 from oracles import (
+    all_pairs_connectivity,
     brute_max_independent_family,
     brute_min_separator,
     brute_min_vertex_cut,
@@ -214,3 +217,58 @@ def test_flow_paths_match_brute_families_on_random_graphs():
                     continue
                 flow = local_connectivity(g, u, v)
                 assert flow == brute_max_independent_family(g, u, v), (seed, u, v)
+
+
+def _certificate(g):
+    res = vertex_connectivity(g)
+    assert res.complete == (g.n > 1 and g.is_complete())
+    if res.cut is None:
+        return res.value, None, None
+    return res.value, res.cut.vertices, res.cut.pair
+
+
+def _special_graphs():
+    for n in range(0, 7):
+        yield f"complete {n}", SkeletonGraph(n, itertools.combinations(range(n), 2))
+    for n in range(2, 9):
+        yield f"path {n}", SkeletonGraph(n, [(i, i + 1) for i in range(n - 1)])
+    for n in range(3, 9):
+        yield f"star {n}", SkeletonGraph(n, [(0, i) for i in range(1, n)])
+    yield "two edges", SkeletonGraph(4, [(0, 1), (2, 3)])
+    yield "isolated vertices", SkeletonGraph(3, [])
+    yield "triangle and isolated vertex", SkeletonGraph(4, [(1, 2), (2, 3), (1, 3)])
+
+
+def test_connectivity_certificate_matches_all_pairs_reference():
+    cases = list(_special_graphs())
+    for seed in range(120):
+        n = 2 + seed % 11
+        p = (0.15, 0.3, 0.5, 0.7, 0.9)[seed % 5]
+        cases.append((f"random seed {seed}", random_graph(n, p, seed=5000 + seed)))
+    kinds = {"disconnected": 0, "complete": 0, "other": 0}
+    for name, g in cases:
+        expected = all_pairs_connectivity(g)
+        assert _certificate(g) == expected, name
+        if expected[1] == ():
+            kinds["disconnected"] += 1
+        elif expected[1] is None:
+            kinds["complete"] += 1
+        else:
+            kinds["other"] += 1
+    assert len(cases) >= 100 and min(kinds.values()) >= 10, kinds
+
+
+def test_connectivity_flow_count_on_large_stacked_sphere(monkeypatch):
+    calls = []
+    kernel = scx.graphs.unit_maxflow
+
+    def counted(*args):
+        calls.append(args[-2:])
+        return kernel(*args)
+
+    monkeypatch.setattr(scx.graphs, "unit_maxflow", counted)
+    res = vertex_connectivity(skeleton(stacked_sphere(2, 150, 7)))
+    assert len(calls) == 151
+    assert res.value == 3 and not res.complete
+    assert res.cut.vertices == ("v0", "v2", "v3")
+    assert res.cut.pair == ("s0", "s1")
