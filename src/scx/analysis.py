@@ -13,7 +13,13 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .banner import BannerClass, banner_number, classify, classify_tilde_cliques
+from .banner import (
+    BannerClass,
+    _link_banner_value,
+    banner_number,
+    classify,
+    classify_tilde_cliques,
+)
 from .complexes import SimplicialComplex
 from .errors import EmptyOutside, NotPure, ScxError, UnknownProperty
 from .generators import catalog, display_name
@@ -317,7 +323,8 @@ def _check_l44_homological(c: SimplicialComplex) -> PropertyCheckResult:
     d = c.dim
     for v in c.vertices:
         hood = c.induced(neighborhood(c, v))
-        betti = z2_betti(hood) + (0,) * (d + 1 - len(z2_betti(hood)))
+        betti = z2_betti(hood)
+        betti += (0,) * (d + 1 - len(betti))
         if betti[d] != 0 or (d >= 1 and betti[d - 1] != 0):
             return _fail(
                 pid,
@@ -348,12 +355,12 @@ def _check_l52(c: SimplicialComplex) -> PropertyCheckResult:
         return _skip(pid, "banner number undefined")
     for size in range(1, bn.value + 1):
         for face in sorted(c.faces(size)):
-            sub = banner_number(c.link(face))
-            if sub.value is None or sub.value > bn.value - size:
+            sub = _link_banner_value(c, face)
+            if sub is None or sub > bn.value - size:
                 return _fail(
                     pid,
                     f"link of {face} breaks the banner-number inequality",
-                    {"face": list(face), "link_value": sub.value, "value": bn.value},
+                    {"face": list(face), "link_value": sub, "value": bn.value},
                 )
     return _ok(pid, f"inequality holds below level {bn.value}")
 

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .complexes import Face, Label, SimplicialComplex
-from .errors import NoBoundary, NotAClique, NotPure
+from .errors import (
+    EmptyComplex,
+    NoBoundary,
+    NotAClique,
+    NotAFace,
+    NotPure,
+    UnknownVertex,
+)
 
 _TRIANGLE_F_VECTOR = (1, 3, 3)
 
@@ -147,6 +154,10 @@ def classify(c: SimplicialComplex) -> BannerClass:
     """
     if not c.is_pure:
         raise NotPure("banner classification needs a pure complex")
+    return c._cached("classify", _classify)
+
+
+def _classify(c: SimplicialComplex) -> BannerClass:
     d = c.dim
 
     forbidden = contains_simplex_boundary(c, d + 1) if d >= 1 else (
@@ -204,6 +215,19 @@ def banner_or_triangle(c: SimplicialComplex) -> bool:
     return classify(c).banner
 
 
+def _link_banner(c: SimplicialComplex, ids: tuple[int, ...]) -> bool:
+    """``banner_or_triangle(c.link(face))`` for the face with sorted ``ids``.
+
+    Answers are kept in a table in ``c``'s memo, indexed by face; the links
+    themselves are rebuilt when needed and not kept.
+    """
+    table = c._memo.setdefault("link_banner", {})
+    ok = table.get(ids)
+    if ok is None:
+        ok = table[ids] = banner_or_triangle(c.link(c._face_labels(ids)))
+    return ok
+
+
 def banner_number(c: SimplicialComplex) -> BannerNumber:
     """The least j whose j-vertex face links are all banner-or-triangle.
 
@@ -216,20 +240,55 @@ def banner_number(c: SimplicialComplex) -> BannerNumber:
     """
     if not c.is_pure:
         raise NotPure("banner number needs a pure complex")
-    d = c.dim
+    return c._cached("banner_number", _banner_number)
+
+
+def _banner_number(c: SimplicialComplex) -> BannerNumber:
+    # ids are in label order, so sorted id tuples are in label order too
     prev_fail: Face | None = None
-    for j in range(0, max(d, 1)):
+    for j in range(0, max(c.dim, 1)):
         failed: Face | None = None
         checked = 0
-        for face in sorted(c.faces(j)) if j else [()]:
+        for ids in sorted(c.faces_ids(j)) if j else [()]:
             checked += 1
-            if not banner_or_triangle(c.link(face)):
-                failed = face
+            if not _link_banner(c, ids):
+                failed = c._face_labels(ids)
                 break
         if failed is None:
             return BannerNumber(j, checked, prev_fail)
         prev_fail = failed
     return BannerNumber(None, 0, prev_fail)
+
+
+def _link_banner_value(c: SimplicialComplex, face: Iterable[Label]) -> int | None:
+    """``banner_number(c.link(face)).value``, read off ``c``'s link table.
+
+    The j-vertex faces of the link of F are the sets G with F u G a face
+    of ``c``, and the link of G in the link of F is the link of F u G in
+    ``c``, so no link of a link is built.  Raises like ``c.link(face)``
+    and, for a link that is not pure, like ``banner_number``.
+    """
+    face = tuple(sorted(str(v) for v in face))
+    try:
+        f = frozenset(c._face_ids(face))
+    except UnknownVertex:
+        raise NotAFace(f"{face} is not a face") from None
+    residues = [tuple(sorted(fs - f)) for fs in c._facet_sets if f <= fs]
+    if not residues:
+        raise NotAFace(f"{face} is not a face")
+    if not all(residues):
+        raise EmptyComplex("link of a facet is empty")
+    if len({len(r) for r in residues}) != 1:
+        raise NotPure("banner number needs a pure complex")
+    for j in range(0, max(len(residues[0]) - 1, 1)):
+        cofaces = {
+            tuple(sorted(f.union(g)))
+            for r in residues
+            for g in itertools.combinations(r, j)
+        }
+        if all(_link_banner(c, ids) for ids in sorted(cofaces)):
+            return j
+    return None
 
 
 def classify_tilde_cliques(ball: SimplicialComplex, j: int) -> TildeCliques:

@@ -10,13 +10,24 @@ A complex is immutable once built.  Per-cardinality face sets are
 generated on demand and memoized behind a lock, so complexes can be
 shared freely between threads.  The empty complex is unrepresentable:
 every constructor raises ``EmptyComplex`` rather than producing one.
+
+Invariants computed from a complex (its banner class, banner number,
+manifold class, skeleton, Betti numbers and the banner status of its
+face links) are cached per object in its ``_memo`` dict, so each is
+computed once however many checks ask for it.  Cached values are
+immutable, hold no reference back to the complex and die with it; there
+is no global or content-keyed cache.  Two threads asking for the same
+value at once may both compute it, and then store equal results.
+Links, stars and induced subcomplexes are themselves not cached: they
+are rebuilt from the parent's ids by ``_from_ids``, which skips label
+normalization.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import (
     EmptyComplex,
@@ -31,6 +42,7 @@ from .errors import (
 Label = str
 Face = tuple[Label, ...]
 FVector = tuple[int, ...]
+_T = TypeVar("_T")
 
 
 def _normalize_facet(facet: Iterable[Label]) -> tuple[Label, ...]:
@@ -48,6 +60,17 @@ def _normalize_facet(facet: Iterable[Label]) -> tuple[Label, ...]:
     return tuple(sorted(vertices))
 
 
+def _maximal(sets: set[frozenset]) -> list[frozenset]:
+    """The members of ``sets`` that lie in no other member."""
+    if len({len(s) for s in sets}) == 1:
+        return list(sets)
+    maximal: list[frozenset] = []
+    for cand in sorted(sets, key=len, reverse=True):
+        if not any(cand < kept for kept in maximal):
+            maximal.append(cand)
+    return maximal
+
+
 class SimplicialComplex:
     """A finite simplicial complex given by its maximal faces."""
 
@@ -61,31 +84,79 @@ class SimplicialComplex:
         "absorbed",
         "_face_cache",
         "_lock",
+        "_memo",
     )
 
     def __init__(self, facets: Iterable[Iterable[Label]]):
         cleaned = [_normalize_facet(f) for f in facets]
         if not cleaned:
             raise EmptyComplex("a complex needs at least one facet")
-
         # Absorb duplicates and non-maximal entries, counting what was dropped.
-        by_size = sorted({frozenset(f) for f in cleaned}, key=len, reverse=True)
-        maximal: list[frozenset[Label]] = []
-        for cand in by_size:
-            if not any(cand < kept for kept in maximal):
-                maximal.append(cand)
-        self.absorbed = len(cleaned) - len(maximal)
+        maximal = _maximal({frozenset(f) for f in cleaned})
+        labels = tuple(sorted(set().union(*maximal)))
+        index = {v: i for i, v in enumerate(labels)}
+        self._fill(
+            labels,
+            index,
+            [tuple(sorted(index[v] for v in f)) for f in maximal],
+            len(cleaned) - len(maximal),
+        )
 
-        self._labels: tuple[Label, ...] = tuple(sorted(set().union(*maximal)))
-        self._index: dict[Label, int] = {v: i for i, v in enumerate(self._labels)}
-        id_facets = sorted(tuple(sorted(self._index[v] for v in f)) for f in maximal)
+    @classmethod
+    def _from_ids(
+        cls, labels: tuple[Label, ...], id_sets: Iterable[frozenset[int]]
+    ) -> "SimplicialComplex":
+        """The complex whose facets are ``id_sets``, given as ids into ``labels``.
+
+        A trusted constructor for subcomplexes of a built complex: the
+        labels are already valid and sorted and the sets are non-empty, so
+        only absorption and renumbering remain.  Keeping the used ids in
+        order keeps the labels sorted, so the result equals what the public
+        constructor builds from the same facets.
+        """
+        sets = list(id_sets)
+        if not sets:
+            raise EmptyComplex("a complex needs at least one facet")
+        maximal = _maximal(set(sets))
+        used = sorted(set().union(*maximal))
+        new_id = {old: new for new, old in enumerate(used)}
+        sub = tuple(labels[i] for i in used)
+        self = cls.__new__(cls)
+        self._fill(
+            sub,
+            {v: i for i, v in enumerate(sub)},
+            [tuple(sorted(new_id[i] for i in f)) for f in maximal],
+            len(sets) - len(maximal),
+        )
+        return self
+
+    def _fill(
+        self,
+        labels: tuple[Label, ...],
+        index: dict[Label, int],
+        id_facets: list[tuple[int, ...]],
+        absorbed: int,
+    ) -> None:
+        id_facets.sort()
+        self._labels = labels
+        self._index = index
         self._facets: tuple[tuple[int, ...], ...] = tuple(id_facets)
         self._facet_sets: tuple[frozenset[int], ...] = tuple(frozenset(f) for f in id_facets)
         sizes = {len(f) for f in id_facets}
         self.dim = max(sizes) - 1
         self.is_pure = len(sizes) == 1
+        self.absorbed = absorbed
         self._face_cache: dict[int, frozenset[tuple[int, ...]]] = {}
         self._lock = threading.Lock()
+        self._memo: dict[str, object] = {}
+
+    def _cached(self, key: str, compute: Callable[["SimplicialComplex"], _T]) -> _T:
+        """``compute(self)``, computed on first use and kept in the memo."""
+        try:
+            return self._memo[key]  # type: ignore[return-value]
+        except KeyError:
+            value = self._memo[key] = compute(self)
+            return value
 
     # -- basic accessors ------------------------------------------------
 
@@ -187,25 +258,27 @@ class SimplicialComplex:
         residues = [r for r in residues if r]
         if not residues:
             raise EmptyComplex("link of a facet is empty")
-        return SimplicialComplex(self._face_labels(r) for r in residues)
+        return SimplicialComplex._from_ids(self._labels, residues)
 
     def star(self, vertex: Label) -> "SimplicialComplex":
         """The cone over ``link(vertex)`` with apex ``vertex``."""
         i = self._index.get(str(vertex))
         if i is None:
             raise UnknownVertex(f"unknown vertex {vertex!r}")
-        return SimplicialComplex(
-            self._face_labels(fs) for fs in self._facet_sets if i in fs
+        return SimplicialComplex._from_ids(
+            self._labels, [fs for fs in self._facet_sets if i in fs]
         )
 
     def antistar(self, vertex: Label) -> "SimplicialComplex":
         """The subcomplex induced on all vertices except ``vertex``."""
-        if str(vertex) not in self._index:
+        i = self._index.get(str(vertex))
+        if i is None:
             raise UnknownVertex(f"unknown vertex {vertex!r}")
-        rest = [v for v in self._labels if v != str(vertex)]
-        if not rest:
+        if self.n_vertices == 1:
             raise EmptyComplex("antistar of the only vertex is empty")
-        return self.induced(rest)
+        pieces = {fs - {i} for fs in self._facet_sets}
+        pieces.discard(frozenset())
+        return SimplicialComplex._from_ids(self._labels, pieces)
 
     def induced(self, vertex_set: Iterable[Label]) -> "SimplicialComplex":
         """Keep exactly the faces whose vertices all lie in ``vertex_set``."""
@@ -218,7 +291,7 @@ class SimplicialComplex:
         ids = {self._index[v] for v in wanted}
         pieces = {fs & ids for fs in self._facet_sets}
         pieces.discard(frozenset())
-        return SimplicialComplex(self._face_labels(p) for p in pieces)
+        return SimplicialComplex._from_ids(self._labels, pieces)
 
     # -- cone-like constructions ------------------------------------------
 
@@ -269,10 +342,10 @@ class SimplicialComplex:
         for f in self._facets:
             for ridge in itertools.combinations(f, len(f) - 1):
                 counts[ridge] = counts.get(ridge, 0) + 1
-        rim = [r for r, c in counts.items() if c == 1]
+        rim = [frozenset(r) for r, c in counts.items() if c == 1]
         if not rim:
             return None
-        return SimplicialComplex(self._face_labels(r) for r in rim)
+        return SimplicialComplex._from_ids(self._labels, rim)
 
     def tilde(self, apex: Label | None = None) -> "SimplicialComplex":
         """Close the complex off by coning a fresh apex over its boundary."""

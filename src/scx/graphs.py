@@ -43,7 +43,7 @@ from .kernels import unit_maxflow
 class SkeletonGraph:
     """Simple undirected graph on dense vertex ids with display labels."""
 
-    __slots__ = ("n", "labels", "adj", "_index")
+    __slots__ = ("n", "labels", "adj", "_index", "_connectivity")
 
     def __init__(
         self,
@@ -67,6 +67,7 @@ class SkeletonGraph:
         self.adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in neigh
         )
+        self._connectivity: ConnectivityResult | None = None  # vertex_connectivity's memo
 
     @property
     def n_edges(self) -> int:
@@ -112,7 +113,14 @@ class SkeletonGraph:
 
 
 def skeleton(c: SimplicialComplex) -> SkeletonGraph:
-    """The graph with the complex's vertices as nodes and its edges as edges."""
+    """The graph with the complex's vertices as nodes and its edges as edges.
+
+    Kept in the complex's memo, so repeated calls return the same graph.
+    """
+    return c._cached("skeleton", _skeleton)
+
+
+def _skeleton(c: SimplicialComplex) -> SkeletonGraph:
     edges = [(e[0], e[1]) for e in c.faces_ids(2)]
     return SkeletonGraph(c.n_vertices, edges, labels=c.vertices)
 
@@ -249,8 +257,14 @@ def vertex_connectivity(g: SkeletonGraph) -> ConnectivityResult:
 
     Complete graphs (and the one-vertex graph) have no cut; otherwise the
     certificate is a minimum cut set together with the lexicographically
-    first non-adjacent pair it separates.
+    first non-adjacent pair it separates.  The result is kept on ``g``.
     """
+    if g._connectivity is None:
+        g._connectivity = _vertex_connectivity(g)
+    return g._connectivity
+
+
+def _vertex_connectivity(g: SkeletonGraph) -> ConnectivityResult:
     if g.n <= 1:
         return ConnectivityResult(0, False, None)
     if g.is_complete():

@@ -55,6 +55,10 @@ def _betti_from_ranks(c: SimplicialComplex, skip_faces, reduced: bool) -> BettiV
 
 def z2_betti(c: SimplicialComplex) -> BettiVector:
     """Reduced GF(2) Betti numbers (degree 0 through dim)."""
+    return c._cached("z2_betti", _z2_betti)
+
+
+def _z2_betti(c: SimplicialComplex) -> BettiVector:
     return _betti_from_ranks(c, None, reduced=True)
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .complexes import Face, SimplicialComplex
 from .errors import BadSeed, NotPseudomanifold, NotPure, SearchBudgetExceeded
@@ -37,7 +38,7 @@ class ManifoldClass:
     normal: bool | None  # None when not a pseudomanifold
     homology_manifold: bool
     homology_sphere: bool
-    witnesses: dict
+    witnesses: Mapping[str, Face]  # read-only: the result is shared through the memo
 
 
 def _ridge_counts(c: SimplicialComplex) -> dict[tuple[int, ...], list[int]]:
@@ -85,6 +86,10 @@ def is_pseudomanifold(c: SimplicialComplex) -> str:
     """
     if not c.is_pure:
         raise NotPure("pseudomanifold checks need a pure complex")
+    return c._cached("pseudomanifold", _is_pseudomanifold)
+
+
+def _is_pseudomanifold(c: SimplicialComplex) -> str:
     counts = [len(m) for m in _ridge_counts(c).values()]
     if any(k > 2 for k in counts) or not is_strongly_connected(c):
         return "no"
@@ -144,9 +149,13 @@ def is_homology_sphere(c: SimplicialComplex) -> bool:
 
 def manifold_class(c: SimplicialComplex) -> ManifoldClass:
     """All manifold-like flags bundled, with failure witnesses."""
-    witnesses: dict = {}
+    return c._cached("manifold_class", _manifold_class)
+
+
+def _manifold_class(c: SimplicialComplex) -> ManifoldClass:
+    witnesses: dict[str, Face] = {}
     pm = is_pseudomanifold(c)
-    strongly = is_strongly_connected(c)
+    strongly = pm != "no" or is_strongly_connected(c)
     normal: bool | None = None
     if pm != "no":
         res = is_normal(c)
@@ -157,7 +166,7 @@ def manifold_class(c: SimplicialComplex) -> ManifoldClass:
     if hw is not None:
         witnesses["homology_manifold"] = hw
     hs = hm and z2_betti(c) == sphere_pattern(c.dim, c.dim + 1)
-    return ManifoldClass(pm, strongly, normal, hm, hs, witnesses)
+    return ManifoldClass(pm, strongly, normal, hm, hs, MappingProxyType(witnesses))
 
 
 # -- shelling search -----------------------------------------------------

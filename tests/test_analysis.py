@@ -194,6 +194,50 @@ def test_verify_corpus_threads_deterministic():
     assert serial.rows == threaded.rows
 
 
+def test_verify_corpus_computes_each_invariant_once(monkeypatch):
+    from scx import banner, graphs, manifold
+
+    c = cross_polytope_boundary(3)
+    counts = dict.fromkeys(
+        ["_manifold_class", "_classify", "_banner_number", "_vertex_connectivity"], 0
+    )
+
+    def count(module, name, is_subject):
+        body = getattr(module, name)
+
+        def counted(x):
+            if is_subject(x):
+                counts[name] += 1
+            return body(x)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(manifold, "_manifold_class", lambda x: x is c)
+    count(banner, "_classify", lambda x: x is c)
+    count(banner, "_banner_number", lambda x: x is c)
+    count(graphs, "_vertex_connectivity", lambda g: g is graphs.skeleton(c))
+    summary = verify_corpus([("octahedral-3-sphere", c)])
+    verdicts = {r.property_id: r.verdict for r in summary.rows}
+    assert verdicts["T1.1"] == verdicts["T4.1"] == verdicts["L5.2"] == "pass"
+    assert counts == dict.fromkeys(counts, 1)
+
+
+def test_verify_corpus_threads_share_memo_safely():
+    import sys
+
+    def named():
+        return [("oct3", cross_polytope_boundary(3)), ("rb", ring_ball()), ("c6", cycle(6))]
+
+    serial = verify_corpus(named())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = verify_corpus(named(), threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.rows == serial.rows
+
+
 def test_verify_corpus_rejects_bad_property():
     with pytest.raises(UnknownProperty):
         verify_corpus(properties=["nope"])

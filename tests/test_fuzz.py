@@ -1,0 +1,105 @@
+"""Random small complexes through the whole pipeline.
+
+Each example is a complex on at most 8 vertices with facets of 1 to 4
+vertices, so dimensions 0 to 3 and non-pure inputs all occur: either
+random facets, or a stacked sphere, optionally with one facet removed,
+so that the closed-pseudomanifold hypotheses are met too.  Every
+entry point may only answer with a verdict or raise an ``ScxError``
+subclass, and the per-object memo must not change any answer: a check
+run inside ``verify_corpus``, next to the other checks on the same
+object, agrees with the same check run alone on a fresh copy.  The
+examples are derandomized so that the suite gives the same verdict on
+every run.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scx.analysis import (
+    PROPERTY_IDS,
+    analyze,
+    report_from_json,
+    report_json,
+    verify_corpus,
+    verify_property,
+)
+from scx.banner import _link_banner_value, banner_number
+from scx.complexes import SimplicialComplex, from_facets
+from scx.errors import ScxError
+from scx.generators import stacked_sphere
+
+_RANDOM = st.lists(
+    st.sets(st.integers(0, 7), min_size=1, max_size=4), min_size=1, max_size=8
+).map(lambda facets: [[f"v{i}" for i in f] for f in facets])
+
+
+def _sphere(d: int, k: int, seed: int, ball: bool) -> list[tuple[str, ...]]:
+    facets = list(stacked_sphere(d, k, seed).facets)
+    return facets[1:] if ball else facets
+
+
+_SPHERES = st.integers(1, 3).flatmap(
+    lambda d: st.builds(
+        _sphere, st.just(d), st.integers(0, 6 - d), st.integers(0, 99), st.booleans()
+    )
+)
+_FACETS = st.one_of(_RANDOM, _SPHERES)
+
+
+def _build(facets) -> SimplicialComplex:
+    return from_facets(facets)
+
+
+def _outcome(fn, *args):
+    """What a call did: ("value", result) or ("raise", exception type)."""
+    try:
+        return "value", fn(*args)
+    except ScxError as exc:
+        return "raise", type(exc)
+
+
+def _faces(c: SimplicialComplex):
+    yield ()
+    for k in range(1, c.dim + 2):
+        yield from sorted(c.faces(k))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_FACETS)
+def test_random_complex_pipeline(facets):
+    c = _build(facets)
+
+    kind, report = _outcome(analyze, c, "fuzz")
+    if kind == "value":
+        assert report_from_json(report_json(report)) == report
+
+    for pid in PROPERTY_IDS:
+        kind, res = _outcome(verify_property, pid, _build(facets))
+        assert kind == "raise" or res.verdict in ("pass", "fail", "skip")
+
+    rows = verify_corpus([("fuzz", c)]).rows
+    assert [r.property_id for r in rows] == sorted(PROPERTY_IDS)
+    for row in rows:
+        alone = verify_corpus([("fuzz", _build(facets))], properties=[row.property_id])
+        assert alone.rows == (row,)
+
+    for face in _faces(c):
+        via_table = _outcome(_link_banner_value, c, face)
+        direct = _outcome(lambda: banner_number(c.link(face)).value)
+        assert via_table == direct, face
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_FACETS, st.data())
+def test_from_ids_matches_public_constructor(facets, data):
+    c = _build(facets)
+    ids = st.sets(st.integers(0, c.n_vertices - 1), min_size=1, max_size=4)
+    pieces = data.draw(st.lists(ids, min_size=1, max_size=8))
+    trusted = SimplicialComplex._from_ids(c.vertices, [frozenset(p) for p in pieces])
+    public = from_facets([[c.vertices[i] for i in p] for p in pieces])
+    assert trusted == public
+    assert trusted.vertices == public.vertices
+    assert trusted.dim == public.dim
+    assert trusted.is_pure == public.is_pure
+    assert trusted.absorbed == public.absorbed
+    assert trusted.f_vector() == public.f_vector()

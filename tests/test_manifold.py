@@ -124,6 +124,19 @@ def test_suspension_of_torus_normal_but_not_homology_manifold():
     assert witness is not None and len(witness) == 1  # an apex link is a torus
 
 
+def test_manifold_class_witnesses_are_read_only():
+    pinched = _pinched_torus()
+    mc = manifold_class(pinched)
+    assert mc.witnesses == {"normal": ("P",), "homology_manifold": ("P",)}
+    with pytest.raises(TypeError):
+        mc.witnesses["normal"] = ("Q",)
+    with pytest.raises(TypeError):
+        del mc.witnesses["homology_manifold"]
+    again = manifold_class(pinched)
+    assert again.witnesses == {"normal": ("P",), "homology_manifold": ("P",)}
+    assert not again.normal and not again.homology_manifold
+
+
 def test_barnette_antistar():
     ok, _ = verify_barnette_antistar(simplex_boundary(3))
     assert ok
