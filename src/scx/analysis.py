@@ -427,6 +427,8 @@ def _check_p38iii(c: SimplicialComplex) -> PropertyCheckResult:
         return _skip(pid, "complex is not pure")
     if c.dim < 1:
         return _skip(pid, "a 0-dimensional complex has no boundary to cone over")
+    if c.dim < 2:
+        return _skip(pid, "a 1-dimensional boundary is bare points, which are never banner")
     if is_pseudomanifold(c) != "with_boundary":
         return _skip(pid, "not a pseudomanifold with boundary")
     for j in range(1, c.dim + 3):

@@ -133,12 +133,10 @@ def contains_simplex_boundary(c: SimplicialComplex, k: int) -> Face | None:
     """
     if k < 2:
         raise ValueError("subcomplex probe needs k >= 2")
+    faces = c.faces_ids(k)
     for t in cliques_ids(c, k + 1):
-        labels = tuple(c.vertices[i] for i in t)
-        if all(
-            c.has_face(labels[:i] + labels[i + 1 :]) for i in range(len(labels))
-        ):
-            return labels
+        if all(t[:i] + t[i + 1 :] in faces for i in range(len(t))):
+            return c._face_labels(t)
     return None
 
 
@@ -158,28 +156,31 @@ def classify(c: SimplicialComplex) -> BannerClass:
 
 
 def _classify(c: SimplicialComplex) -> BannerClass:
+    # cliques and faces as sorted id tuples; labels only for the witness
     d = c.dim
 
     forbidden = contains_simplex_boundary(c, d + 1) if d >= 1 else (
         c.vertices[:2] if c.n_vertices >= 2 else None
     )
-    critical_viol: Face | None = None
-    spanning_viol: Face | None = None
-    for t in cliques(c, d + 1):
-        if c.has_face(t):
+    top, ridges = c.faces_ids(d + 1), c.faces_ids(d)
+    critical_viol: tuple[int, ...] | None = None
+    spanning_viol: tuple[int, ...] | None = None
+    for t in cliques_ids(c, d + 1):
+        if t in top:
             continue
         if spanning_viol is None:
             spanning_viol = t
-        if any(c.has_face(t[:i] + t[i + 1 :]) for i in range(len(t))):
+        if any(t[:i] + t[i + 1 :] in ridges for i in range(len(t))):
             critical_viol = t
             break
 
-    flag_viol: Face | None = None
+    flag_viol: tuple[int, ...] | None = None
     for size in range(3, d + 3):
         found_any = False
-        for t in cliques(c, size):
+        faces = c.faces_ids(size)
+        for t in cliques_ids(c, size):
             found_any = True
-            if not c.has_face(t):
+            if t not in faces:
                 flag_viol = t
                 break
         if flag_viol is not None or not found_any:
@@ -192,13 +193,17 @@ def _classify(c: SimplicialComplex) -> BannerClass:
     witness: BannerWitness | None = None
     if not banner:
         if critical_viol is not None:
-            witness = BannerWitness("banner", "critical_non_spanning_clique", critical_viol)
+            witness = BannerWitness(
+                "banner", "critical_non_spanning_clique", c._face_labels(critical_viol)
+            )
         else:
             witness = BannerWitness("banner", "simplex_boundary", forbidden)
     elif not strongly:
-        witness = BannerWitness("strongly_banner", "non_spanning_clique", spanning_viol)
+        witness = BannerWitness(
+            "strongly_banner", "non_spanning_clique", c._face_labels(spanning_viol)
+        )
     elif not flag:
-        witness = BannerWitness("flag", "non_spanning_clique", flag_viol)
+        witness = BannerWitness("flag", "non_spanning_clique", c._face_labels(flag_viol))
     return BannerClass(flag, strongly, banner, witness)
 
 

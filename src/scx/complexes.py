@@ -61,12 +61,27 @@ def _normalize_facet(facet: Iterable[Label]) -> tuple[Label, ...]:
 
 
 def _maximal(sets: set[frozenset]) -> list[frozenset]:
-    """The members of ``sets`` that lie in no other member."""
+    """The members of ``sets`` that lie in no other member.
+
+    Sets are visited largest first; bit k of ``holders[v]`` says that the
+    k-th kept set contains ``v``, so a candidate lies in a kept set exactly
+    when the masks of its vertices share a bit.  A kept set is never equal
+    to a later candidate, since the members are distinct.
+    """
     if len({len(s) for s in sets}) == 1:
         return list(sets)
     maximal: list[frozenset] = []
+    holders: dict[object, int] = {}
     for cand in sorted(sets, key=len, reverse=True):
-        if not any(cand < kept for kept in maximal):
+        common = -1
+        for v in cand:
+            common &= holders.get(v, 0)
+            if not common:
+                break
+        if not common:
+            bit = 1 << len(maximal)
+            for v in cand:
+                holders[v] = holders.get(v, 0) | bit
             maximal.append(cand)
     return maximal
 

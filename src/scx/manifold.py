@@ -1,8 +1,15 @@
 """Pseudomanifold structure, homology-manifold recognition and shelling.
 
 The checks here follow the chain: homology manifold => normal
-pseudomanifold => pseudomanifold, each verified independently so the
-chain itself can be asserted on test corpora.
+pseudomanifold => pseudomanifold.  ``is_normal`` and
+``is_homology_manifold`` each check their property on their own, but
+``manifold_class`` reads normality off a passing homology-manifold check
+and runs ``is_normal`` only on pseudomanifolds that fail it; the tests
+compare the two routes on the test corpora.
+
+Strong connectivity, including that of each vertex antistar in
+``verify_barnette_antistar``, is searched on facet id tuples; no label
+facet graph or antistar complex is built.
 """
 
 from __future__ import annotations
@@ -13,8 +20,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import Face, SimplicialComplex
-from .errors import BadSeed, NotPseudomanifold, NotPure, SearchBudgetExceeded
+from .complexes import Face, SimplicialComplex, _maximal
+from .errors import BadSeed, EmptyComplex, NotPseudomanifold, NotPure, SearchBudgetExceeded
 from .graphs import skeleton
 from .homology import sphere_pattern, z2_betti
 
@@ -41,13 +48,30 @@ class ManifoldClass:
     witnesses: Mapping[str, Face]  # read-only: the result is shared through the memo
 
 
-def _ridge_counts(c: SimplicialComplex) -> dict[tuple[int, ...], list[int]]:
-    """Map each ridge to the indices of the facets containing it."""
+def _ridge_members(facets: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
+    """Map each ridge to the indices of the sorted id tuples containing it."""
     out: dict[tuple[int, ...], list[int]] = {}
-    for i, f in enumerate(c._facets):  # noqa: SLF001 - intra-package id view
+    for i, f in enumerate(facets):
         for ridge in itertools.combinations(f, len(f) - 1):
             out.setdefault(ridge, []).append(i)
     return out
+
+
+def _facets_connected(facets: Sequence[tuple[int, ...]]) -> bool:
+    """Is the graph on ``facets`` (equal-size id tuples) sharing ridges connected?"""
+    by_facet: list[list[list[int]]] = [[] for _ in facets]
+    for members in _ridge_members(facets).values():
+        for i in members:
+            by_facet[i].append(members)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        for members in by_facet[queue.popleft()]:
+            for j in members:
+                if j not in seen:
+                    seen.add(j)
+                    queue.append(j)
+    return len(seen) == len(facets)
 
 
 def facet_graph(c: SimplicialComplex) -> FacetGraph:
@@ -55,28 +79,16 @@ def facet_graph(c: SimplicialComplex) -> FacetGraph:
     if not c.is_pure:
         raise NotPure("facet graph is defined for pure complexes")
     edges = set()
-    for members in _ridge_counts(c).values():
+    for members in _ridge_members(c._facets).values():  # noqa: SLF001 - intra-package id view
         for a, b in itertools.combinations(members, 2):
             edges.add((a, b) if a < b else (b, a))
     return FacetGraph(c.facets, tuple(sorted(edges)))
 
 
 def is_strongly_connected(c: SimplicialComplex) -> bool:
-    g = facet_graph(c)
-    n = len(g.facets)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in g.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == n
+    if not c.is_pure:
+        raise NotPure("facet graph is defined for pure complexes")
+    return _facets_connected(c._facets)  # noqa: SLF001 - intra-package id view
 
 
 def is_pseudomanifold(c: SimplicialComplex) -> str:
@@ -90,7 +102,7 @@ def is_pseudomanifold(c: SimplicialComplex) -> str:
 
 
 def _is_pseudomanifold(c: SimplicialComplex) -> str:
-    counts = [len(m) for m in _ridge_counts(c).values()]
+    counts = [len(m) for m in _ridge_members(c._facets).values()]  # noqa: SLF001
     if any(k > 2 for k in counts) or not is_strongly_connected(c):
         return "no"
     return "closed" if all(k == 2 for k in counts) else "with_boundary"
@@ -113,8 +125,16 @@ def verify_barnette_antistar(c: SimplicialComplex) -> tuple[bool, str | None]:
     """Strong connectivity of every vertex antistar; witness on failure."""
     if is_pseudomanifold(c) == "no":
         raise NotPseudomanifold("antistar connectivity assumes a pseudomanifold")
-    for v in c.vertices:
-        if not is_strongly_connected(c.antistar(v)):
+    if c.n_vertices == 1:
+        raise EmptyComplex("antistar of the only vertex is empty")
+    # the facets of antistar(v), as ``c.antistar(v)`` would find them
+    for i, v in enumerate(c.vertices):
+        pieces = {fs - {i} for fs in c._facet_sets}  # noqa: SLF001 - intra-package id view
+        pieces.discard(frozenset())
+        facets = [tuple(sorted(f)) for f in _maximal(pieces)]
+        if len({len(f) for f in facets}) != 1:
+            raise NotPure("facet graph is defined for pure complexes")
+        if not _facets_connected(facets):
             return False, v
     return True, None
 
@@ -156,13 +176,15 @@ def _manifold_class(c: SimplicialComplex) -> ManifoldClass:
     witnesses: dict[str, Face] = {}
     pm = is_pseudomanifold(c)
     strongly = pm != "no" or is_strongly_connected(c)
+    hm, hw = is_homology_manifold(c)
     normal: bool | None = None
     if pm != "no":
-        res = is_normal(c)
+        # A connected homology manifold is normal: each link of dimension
+        # at least 1 has reduced Betti number 0 in degree 0, so it is connected.
+        res = NormalityResult(True, None) if hm else is_normal(c)
         normal = res.normal
         if res.witness is not None:
             witnesses["normal"] = res.witness
-    hm, hw = is_homology_manifold(c)
     if hw is not None:
         witnesses["homology_manifold"] = hw
     hs = hm and z2_betti(c) == sphere_pattern(c.dim, c.dim + 1)

@@ -10,6 +10,9 @@ genuinely separate routes:
 - GF(2) ranks by dense numpy elimination,
 - face counts by raw subset enumeration,
 - flagness by scanning all vertex subsets,
+- banner classes by label tuples probed with ``has_face``,
+- maximal sets by pairwise strict-subset tests,
+- strong connectivity by pairwise facet intersections,
 - cyclic polytope facets by exact moment-curve determinants.
 """
 
@@ -22,6 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from scx._kernels_py import unit_maxflow
+from scx.banner import BannerClass, BannerWitness, cliques
+from scx.errors import NotPure
 
 
 def components(n, adj, removed=frozenset()):
@@ -307,3 +312,81 @@ def moment_curve_facets(n: int, dim: int) -> set[frozenset[int]]:
         if len(signs) == 1 and 0 not in signs:
             facets.add(frozenset(sub))
     return facets
+
+
+def maximal_by_pairs(sets) -> set[frozenset]:
+    """The members of ``sets`` in no other member, by pairwise tests."""
+    maximal: list[frozenset] = []
+    for cand in sorted(set(sets), key=len, reverse=True):
+        if not any(cand < kept for kept in maximal):
+            maximal.append(cand)
+    return set(maximal)
+
+
+def strongly_connected_by_pairs(c) -> bool:
+    """Facet-graph connectivity, two facets adjacent when they meet in a ridge."""
+    if not c.is_pure:
+        raise NotPure("facet graph is defined for pure complexes")
+    facets = [frozenset(f) for f in c.facets]
+    seen = {0}
+    stack = [0]
+    while stack:
+        a = stack.pop()
+        for b, f in enumerate(facets):
+            if b not in seen and len(facets[a] & f) == c.dim:
+                seen.add(b)
+                stack.append(b)
+    return len(seen) == len(facets)
+
+
+def classify_by_labels(c) -> BannerClass:
+    """Flag / strongly banner / banner of a pure complex, on label tuples.
+
+    Every clique is a label tuple and every face test a ``has_face`` call,
+    the representation the library's id-based classification replaced.
+    """
+    d = c.dim
+
+    def simplex_boundary(k):
+        for t in cliques(c, k + 1):
+            if all(c.has_face(t[:i] + t[i + 1 :]) for i in range(len(t))):
+                return t
+        return None
+
+    forbidden = simplex_boundary(d + 1) if d >= 1 else (
+        c.vertices[:2] if c.n_vertices >= 2 else None
+    )
+    critical_viol = spanning_viol = None
+    for t in cliques(c, d + 1):
+        if c.has_face(t):
+            continue
+        if spanning_viol is None:
+            spanning_viol = t
+        if any(c.has_face(t[:i] + t[i + 1 :]) for i in range(len(t))):
+            critical_viol = t
+            break
+
+    flag_viol = None
+    for size in range(3, d + 3):
+        found_any = False
+        for t in cliques(c, size):
+            found_any = True
+            if not c.has_face(t):
+                flag_viol = t
+                break
+        if flag_viol is not None or not found_any:
+            break
+
+    banner = forbidden is None and critical_viol is None
+    strongly = forbidden is None and spanning_viol is None
+    witness = None
+    if not banner:
+        if critical_viol is not None:
+            witness = BannerWitness("banner", "critical_non_spanning_clique", critical_viol)
+        else:
+            witness = BannerWitness("banner", "simplex_boundary", forbidden)
+    elif not strongly:
+        witness = BannerWitness("strongly_banner", "non_spanning_clique", spanning_viol)
+    elif flag_viol is not None:
+        witness = BannerWitness("flag", "non_spanning_clique", flag_viol)
+    return BannerClass(flag_viol is None, strongly, banner, witness)

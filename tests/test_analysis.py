@@ -129,6 +129,7 @@ def test_verify_property_fail_payload():
         ("P3.8iii", [["a"]]),
         ("L4.4-homological", [["a"]]),
         ("T1.1", [["a"], ["b"]]),
+        ("P3.8iii", [["v0", "v1"], ["v1", "v6"]]),  # boundary of two bare points
     ],
 )
 def test_degenerate_inputs_skip_with_a_reason(pid, facets):

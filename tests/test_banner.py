@@ -26,7 +26,16 @@ from scx.generators import (
     stacked_sphere,
 )
 
-from oracles import brute_is_flag
+from oracles import brute_is_flag, classify_by_labels
+
+
+def test_classify_matches_label_oracle_on_corpus_links(corpus):
+    for name, c in corpus.items():
+        for k in range(0, c.dim + 1):
+            for face in sorted(c.faces(k)) if k else [()]:
+                lk = c.link(face)
+                if lk.is_pure:
+                    assert classify(lk) == classify_by_labels(lk), (name, face)
 
 
 def test_cliques_of_complete_skeleton():

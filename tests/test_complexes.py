@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scx.complexes import SimplicialComplex, dumps, from_facets, loads
+from scx.complexes import SimplicialComplex, _maximal, dumps, from_facets, loads
 from scx.errors import (
     EmptyComplex,
     LabelClash,
@@ -13,7 +13,18 @@ from scx.errors import (
 )
 from scx.generators import cycle, ring_ball, simplex, simplex_boundary
 
-from oracles import brute_f_vector
+from oracles import brute_f_vector, maximal_by_pairs
+
+
+def test_maximal_matches_pairwise_oracle_on_corpus_antistars(corpus):
+    # the pieces of an antistar mix facets with ridges, so absorption happens
+    for name, c in corpus.items():
+        for k in range(0, c.dim + 1):
+            for face in sorted(c.faces(k)) if k else [()]:
+                lk = c.link(face)
+                for i in range(lk.n_vertices):
+                    pieces = {fs - {i} for fs in lk._facet_sets} - {frozenset()}
+                    assert set(_maximal(pieces)) == maximal_by_pairs(pieces), (name, face, i)
 
 
 def test_two_triangles():

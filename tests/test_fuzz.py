@@ -8,6 +8,8 @@ entry point may only answer with a verdict or raise an ``ScxError``
 subclass, and the per-object memo must not change any answer: a check
 run inside ``verify_corpus``, next to the other checks on the same
 object, agrees with the same check run alone on a fresh copy.  The
+id-based classification, absorption and strong-connectivity search
+agree with the label-based and pairwise oracles of ``oracles.py``.  The
 examples are derandomized so that the suite gives the same verdict on
 every run.
 """
@@ -23,10 +25,13 @@ from scx.analysis import (
     verify_corpus,
     verify_property,
 )
-from scx.banner import _link_banner_value, banner_number
-from scx.complexes import SimplicialComplex, from_facets
+from scx.banner import _link_banner_value, banner_number, classify
+from scx.complexes import SimplicialComplex, _maximal, from_facets
 from scx.errors import ScxError
 from scx.generators import stacked_sphere
+from scx.manifold import is_strongly_connected
+
+from oracles import classify_by_labels, maximal_by_pairs, strongly_connected_by_pairs
 
 _RANDOM = st.lists(
     st.sets(st.integers(0, 7), min_size=1, max_size=4), min_size=1, max_size=8
@@ -103,3 +108,16 @@ def test_from_ids_matches_public_constructor(facets, data):
     assert trusted.is_pure == public.is_pure
     assert trusted.absorbed == public.absorbed
     assert trusted.f_vector() == public.f_vector()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_FACETS)
+def test_id_paths_match_oracles(facets):
+    sets = {frozenset(f) for f in facets}
+    assert set(_maximal(sets)) == maximal_by_pairs(sets)
+    c = _build(facets)
+    for face in _faces(c):
+        kind, lk = _outcome(c.link, face)
+        if kind == "value" and lk.is_pure:
+            assert classify(lk) == classify_by_labels(lk), face
+            assert is_strongly_connected(lk) == strongly_connected_by_pairs(lk), face

@@ -1,7 +1,8 @@
 import pytest
 
+from scx import manifold
 from scx.complexes import from_facets
-from scx.errors import BadSeed, NotPseudomanifold, NotPure, SearchBudgetExceeded
+from scx.errors import BadSeed, NotPseudomanifold, NotPure, ScxError, SearchBudgetExceeded
 from scx.generators import (
     banana,
     complete_graph_edges,
@@ -26,7 +27,7 @@ from scx.manifold import (
     verify_shelling,
 )
 
-from oracles import closed_by_ridge_count
+from oracles import closed_by_ridge_count, strongly_connected_by_pairs
 
 
 def test_facet_graph_of_simplex_boundary():
@@ -158,16 +159,63 @@ def test_homology_manifold_examples():
     assert not is_homology_sphere(torus)
 
 
-def test_manifold_class_chain_on_closed_corpus(corpus):
-    # homology manifold => normal pseudomanifold => pseudomanifold
+def _pseudomanifolds(corpus):
     for name, c in corpus.items():
-        if not c.is_pure:
-            continue
-        mc = manifold_class(c)
-        if mc.homology_manifold and mc.pseudomanifold == "closed":
-            assert mc.normal, name
-        if mc.normal:
-            assert mc.pseudomanifold in ("closed", "with_boundary"), name
+        if c.is_pure and is_pseudomanifold(c) != "no":
+            yield name, c
+    yield "pinched-torus", _pinched_torus()
+    yield "torus-7-suspension", torus_7().suspension()
+
+
+def test_manifold_class_normality_matches_is_normal(corpus):
+    # manifold_class reads normality off the homology-manifold check
+    for name, c in corpus.items():
+        if c.is_pure and is_pseudomanifold(c) == "no":
+            assert manifold_class(c).normal is None, name
+    for name, c in _pseudomanifolds(corpus):
+        mc, res = manifold_class(c), is_normal(c)
+        assert mc.normal == res.normal, name
+        assert mc.witnesses.get("normal") == res.witness, name
+
+
+def test_manifold_class_runs_is_normal_only_off_homology_manifolds(monkeypatch):
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return is_normal(c)
+
+    monkeypatch.setattr(manifold, "is_normal", counted)
+    assert manifold_class(cross_polytope_boundary(3)).normal
+    assert calls == []
+    assert not manifold_class(_pinched_torus()).normal
+    assert len(calls) == 1
+
+
+def _antistars_by_complexes(c):
+    """The antistar check on built antistar complexes and pairwise facet tests."""
+    if is_pseudomanifold(c) == "no":
+        raise NotPseudomanifold("antistar connectivity assumes a pseudomanifold")
+    for v in c.vertices:
+        if not strongly_connected_by_pairs(c.antistar(v)):
+            return False, v
+    return True, None
+
+
+def _outcome(fn, c):
+    try:
+        return "value", fn(c)
+    except ScxError as exc:
+        return "raise", type(exc)
+
+
+def test_barnette_antistar_matches_built_antistars(corpus):
+    seen = set()
+    for name, c in _pseudomanifolds(corpus):
+        got = _outcome(verify_barnette_antistar, c)
+        assert got == _outcome(_antistars_by_complexes, c), name
+        seen.add(got[0] if got[0] == "raise" else got[1][0])
+    assert seen == {True, False, "raise"}  # every outcome occurs
 
 
 def test_stacked_spheres_closed(corpus):
