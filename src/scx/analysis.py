@@ -509,14 +509,12 @@ class CorpusSummary:
 def verify_corpus(
     named: Iterable[tuple[str, SimplicialComplex]] | None = None,
     properties: Iterable[str] | None = None,
-    threads: int = 1,
 ) -> CorpusSummary:
     """Run the property checks over the default corpus or given complexes.
 
-    Results are merged in (name, property) order regardless of the thread
-    count, so output is deterministic.  A check that raises ``ScxError``
-    on one input becomes an "error" row and an entry of ``errors``; the
-    other rows are unaffected.
+    Rows are sorted by (name, property), so output is deterministic.  A
+    check that raises ``ScxError`` on one input becomes an "error" row and
+    an entry of ``errors``; the other rows are unaffected.
     """
     if named is None:
         named = [(display_name(spec), c) for spec, c in catalog()]
@@ -527,10 +525,7 @@ def verify_corpus(
         if pid not in _CHECKS:
             raise UnknownProperty(f"unknown property {pid!r}")
 
-    tasks = [(name, pid, c) for name, c in named for pid in props]
-
-    def run(task) -> CorpusRow:
-        name, pid, c = task
+    def run(name: str, pid: str, c: SimplicialComplex) -> CorpusRow:
         try:
             res = verify_property(pid, c)
             return CorpusRow(name, pid, res.verdict, res.detail)
@@ -539,13 +534,7 @@ def verify_corpus(
         except ScxError as exc:
             return CorpusRow(name, pid, "error", f"{type(exc).__name__}: {exc}")
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, tasks))
-    else:
-        rows = [run(t) for t in tasks]
+    rows = [run(name, pid, c) for name, c in named for pid in props]
     rows.sort(key=lambda r: (r.name, r.property_id))
     errors = tuple(
         f"{r.name} {r.property_id}: {r.detail}" for r in rows if r.verdict == "error"

@@ -81,7 +81,7 @@ def _cmd_verify(args) -> int:
             except ScxError as exc:
                 errors.append(str(exc))
     props = [args.property] if args.property else None
-    summary = analysis.verify_corpus(named, properties=props, threads=args.threads)
+    summary = analysis.verify_corpus(named, properties=props)
     rows = summary.rows
     errors += summary.errors
     if args.json:
@@ -177,7 +177,7 @@ def _cmd_connectivity(args) -> int:
         if res.complete:
             print("skeleton is a complete graph")
         elif res.cut is not None:
-            print(f"minimum cut {set(res.cut.vertices)} separates {res.cut.pair}")
+            print(f"minimum cut {res.cut.vertices} separates {res.cut.pair}")
     return 0
 
 
@@ -205,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="*")
     p.add_argument("--corpus", action="store_true", help="use the built-in corpus")
     p.add_argument("--property", help="restrict to one property id")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -7,8 +7,7 @@ and label-lexicographic enumeration agree.  At the API boundary faces travel
 as sorted label tuples; internally they are sorted id tuples.
 
 A complex is immutable once built.  Per-cardinality face sets are
-generated on demand and memoized behind a lock, so complexes can be
-shared freely between threads.  The empty complex is unrepresentable:
+generated on demand and memoized.  The empty complex is unrepresentable:
 every constructor raises ``EmptyComplex`` rather than producing one.
 
 Invariants computed from a complex (its banner class, banner number,
@@ -16,8 +15,10 @@ manifold class, skeleton, Betti numbers and the banner status of its
 face links) are cached per object in its ``_memo`` dict, so each is
 computed once however many checks ask for it.  Cached values are
 immutable, hold no reference back to the complex and die with it; there
-is no global or content-keyed cache.  Two threads asking for the same
-value at once may both compute it, and then store equal results.
+is no global or content-keyed cache.  Neither memo takes a lock: two
+threads asking for the same value at once may both compute it and store
+equal results.  Each store is one dict assignment, which the interpreter
+lock keeps atomic, so a complex can still be shared between threads.
 Links, stars and induced subcomplexes are themselves not cached: they
 are rebuilt from the parent's ids by ``_from_ids``, which skips label
 normalization.
@@ -26,7 +27,6 @@ normalization.
 from __future__ import annotations
 
 import itertools
-import threading
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import (
@@ -98,7 +98,6 @@ class SimplicialComplex:
         "is_pure",
         "absorbed",
         "_face_cache",
-        "_lock",
         "_memo",
     )
 
@@ -162,7 +161,6 @@ class SimplicialComplex:
         self.is_pure = len(sizes) == 1
         self.absorbed = absorbed
         self._face_cache: dict[int, frozenset[tuple[int, ...]]] = {}
-        self._lock = threading.Lock()
         self._memo: dict[str, object] = {}
 
     def _cached(self, key: str, compute: Callable[["SimplicialComplex"], _T]) -> _T:
@@ -216,14 +214,12 @@ class SimplicialComplex:
         """All faces with exactly ``k`` vertices, as id tuples."""
         if k < 1 or k > self.dim + 1:
             return frozenset()
-        with self._lock:
-            cached = self._face_cache.get(k)
-            if cached is None:
-                cached = frozenset(
-                    sub for f in self._facets for sub in itertools.combinations(f, k)
-                )
-                self._face_cache[k] = cached
-            return cached
+        cached = self._face_cache.get(k)
+        if cached is None:
+            cached = self._face_cache[k] = frozenset(
+                sub for f in self._facets for sub in itertools.combinations(f, k)
+            )
+        return cached
 
     def faces(self, k: int) -> frozenset[Face]:
         """All faces with exactly ``k`` vertices, as label tuples."""

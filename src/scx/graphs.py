@@ -19,8 +19,8 @@ on each side.  So kappa is the least flow over those pairs: at most
 n + deg(m)^2 / 2 flows instead of one per non-adjacent pair.  The
 certificate then comes from a scan of the non-adjacent pairs in
 lexicographic order that stops at the first pair whose flow equals
-kappa, skipping pairs already known to need more; only that pair's cut
-is read off the residual network.
+kappa, skipping pairs already known to need more; that pair's cut is
+read off the source side that the flow's last search labeled.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def _split_network(g: SkeletonGraph) -> _SplitNetwork:
 
 
 def _pair_flow(g: SkeletonGraph, net: _SplitNetwork, u: int, v: int):
-    """Maximum flow of internally disjoint u-v paths as ``(value, flows)``.
+    """Maximum flow of internally disjoint u-v paths as ``(value, flows, reach)``.
 
     A direct edge u-v is left out (its arcs get capacity 0); callers
     account for it.
@@ -210,45 +210,11 @@ def _pair_flow(g: SkeletonGraph, net: _SplitNetwork, u: int, v: int):
     return unit_maxflow(net.num_nodes, net.tails, net.heads, caps, 2 * u + 1, 2 * v)
 
 
-def _cut_vertices(
-    g: SkeletonGraph, net: _SplitNetwork, flows: list[int], u: int, v: int
-) -> tuple[int, ...]:
-    """The minimum u-v separator that a maximum u-v flow leaves behind.
-
-    Its members are the vertices whose in-node, but not out-node, is
-    reachable from the source in the residual network.
-    """
-    s = 2 * u + 1
-    tails, heads, caps = net.tails, net.heads, net.caps
-    res = {}
-    adj: list[list[int]] = [[] for _ in range(net.num_nodes)]
-    for i in range(len(tails)):
-        res[2 * i] = caps[i] - flows[i]
-        res[2 * i + 1] = flows[i]
-        adj[tails[i]].append(2 * i)
-        adj[heads[i]].append(2 * i + 1)
-    reach = {s}
-    queue = deque([s])
-    while queue:
-        x = queue.popleft()
-        for a in adj[x]:
-            if res[a] > 0:
-                y = heads[a >> 1] if not (a & 1) else tails[a >> 1]
-                if y not in reach:
-                    reach.add(y)
-                    queue.append(y)
-    return tuple(
-        w
-        for w in range(g.n)
-        if w != u and w != v and (2 * w) in reach and (2 * w + 1) not in reach
-    )
-
-
 def local_connectivity(g: SkeletonGraph, u: int, v: int) -> int:
     """Maximum number of independent u-v paths."""
     if u == v:
         raise SameVertex("need two distinct vertices")
-    value, _ = _pair_flow(g, _split_network(g), u, v)
+    value = _pair_flow(g, _split_network(g), u, v)[0]
     return value + (1 if g.adjacent(u, v) else 0)
 
 
@@ -292,9 +258,15 @@ def _vertex_connectivity(g: SkeletonGraph) -> ConnectivityResult:
         for v in range(u + 1, g.n):
             if g.adjacent(u, v) or known.get((u, v), kappa) > kappa:
                 continue
-            value, flows = _pair_flow(g, net, u, v)
+            value, _, reach = _pair_flow(g, net, u, v)
             if value == kappa:
-                cut = _cut_vertices(g, net, flows, u, v)
+                # the separator: vertices whose in-node, but not out-node,
+                # lies on the source side of the flow's minimum cut
+                cut = tuple(
+                    w
+                    for w in range(g.n)
+                    if w != u and w != v and reach[2 * w] and not reach[2 * w + 1]
+                )
                 _check_cut(g, cut, u, v)
                 return ConnectivityResult(
                     kappa,
@@ -337,7 +309,7 @@ def independent_paths(g: SkeletonGraph, u_label: str, v_label: str) -> PathFamil
     if u == v:
         raise SameVertex("need two distinct vertices")
     net = _split_network(g)
-    value, flows = _pair_flow(g, net, u, v)
+    value, flows, _ = _pair_flow(g, net, u, v)
 
     # Decompose the flow: walk saturated edge arcs from u, consuming them.
     out_of: dict[int, list[int]] = {}

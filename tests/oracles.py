@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from scx._kernels_py import unit_maxflow
+from scx.kernels import unit_maxflow
 from scx.banner import BannerClass, BannerWitness, cliques
 from scx.errors import NotPure
 
@@ -78,7 +78,7 @@ def _pair_min_cut(g, u, v) -> tuple[int, tuple[int, ...]]:
     """Least u-v separator of a non-adjacent pair, from a network of its own.
 
     The network leaves out the split arcs of u and v; the separator is read
-    off the residual reachable set of the pure max-flow kernel's flow.
+    off the residual reachable set of the max-flow kernel's flow.
     """
     tails, heads, caps = [], [], []
     for w in range(g.n):
@@ -92,7 +92,7 @@ def _pair_min_cut(g, u, v) -> tuple[int, tuple[int, ...]]:
             heads.append(2 * b)
             caps.append(g.n)
     s, t = 2 * u + 1, 2 * v
-    value, flows = unit_maxflow(2 * g.n, tails, heads, caps, s, t)
+    value, flows, _ = unit_maxflow(2 * g.n, tails, heads, caps, s, t)
     out: list[list[tuple[int, int]]] = [[] for _ in range(2 * g.n)]
     for i, (a, b) in enumerate(zip(tails, heads)):
         out[a].append((b, caps[i] - flows[i]))

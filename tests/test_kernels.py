@@ -1,18 +1,10 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scx import _kernels_py
+from scx.kernels import gf2_rank, unit_maxflow
 from oracles import gf2_rank_dense
-
-try:
-    from scx import _fastcore
-except ImportError:
-    _fastcore = None
-
-BACKENDS = [_kernels_py] + ([_fastcore] if _fastcore else [])
 
 
 @st.composite
@@ -30,26 +22,22 @@ def gf2_matrices(draw):
 @settings(max_examples=200, deadline=None)
 def test_gf2_rank_matches_dense_oracle(data):
     rows, ncols = data
-    expected = gf2_rank_dense(rows, ncols)
-    for impl in BACKENDS:
-        assert impl.gf2_rank(rows, ncols) == expected
+    assert gf2_rank(rows, ncols) == gf2_rank_dense(rows, ncols)
 
 
 def test_gf2_rank_edge_cases():
-    for impl in BACKENDS:
-        assert impl.gf2_rank([], 10) == 0
-        assert impl.gf2_rank([0, 0], 4) == 0
-        assert impl.gf2_rank([1, 2, 4], 3) == 3
-        assert impl.gf2_rank([0b11, 0b110, 0b101], 3) == 2
-        # duplicated rows collapse
-        assert impl.gf2_rank([7, 7, 7], 3) == 1
+    assert gf2_rank([], 10) == 0
+    assert gf2_rank([0, 0], 4) == 0
+    assert gf2_rank([1, 2, 4], 3) == 3
+    assert gf2_rank([0b11, 0b110, 0b101], 3) == 2
+    # duplicated rows collapse
+    assert gf2_rank([7, 7, 7], 3) == 1
 
 
 def test_gf2_rank_wide_matrix():
     # more than one 64-bit word per row
     rows = [1 << i for i in range(0, 200, 13)]
-    for impl in BACKENDS:
-        assert impl.gf2_rank(rows, 200) == len(rows)
+    assert gf2_rank(rows, 200) == len(rows)
 
 
 @st.composite
@@ -67,17 +55,12 @@ def flow_instances(draw):
 
 @given(flow_instances())
 @settings(max_examples=200, deadline=None)
-def test_maxflow_backends_agree_exactly(inst):
+def test_maxflow_returns_a_max_flow_min_cut_certificate(inst):
     n, arcs = inst
     tails = [a[0] for a in arcs]
     heads = [a[1] for a in arcs]
     caps = [a[2] for a in arcs]
-    results = [
-        impl.unit_maxflow(n, tails, heads, caps, 0, n - 1) for impl in BACKENDS
-    ]
-    for other in results[1:]:
-        assert other == results[0]
-    value, flows = results[0]
+    value, flows, reach = unit_maxflow(n, tails, heads, caps, 0, n - 1)
     # conservation at interior nodes, capacity bounds
     assert all(0 <= f <= c for f, c in zip(flows, caps))
     net = [0] * n
@@ -86,18 +69,20 @@ def test_maxflow_backends_agree_exactly(inst):
         net[h] += f
     assert net[0] == -value and net[n - 1] == value
     assert all(net[i] == 0 for i in range(1, n - 1))
+    # reach is the source side of a cut whose capacity equals the flow
+    assert len(reach) == n and reach[0] and not reach[n - 1]
+    side = [(reach[t], reach[h]) for t, h in zip(tails, heads)]
+    assert sum(c for c, s in zip(caps, side) if s == (True, False)) == value
+    assert all(f == 0 for f, s in zip(flows, side) if s == (False, True))
 
 
 def test_maxflow_known_values():
-    for impl in BACKENDS:
-        # two disjoint length-2 routes from 0 to 3
-        value, _ = impl.unit_maxflow(
-            4, [0, 1, 0, 2], [1, 3, 2, 3], [1, 1, 1, 1], 0, 3
-        )
-        assert value == 2
-        # bottleneck through one middle vertex arc
-        value, _ = impl.unit_maxflow(3, [0, 1], [1, 2], [5, 2], 0, 2)
-        assert value == 2
+    # two disjoint length-2 routes from 0 to 3
+    value, _, reach = unit_maxflow(4, [0, 1, 0, 2], [1, 3, 2, 3], [1, 1, 1, 1], 0, 3)
+    assert value == 2 and reach == [True, False, False, False]
+    # bottleneck through one middle vertex arc
+    value, _, reach = unit_maxflow(3, [0, 1], [1, 2], [5, 2], 0, 2)
+    assert value == 2 and reach == [True, True, False]
 
 
 def test_maxflow_deterministic_repeat():
@@ -112,15 +97,6 @@ def test_maxflow_deterministic_repeat():
         tails = [a[0] for a in arcs]
         heads = [a[1] for a in arcs]
         caps = [1] * len(arcs)
-        for impl in BACKENDS:
-            first = impl.unit_maxflow(n, tails, heads, caps, 0, n - 1)
-            second = impl.unit_maxflow(n, tails, heads, caps, 0, n - 1)
-            assert first == second
-
-
-@pytest.mark.skipif(_fastcore is None, reason="compiled kernels not built")
-def test_compiled_backend_present():
-    from scx.kernels import BACKEND
-
-    assert BACKEND in ("compiled", "pure")
-    assert _fastcore.BACKEND == "compiled"
+        first = unit_maxflow(n, tails, heads, caps, 0, n - 1)
+        second = unit_maxflow(n, tails, heads, caps, 0, n - 1)
+        assert first == second
