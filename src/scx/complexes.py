@@ -256,15 +256,16 @@ class SimplicialComplex:
         The link of the empty face is the complex itself; the link of a
         facet would be empty and raises ``EmptyComplex``.
         """
+        labels = tuple(sorted(str(v) for v in face))
         try:
-            ids = self._face_ids(face)
+            ids = self._face_ids(labels)
         except UnknownVertex:
-            raise NotAFace(f"{tuple(sorted(str(v) for v in face))} is not a face") from None
+            raise NotAFace(f"{labels} is not a face") from None
         if not ids:
             return self
         idset = set(ids)
         if not any(idset <= fs for fs in self._facet_sets):
-            raise NotAFace(f"{tuple(sorted(face))} is not a face")
+            raise NotAFace(f"{labels} is not a face")
         residues = [fs - idset for fs in self._facet_sets if idset <= fs]
         residues = [r for r in residues if r]
         if not residues:

@@ -335,4 +335,7 @@ def build(name: str, params: tuple = ()) -> SimplicialComplex:
     builder, arity = REGISTRY[name]
     if len(params) != arity:
         raise ScxError(f"generator {name!r} takes {arity} integer parameter(s)")
-    return builder(*params)
+    try:
+        return builder(*params)
+    except ValueError as exc:  # an out-of-range parameter: a usage error
+        raise ScxError(f"generator {name!r}: {exc}") from None

@@ -1,8 +1,8 @@
 """Simplicial homology over GF(2) via boundary-matrix ranks.
 
 Boundary matrices are encoded as bitmask rows (one per higher face, bits
-indexed by the lower faces in sorted order) and ranks computed by the
-selected kernel backend.  All Betti numbers are exact integers.
+indexed by the lower faces in sorted order) and ranked by
+``kernels.gf2_rank``.  All Betti numbers are exact integers.
 """
 
 from __future__ import annotations

@@ -7,9 +7,22 @@ pseudomanifold => pseudomanifold.  ``is_normal`` and
 and runs ``is_normal`` only on pseudomanifolds that fail it; the tests
 compare the two routes on the test corpora.
 
+``is_homology_manifold`` visits faces from ridges down to vertices and
+takes the link of a face F as the residues G - F of the facet id sets G
+containing it; no link complex is built and the residues are dropped
+after each face.  Once the links of all larger faces have passed, the
+link of F is a closed GF(2)-homology m-manifold, m = d - |F|, so by
+Poincare duality over a field it is a homology sphere exactly when it is
+connected, its Betti numbers below degree ceil(m/2) vanish and, for even
+m, its Euler characteristic is 2.  Only when some link fails are the
+links built and fully ranked, faces ascending, for the witness.
+
 Strong connectivity, including that of each vertex antistar in
 ``verify_barnette_antistar``, is searched on facet id tuples; no label
-facet graph or antistar complex is built.
+facet graph or antistar complex is built.  On a closed pseudomanifold
+the antistar of v is exactly the facets avoiding v, searched on one
+ridge graph of all facets; a pseudomanifold with boundary absorbs the
+pieces G - v of each antistar first.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 from .complexes import Face, SimplicialComplex, _maximal
 from .errors import BadSeed, EmptyComplex, NotPseudomanifold, NotPure, SearchBudgetExceeded
 from .graphs import skeleton
-from .homology import sphere_pattern, z2_betti
+from .homology import _boundary_rank, sphere_pattern, z2_betti
 
 
 @dataclass(frozen=True)
@@ -48,13 +61,20 @@ class ManifoldClass:
     witnesses: Mapping[str, Face]  # read-only: the result is shared through the memo
 
 
-def _ridge_members(facets: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
-    """Map each ridge to the indices of the sorted id tuples containing it."""
+def _face_members(
+    facets: Sequence[tuple[int, ...]], k: int
+) -> dict[tuple[int, ...], list[int]]:
+    """Map each k-vertex face to the indices of the sorted id tuples containing it."""
     out: dict[tuple[int, ...], list[int]] = {}
     for i, f in enumerate(facets):
-        for ridge in itertools.combinations(f, len(f) - 1):
-            out.setdefault(ridge, []).append(i)
+        for face in itertools.combinations(f, k):
+            out.setdefault(face, []).append(i)
     return out
+
+
+def _ridge_members(facets: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
+    """Map each ridge to the indices of the equal-size id tuples containing it."""
+    return _face_members(facets, len(facets[0]) - 1)
 
 
 def _facets_connected(facets: Sequence[tuple[int, ...]]) -> bool:
@@ -123,10 +143,13 @@ def is_normal(c: SimplicialComplex) -> NormalityResult:
 
 def verify_barnette_antistar(c: SimplicialComplex) -> tuple[bool, str | None]:
     """Strong connectivity of every vertex antistar; witness on failure."""
-    if is_pseudomanifold(c) == "no":
+    pm = is_pseudomanifold(c)
+    if pm == "no":
         raise NotPseudomanifold("antistar connectivity assumes a pseudomanifold")
     if c.n_vertices == 1:
         raise EmptyComplex("antistar of the only vertex is empty")
+    if pm == "closed":
+        return _closed_antistars(c)
     # the facets of antistar(v), as ``c.antistar(v)`` would find them
     for i, v in enumerate(c.vertices):
         pieces = {fs - {i} for fs in c._facet_sets}  # noqa: SLF001 - intra-package id view
@@ -139,26 +162,112 @@ def verify_barnette_antistar(c: SimplicialComplex) -> tuple[bool, str | None]:
     return True, None
 
 
+def _closed_antistars(c: SimplicialComplex) -> tuple[bool, str | None]:
+    """``verify_barnette_antistar`` on a closed pseudomanifold.
+
+    Each ridge G - v of a facet G containing v lies in a second facet,
+    which avoids v and absorbs G - v, so the antistar of v is exactly the
+    facets avoiding v.
+    """
+    sets = c._facet_sets  # noqa: SLF001 - intra-package id view
+    adjacent: list[list[int]] = [[] for _ in sets]
+    for a, b in _ridge_members(c._facets).values():  # noqa: SLF001
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    for i, v in enumerate(c.vertices):
+        avoiding = [j for j, fs in enumerate(sets) if i not in fs]
+        seen = {avoiding[0]}
+        queue = [avoiding[0]]
+        for a in queue:
+            for b in adjacent[a]:
+                if b not in seen and i not in sets[b]:
+                    seen.add(b)
+                    queue.append(b)
+        if len(seen) != len(avoiding):
+            return False, v
+    return True, None
+
+
+def _connected(sets: list[frozenset[int]]) -> bool:
+    """Is the union of the non-empty ``sets`` connected when each set joins its members?"""
+    reach, rest = set(sets[0]), sets[1:]
+    while rest:
+        apart = []
+        for s in rest:
+            if reach.isdisjoint(s):
+                apart.append(s)
+            else:
+                reach |= s
+        if len(apart) == len(rest):
+            return False
+        rest = apart
+    return True
+
+
+def _manifold_link_is_sphere(residues: list[frozenset[int]], m: int) -> bool:
+    """Is this closed GF(2)-homology m-manifold a homology m-sphere?
+
+    ``residues`` are its facets.  Poincare duality over a field gives
+    b_i = b_(m-i) and, when it is connected, b_m = 1; so for even m its
+    Euler characteristic is 2 +- b_(m/2).
+    """
+    if m == 0:
+        return len(residues) == 2
+    if not _connected(residues):
+        return False
+    if m == 1:
+        return True
+    facets = [tuple(sorted(r)) for r in residues]
+    layers = {m + 1: facets}
+
+    def layer(size: int) -> list[tuple[int, ...]]:
+        if size not in layers:
+            layers[size] = list({sub for f in facets for sub in itertools.combinations(f, size)})
+        return layers[size]
+
+    rank_below = len(layer(1)) - 1  # edges onto the vertices of a connected complex
+    for i in range(1, (m + 1) // 2):  # dimension i holds the faces of size i + 1
+        index = {f: col for col, f in enumerate(layer(i + 1))}
+        rank_above = _boundary_rank(layer(i + 2), index)
+        if len(index) - rank_below - rank_above:
+            return False
+        rank_below = rank_above
+    if m % 2:
+        return True
+    # each of its ridges lies in two facets, so the top two layers add
+    # F - (m + 1) F / 2 to the alternating sum, F being the facet count
+    chi = sum((-1) ** (size - 1) * len(layer(size)) for size in range(1, m))
+    return 2 * chi - (m - 1) * len(facets) == 4
+
+
+def _first_deviating_face(c: SimplicialComplex) -> Face:
+    """The first face, by size and then label order, whose link lacks sphere homology."""
+    d = c.dim
+    for k in range(1, d + 1):
+        for face in sorted(c.faces(k)):
+            if z2_betti(c.link(face)) != sphere_pattern(d - k, d - k + 1):
+                return face
+    raise AssertionError("every face link has the homology of a sphere")
+
+
 def is_homology_manifold(c: SimplicialComplex) -> tuple[bool, Face | None]:
     """Do all face links carry the GF(2) homology of matching spheres?
 
-    Requires a pure connected complex; the witness is the first face whose
-    link deviates.
+    Requires a pure connected complex; the witness is the first face, by
+    size and then label order, whose link deviates.  The pass runs top
+    down, as the module docstring describes.
     """
     if not c.is_pure:
         raise NotPure("homology manifold check needs a pure complex")
     if not skeleton(c).is_connected():
         return False, None
+    sets = c._facet_sets  # noqa: SLF001 - intra-package id view
     d = c.dim
-    for k in range(1, d + 1):  # facets have empty links: nothing to check
-        expected_dim = d - k
-        for face in sorted(c.faces(k)):
-            lk = c.link(face)
-            want = sphere_pattern(expected_dim, max(lk.dim, expected_dim) + 1)
-            got = z2_betti(lk)
-            got = got + (0,) * (len(want) - len(got))
-            if got != want:
-                return False, face
+    for k in range(d, 0, -1):  # facets have empty links: nothing to check
+        for face, members in _face_members(c._facets, k).items():  # noqa: SLF001
+            residues = [sets[i].difference(face) for i in members]
+            if not _manifold_link_is_sphere(residues, d - k):
+                return False, _first_deviating_face(c)
     return True, None
 
 

@@ -13,6 +13,9 @@ genuinely separate routes:
 - banner classes by label tuples probed with ``has_face``,
 - maximal sets by pairwise strict-subset tests,
 - strong connectivity by pairwise facet intersections,
+- homology manifolds by the full Betti vector of every face link, faces
+  visited from vertices up, ranks by dense elimination,
+- antistar strong connectivity on built antistar complexes,
 - cyclic polytope facets by exact moment-curve determinants.
 """
 
@@ -26,7 +29,9 @@ import numpy as np
 
 from scx.kernels import unit_maxflow
 from scx.banner import BannerClass, BannerWitness, cliques
-from scx.errors import NotPure
+from scx.errors import NotPseudomanifold, NotPure
+from scx.graphs import skeleton
+from scx.manifold import is_pseudomanifold
 
 
 def components(n, adj, removed=frozenset()):
@@ -230,6 +235,35 @@ def betti_by_dense_rank(c) -> tuple[int, ...]:
         upper = ranks[m + 1] if m + 1 < top else 0
         out.append(len(layers[m]) - ranks[m] - upper)
     return tuple(out)
+
+
+def homology_manifold_ascending(c) -> tuple[bool, tuple[str, ...] | None]:
+    """``is_homology_manifold`` by full Betti vectors of every face link.
+
+    Faces are visited by size and then label order, and the first whose
+    link lacks the reduced Betti numbers of a sphere is the witness.
+    """
+    if not c.is_pure:
+        raise NotPure("homology manifold check needs a pure complex")
+    if not skeleton(c).is_connected():
+        return False, None
+    d = c.dim
+    for k in range(1, d + 1):
+        for face in sorted(c.faces(k)):
+            m = d - k
+            if betti_by_dense_rank(c.link(face)) != tuple(int(i == m) for i in range(m + 1)):
+                return False, face
+    return True, None
+
+
+def barnette_antistar_by_complexes(c) -> tuple[bool, str | None]:
+    """``verify_barnette_antistar`` on built antistars, by pairwise facet tests."""
+    if is_pseudomanifold(c) == "no":
+        raise NotPseudomanifold("antistar connectivity assumes a pseudomanifold")
+    for v in c.vertices:
+        if not strongly_connected_by_pairs(c.antistar(v)):
+            return False, v
+    return True, None
 
 
 def brute_f_vector(c) -> tuple[int, ...]:

@@ -261,6 +261,18 @@ def test_cli_gen_stdout(capsys):
     assert capsys.readouterr().out.count("\n") == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["cycle", "2"], ["simplex-boundary", "0"], ["cross-polytope", "0"], ["cyclic-polytope", "4", "4"]],
+)
+def test_cli_gen_out_of_range_parameters_are_usage_errors(argv, capsys):
+    assert cli.main(["gen", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: generator {argv[0]!r}: ")
+    assert "Traceback" not in captured.err
+
+
 def test_cli_verify_single_file(tmp_path, capsys):
     path = tmp_path / "c6.scx"
     assert cli.main(["gen", "cycle", "6", "-o", str(path)]) == 0

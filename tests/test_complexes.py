@@ -83,6 +83,16 @@ def test_link_errors():
         c.link(("v0", "v1", "v2"))  # a facet has an empty link
 
 
+def test_link_reports_non_faces_by_normalized_labels():
+    c = from_facets([["1", "2", "3"], ["3", "4", "5"]])
+    for face in ([1, "4"], (v for v in ["1", "4"]), ("4", 1)):
+        with pytest.raises(NotAFace, match=r"^\('1', '4'\) is not a face$"):
+            c.link(face)
+    with pytest.raises(NotAFace, match=r"^\('9',\) is not a face$"):
+        c.link(v for v in [9])
+    assert c.link(v for v in [3, "4"]) == from_facets([["5"]])
+
+
 def test_star_of_boundary_vertex():
     star = simplex_boundary(3).star("v0")
     assert len(star.facets) == 3

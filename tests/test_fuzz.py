@@ -9,7 +9,9 @@ subclass, and the per-object memo must not change any answer: a check
 run inside ``verify_corpus``, next to the other checks on the same
 object, agrees with the same check run alone on a fresh copy.  The
 id-based classification, absorption and strong-connectivity search
-agree with the label-based and pairwise oracles of ``oracles.py``.  The
+agree with the label-based and pairwise oracles of ``oracles.py``, and
+so do the top-down homology-manifold pass and the antistar check, on
+every complex and every pure face link.  The
 examples are derandomized so that the suite gives the same verdict on
 every run.
 """
@@ -29,9 +31,15 @@ from scx.banner import _link_banner_value, banner_number, classify
 from scx.complexes import SimplicialComplex, _maximal, from_facets
 from scx.errors import ScxError
 from scx.generators import stacked_sphere
-from scx.manifold import is_strongly_connected
+from scx.manifold import is_homology_manifold, is_strongly_connected, verify_barnette_antistar
 
-from oracles import classify_by_labels, maximal_by_pairs, strongly_connected_by_pairs
+from oracles import (
+    barnette_antistar_by_complexes,
+    classify_by_labels,
+    homology_manifold_ascending,
+    maximal_by_pairs,
+    strongly_connected_by_pairs,
+)
 
 _RANDOM = st.lists(
     st.sets(st.integers(0, 7), min_size=1, max_size=4), min_size=1, max_size=8
@@ -121,3 +129,7 @@ def test_id_paths_match_oracles(facets):
         if kind == "value" and lk.is_pure:
             assert classify(lk) == classify_by_labels(lk), face
             assert is_strongly_connected(lk) == strongly_connected_by_pairs(lk), face
+            assert is_homology_manifold(lk) == homology_manifold_ascending(lk), face
+            assert _outcome(verify_barnette_antistar, lk) == _outcome(
+                barnette_antistar_by_complexes, lk
+            ), face

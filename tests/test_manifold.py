@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from scx import manifold
@@ -8,6 +10,7 @@ from scx.generators import (
     complete_graph_edges,
     cross_polytope_boundary,
     cycle,
+    cyclic_polytope_boundary,
     ring_ball,
     simplex,
     simplex_boundary,
@@ -27,7 +30,13 @@ from scx.manifold import (
     verify_shelling,
 )
 
-from oracles import closed_by_ridge_count, strongly_connected_by_pairs
+from scx.homology import z2_betti
+
+from oracles import (
+    barnette_antistar_by_complexes,
+    closed_by_ridge_count,
+    homology_manifold_ascending,
+)
 
 
 def test_facet_graph_of_simplex_boundary():
@@ -192,16 +201,6 @@ def test_manifold_class_runs_is_normal_only_off_homology_manifolds(monkeypatch):
     assert len(calls) == 1
 
 
-def _antistars_by_complexes(c):
-    """The antistar check on built antistar complexes and pairwise facet tests."""
-    if is_pseudomanifold(c) == "no":
-        raise NotPseudomanifold("antistar connectivity assumes a pseudomanifold")
-    for v in c.vertices:
-        if not strongly_connected_by_pairs(c.antistar(v)):
-            return False, v
-    return True, None
-
-
 def _outcome(fn, c):
     try:
         return "value", fn(c)
@@ -213,9 +212,73 @@ def test_barnette_antistar_matches_built_antistars(corpus):
     seen = set()
     for name, c in _pseudomanifolds(corpus):
         got = _outcome(verify_barnette_antistar, c)
-        assert got == _outcome(_antistars_by_complexes, c), name
+        assert got == _outcome(barnette_antistar_by_complexes, c), name
         seen.add(got[0] if got[0] == "raise" else got[1][0])
-    assert seen == {True, False, "raise"}  # every outcome occurs
+        seen.add(is_pseudomanifold(c))
+    # every outcome occurs, and closed complexes take the ridge-graph branch
+    assert seen == {True, False, "raise", "closed", "with_boundary"}
+
+
+def _s2_times_s1():
+    """S^2 x S^1: the staircase triangulation of the boundary of a tetrahedron
+    times a 4-cycle, 48 tetrahedra on the 16 vertices x<a><t>."""
+    facets = []
+    for tri in itertools.combinations(range(4), 3):
+        for t in range(4):
+            lo, hi = sorted((t, (t + 1) % 4))
+            for turn in range(3):
+                chain = [(a, lo) for a in tri[: turn + 1]] + [(a, hi) for a in tri[turn:]]
+                facets.append([f"x{a}{u}" for a, u in chain])
+    return from_facets(facets)
+
+
+def _homology_manifold_subjects(corpus):
+    """Pure complexes with links of every dimension up to 5, and their face links."""
+    s2s1 = _s2_times_s1()
+    complexes = [(name, c) for name, c in corpus.items() if c.is_pure]
+    complexes += [
+        ("pinched-torus", _pinched_torus()),
+        ("torus-7-suspension", torus_7().suspension()),
+        ("s2xs1", s2s1),
+        ("s2xs1-suspension", s2s1.suspension()),
+        ("cross-polytope-5", cross_polytope_boundary(5)),
+        ("cyclic-polytope-8-6", cyclic_polytope_boundary(8, 6)),
+        ("simplex-boundary-6", simplex_boundary(6)),
+    ]
+    for name, c in complexes:
+        yield name, c
+        for k in range(1, c.dim + 1):
+            for face in sorted(c.faces(k)):
+                yield (name, face), c.link(face)
+
+
+def test_homology_manifold_matches_ascending_oracle(corpus):
+    verdicts = set()
+    for name, c in _homology_manifold_subjects(corpus):
+        got = is_homology_manifold(c)
+        assert got == homology_manifold_ascending(c), name
+        verdicts.add((got[0], c.dim))
+    assert {(ok, d) for ok in (True, False) for d in range(5)} <= verdicts
+
+
+def test_homology_manifold_fails_first_on_a_three_dimensional_link(monkeypatch):
+    s2s1 = _s2_times_s1()
+    assert len(s2s1.facets) == 48 and is_pseudomanifold(s2s1) == "closed"
+    assert z2_betti(s2s1) == (0, 1, 1, 1)
+    assert is_homology_manifold(s2s1) == (True, None)
+    tested = []
+    real = manifold._manifold_link_is_sphere
+
+    def recorded(residues, m):
+        ok = real(residues, m)
+        tested.append((m, ok))
+        return ok
+
+    monkeypatch.setattr(manifold, "_manifold_link_is_sphere", recorded)
+    # an apex link is S^2 x S^1, whose b_1 = 1 the rank path must see
+    assert is_homology_manifold(s2s1.suspension()) == (False, ("_apex0",))
+    assert tested[-1] == (3, False)
+    assert all(ok for _, ok in tested[:-1])
 
 
 def test_stacked_spheres_closed(corpus):
