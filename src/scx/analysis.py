@@ -488,6 +488,7 @@ class CorpusRow:
     property_id: str
     verdict: str  # "pass", "fail", "skip" or "error"
     detail: str
+    payload: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -528,7 +529,7 @@ def verify_corpus(
     def run(name: str, pid: str, c: SimplicialComplex) -> CorpusRow:
         try:
             res = verify_property(pid, c)
-            return CorpusRow(name, pid, res.verdict, res.detail)
+            return CorpusRow(name, pid, res.verdict, res.detail, res.payload)
         except NotPure:
             return CorpusRow(name, pid, "skip", "complex is not pure")
         except ScxError as exc:

@@ -87,7 +87,13 @@ def _cmd_verify(args) -> int:
     if args.json:
         payload = {
             "rows": [
-                {"name": r.name, "property": r.property_id, "verdict": r.verdict}
+                {
+                    "name": r.name,
+                    "property": r.property_id,
+                    "verdict": r.verdict,
+                    "detail": r.detail,
+                    "payload": r.payload,
+                }
                 for r in rows
             ],
             "errors": errors,
