@@ -123,18 +123,83 @@ def test_verify_property_fail_payload():
     assert res.verdict == "pass"
 
 
-@pytest.mark.parametrize(
-    "pid, facets",
-    [
-        ("P3.8iii", [["a"]]),
-        ("L4.4-homological", [["a"]]),
-        ("T1.1", [["a"], ["b"]]),
-        ("P3.8iii", [["v0", "v1"], ["v1", "v6"]]),  # boundary of two bare points
-    ],
-)
-def test_degenerate_inputs_skip_with_a_reason(pid, facets):
-    res = verify_property(pid, from_facets(facets))
-    assert res.verdict == "skip" and res.detail
+_NOT_CLOSED = ("skip", "not a closed pseudomanifold")
+_NOT_CLOSED_NORMAL = ("skip", "not a closed normal pseudomanifold")
+_LOW_DIM = {
+    "P3.7": ("skip", "links of a 1-dimensional complex are bare vertex pairs"),
+    "P3.8i": ("skip", "cone equivalence starts at dimension 1"),
+    "P3.8ii": ("skip", "suspension equivalence starts at dimension 1"),
+    "P3.8iii": ("skip", "a 0-dimensional complex has no boundary to cone over"),
+}
+
+# The corpus holds only pure complexes of dimension at least 1, so these
+# inputs are the only place where the other skip reasons are pinned.
+_DEGENERATE = {
+    "not-pure": (
+        [["a", "b", "c"], ["c", "d"]],
+        {pid: ("skip", "complex is not pure") for pid in PROPERTY_IDS}
+        | {"L2.1": _NOT_CLOSED},
+    ),
+    "0-sphere": (
+        [["a"], ["b"]],
+        {
+            "T1.1": ("skip", "the 0-sphere has no banner number"),
+            "T4.1": ("skip", "not banner"),
+            "L2.1": ("pass", "all 2 antistars strongly connected"),
+            "L4.2": ("skip", "not banner"),
+            "L4.3": ("skip", "not banner"),
+            "L4.4": ("skip", "not banner"),
+            "L4.4-homological": ("skip", "non-neighborhoods are empty in dimension 0"),
+            "L5.2": ("skip", "banner number undefined"),
+            **_LOW_DIM,
+            "A3.2-special-case": ("pass", "connectivity 0 >= 0"),
+        },
+    ),
+    "vertex": (
+        [["a"]],
+        {
+            "T1.1": _NOT_CLOSED_NORMAL,
+            "T4.1": _NOT_CLOSED_NORMAL,
+            "L2.1": _NOT_CLOSED,
+            "L4.2": _NOT_CLOSED,
+            "L4.3": _NOT_CLOSED,
+            "L4.4": _NOT_CLOSED,
+            "L4.4-homological": ("skip", "non-neighborhoods are empty in dimension 0"),
+            "L5.2": ("pass", "inequality holds below level 0"),
+            **_LOW_DIM,
+            "A3.2-special-case": _NOT_CLOSED,
+        },
+    ),
+    "path": (
+        [["v0", "v1"], ["v1", "v6"]],  # its boundary is two bare points
+        {
+            "T1.1": _NOT_CLOSED_NORMAL,
+            "T4.1": _NOT_CLOSED_NORMAL,
+            "L2.1": _NOT_CLOSED,
+            "L4.2": _NOT_CLOSED,
+            "L4.3": _NOT_CLOSED,
+            "L4.4": _NOT_CLOSED,
+            "L4.4-homological": ("skip", "not a homology manifold"),
+            "L5.2": ("pass", "inequality holds below level 0"),
+            "P3.7": _LOW_DIM["P3.7"],
+            "P3.8i": ("pass", "cone preserves flag / strongly banner / banner"),
+            "P3.8ii": ("pass", "suspension preserves flag / strongly banner / banner"),
+            "P3.8iii": (
+                "skip",
+                "a 1-dimensional boundary is bare points, which are never banner",
+            ),
+            "A3.2-special-case": _NOT_CLOSED,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_DEGENERATE))
+def test_degenerate_inputs_skip_with_a_reason(name):
+    facets, expected = _DEGENERATE[name]
+    c = from_facets(facets)
+    results = [verify_property(pid, c) for pid in PROPERTY_IDS]
+    assert {r.property_id: (r.verdict, r.detail) for r in results} == expected
 
 
 def test_unknown_property():
