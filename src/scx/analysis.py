@@ -10,8 +10,8 @@ are conditional, so an unmet hypothesis must never count as a pass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .banner import (
     BannerClass,
@@ -86,7 +86,6 @@ def analyze(c: SimplicialComplex, name: str = "complex") -> AnalysisReport:
         certificate = None
 
     bound = 2 * c.dim - bn.value if bn.value is not None else None
-    checked = mc.pseudomanifold == "closed" and bool(mc.normal)
     return AnalysisReport(
         name=name,
         dim=c.dim,
@@ -109,34 +108,12 @@ def analyze(c: SimplicialComplex, name: str = "complex") -> AnalysisReport:
         connectivity=conn.value,
         connectivity_certificate=certificate,
         bound=bound,
-        bound_checked=checked,
+        bound_checked=CLOSED_NORMAL[0](c),
         bound_satisfied=(conn.value >= bound) if bound is not None else None,
     )
 
 
-_REPORT_KEYS = [
-    "schema",
-    "name",
-    "dim",
-    "f_vector",
-    "pseudomanifold",
-    "strongly_connected",
-    "normal",
-    "homology_manifold",
-    "homology_sphere",
-    "betti",
-    "flag",
-    "strongly_banner",
-    "banner",
-    "banner_witness",
-    "banner_number",
-    "banner_number_witness",
-    "connectivity",
-    "connectivity_certificate",
-    "bound",
-    "bound_checked",
-    "bound_satisfied",
-]
+_REPORT_KEYS = ["schema"] + [f.name for f in fields(AnalysisReport)]
 
 
 def report_json(r: AnalysisReport) -> str:
@@ -150,7 +127,12 @@ def report_json(r: AnalysisReport) -> str:
 
 
 def report_from_json(text: str) -> AnalysisReport:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScxError(f"report is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ScxError("report is not a JSON object")
     if data.get("schema") != SCHEMA:
         raise ScxError(f"unsupported report schema {data.get('schema')!r}")
     unknown = set(data) - set(_REPORT_KEYS)
@@ -169,6 +151,9 @@ def report_from_json(text: str) -> AnalysisReport:
 
 
 # -- property checks -----------------------------------------------------
+# A check is a list of (predicate, skip reason) hypotheses and a conclusion
+# that returns ``(verdict, detail[, payload])``.  The first unmet hypothesis,
+# in order, is the skip reason, so later predicates may assume earlier ones.
 
 
 @dataclass(frozen=True)
@@ -179,261 +164,154 @@ class PropertyCheckResult:
     payload: dict | None = None
 
 
-def _skip(pid: str, reason: str) -> PropertyCheckResult:
-    return PropertyCheckResult(pid, "skip", reason)
+if TYPE_CHECKING:  # typing caches subscripted aliases, which would pin each re-import
+    Hypothesis = tuple[Callable[[SimplicialComplex], bool], str]
+    Conclusion = Callable[[SimplicialComplex], tuple]
+    Check = Callable[[SimplicialComplex], PropertyCheckResult]
+
+PURE: Hypothesis = (lambda c: c.is_pure, "complex is not pure")
+CLOSED: Hypothesis = (
+    lambda c: c.is_pure and is_pseudomanifold(c) == "closed",
+    "not a closed pseudomanifold",  # L2.1 gives this reason on non-pure input too
+)
+CLOSED_NORMAL: Hypothesis = (
+    lambda c: is_pseudomanifold(c) == "closed" and manifold_class(c).normal is True,
+    "not a closed normal pseudomanifold",
+)
+WITH_BOUNDARY: Hypothesis = (
+    lambda c: is_pseudomanifold(c) == "with_boundary",
+    "not a pseudomanifold with boundary",
+)
+BANNER: Hypothesis = (lambda c: classify(c).banner, "not banner")
+FLAG: Hypothesis = (lambda c: classify(c).flag, "not flag")
+HOMOLOGY_MANIFOLD: Hypothesis = (
+    lambda c: manifold_class(c).homology_manifold,
+    "not a homology manifold",
+)
+BANNER_NUMBER: Hypothesis = (
+    lambda c: banner_number(c).value is not None,
+    "banner number undefined",
+)
 
 
-def _ok(pid: str, detail: str) -> PropertyCheckResult:
-    return PropertyCheckResult(pid, "pass", detail)
+def dim_at_least(k: int, reason: str) -> Hypothesis:
+    return (lambda c: c.dim >= k, reason)
 
 
-def _fail(pid: str, detail: str, payload: dict) -> PropertyCheckResult:
-    return PropertyCheckResult(pid, "fail", detail, payload)
-
-
-def _closed_normal(c: SimplicialComplex) -> bool:
-    return is_pseudomanifold(c) == "closed" and manifold_class(c).normal is True
-
-
-def _check_t11(c: SimplicialComplex) -> PropertyCheckResult:
-    pid = "T1.1"
-    if not c.is_pure:
-        return _skip(pid, "complex is not pure")
-    if not _closed_normal(c):
-        return _skip(pid, "not a closed normal pseudomanifold")
-    if c.dim < 1:
-        return _skip(pid, "the 0-sphere has no banner number")
+def _bound_holds(c: SimplicialComplex) -> tuple:
     bn = banner_number(c)
     if bn.value is None:
-        return _fail(pid, "banner number undefined", {"failing_face": bn.failing_face})
+        return "fail", "banner number undefined", {"failing_face": bn.failing_face}
     bound = 2 * c.dim - bn.value
     kappa = vertex_connectivity(skeleton(c)).value
     if kappa >= bound:
-        return _ok(pid, f"connectivity {kappa} >= bound {bound}")
-    return _fail(
-        pid,
-        f"connectivity {kappa} below bound {bound}",
-        {"connectivity": kappa, "bound": bound},
-    )
+        return "pass", f"connectivity {kappa} >= bound {bound}"
+    payload = {"connectivity": kappa, "bound": bound}
+    return "fail", f"connectivity {kappa} below bound {bound}", payload
 
 
-def _check_t41(c: SimplicialComplex) -> PropertyCheckResult:
-    pid = "T4.1"
-    if not c.is_pure:
-        return _skip(pid, "complex is not pure")
-    if not _closed_normal(c):
-        return _skip(pid, "not a closed normal pseudomanifold")
-    if not classify(c).banner:
-        return _skip(pid, "not banner")
+def _kappa_at_least_2d(c: SimplicialComplex) -> tuple:
     kappa = vertex_connectivity(skeleton(c)).value
     if kappa >= 2 * c.dim:
-        return _ok(pid, f"connectivity {kappa} >= {2 * c.dim}")
-    return _fail(pid, f"connectivity {kappa} below {2 * c.dim}", {"connectivity": kappa})
+        return "pass", f"connectivity {kappa} >= {2 * c.dim}"
+    return "fail", f"connectivity {kappa} below {2 * c.dim}", {"connectivity": kappa}
 
 
-def _check_a32(c: SimplicialComplex) -> PropertyCheckResult:
-    pid = "A3.2-special-case"
-    if not c.is_pure:
-        return _skip(pid, "complex is not pure")
-    if is_pseudomanifold(c) != "closed":
-        return _skip(pid, "not a closed pseudomanifold")
-    if not classify(c).flag:
-        return _skip(pid, "not flag")
-    kappa = vertex_connectivity(skeleton(c)).value
-    if kappa >= 2 * c.dim:
-        return _ok(pid, f"connectivity {kappa} >= {2 * c.dim}")
-    return _fail(pid, f"connectivity {kappa} below {2 * c.dim}", {"connectivity": kappa})
-
-
-def _check_l21(c: SimplicialComplex) -> PropertyCheckResult:
-    pid = "L2.1"
-    if not c.is_pure or is_pseudomanifold(c) != "closed":
-        return _skip(pid, "not a closed pseudomanifold")
+def _antistars_connected(c: SimplicialComplex) -> tuple:
     ok, witness = verify_barnette_antistar(c)
     if ok:
-        return _ok(pid, f"all {c.n_vertices} antistars strongly connected")
-    return _fail(pid, f"antistar of {witness} not strongly connected", {"vertex": witness})
+        return "pass", f"all {c.n_vertices} antistars strongly connected"
+    return "fail", f"antistar of {witness} not strongly connected", {"vertex": witness}
 
 
-def _banner_closed_gate(c: SimplicialComplex, pid: str) -> PropertyCheckResult | None:
-    if not c.is_pure:
-        return _skip(pid, "complex is not pure")
-    if is_pseudomanifold(c) != "closed":
-        return _skip(pid, "not a closed pseudomanifold")
-    if not classify(c).banner:
-        return _skip(pid, "not banner")
-    return None
-
-
-def _check_l42(c: SimplicialComplex) -> PropertyCheckResult:
-    pid = "L4.2"
-    gate = _banner_closed_gate(c, pid)
-    if gate is not None:
-        return gate
+def _no_neighborhood_containment(c: SimplicialComplex) -> tuple:
     hoods = {v: neighborhood(c, v) for v in c.vertices}
     pairs = 0
     for x, y in c.faces(2):
         pairs += 1
         if hoods[y] <= hoods[x] or hoods[x] <= hoods[y]:
-            return _fail(
-                pid, f"neighborhood containment on edge {x}-{y}", {"edge": [x, y]}
-            )
-    return _ok(pid, f"no neighborhood containment over {pairs} edges")
+            return "fail", f"neighborhood containment on edge {x}-{y}", {"edge": [x, y]}
+    return "pass", f"no neighborhood containment over {pairs} edges"
 
 
-def _check_l43(c: SimplicialComplex) -> PropertyCheckResult:
-    pid = "L4.3"
-    gate = _banner_closed_gate(c, pid)
-    if gate is not None:
-        return gate
+def _skeleton_not_complete(c: SimplicialComplex) -> tuple:
     if skeleton(c).is_complete():
-        return _fail(pid, "skeleton is a complete graph", {})
-    return _ok(pid, "skeleton is not complete")
+        return "fail", "skeleton is a complete graph", {}
+    return "pass", "skeleton is not complete"
 
 
-def _check_l44(c: SimplicialComplex) -> PropertyCheckResult:
-    pid = "L4.4"
-    gate = _banner_closed_gate(c, pid)
-    if gate is not None:
-        return gate
+def _outsides_connected(c: SimplicialComplex) -> tuple:
     for v in c.vertices:
         try:
             if not is_outside_connected(c, v):
-                return _fail(
-                    pid,
-                    f"non-neighborhood of {v} is disconnected",
-                    {"vertex": v},
-                )
+                return "fail", f"non-neighborhood of {v} is disconnected", {"vertex": v}
         except EmptyOutside:
-            return _fail(pid, f"every vertex is adjacent to {v}", {"vertex": v})
-    return _ok(pid, f"non-neighborhoods connected for all {c.n_vertices} vertices")
+            return "fail", f"every vertex is adjacent to {v}", {"vertex": v}
+    return "pass", f"non-neighborhoods connected for all {c.n_vertices} vertices"
 
 
-def _check_l44_homological(c: SimplicialComplex) -> PropertyCheckResult:
-    pid = "L4.4-homological"
-    if not c.is_pure:
-        return _skip(pid, "complex is not pure")
-    if c.dim < 1:
-        return _skip(pid, "non-neighborhoods are empty in dimension 0")
-    if not classify(c).banner:
-        return _skip(pid, "not banner")
-    mc = manifold_class(c)
-    if not mc.homology_manifold:
-        return _skip(pid, "not a homology manifold")
+def _relative_homology_matches(c: SimplicialComplex) -> tuple:
     d = c.dim
     for v in c.vertices:
         hood = c.induced(neighborhood(c, v))
         betti = z2_betti(hood)
         betti += (0,) * (d + 1 - len(betti))
-        if betti[d] != 0 or (d >= 1 and betti[d - 1] != 0):
-            return _fail(
-                pid,
-                f"neighborhood complex of {v} has top homology",
-                {"vertex": v, "betti": list(betti)},
-            )
+        if betti[d] != 0 or betti[d - 1] != 0:
+            payload = {"vertex": v, "betti": list(betti)}
+            return "fail", f"neighborhood complex of {v} has top homology", payload
         rel = z2_relative_betti(c, hood)
         rel_top = rel[d] if d < len(rel) else 0
         try:
             connected = is_outside_connected(c, v)
         except EmptyOutside:
-            return _fail(pid, f"every vertex is adjacent to {v}", {"vertex": v})
+            return "fail", f"every vertex is adjacent to {v}", {"vertex": v}
         if rel_top != 1 or not connected:
-            return _fail(
-                pid,
-                f"relative top Betti {rel_top} vs outside connected {connected} at {v}",
-                {"vertex": v, "relative_betti": list(rel)},
-            )
-    return _ok(pid, "relative top homology matches outside connectivity at all vertices")
+            detail = f"relative top Betti {rel_top} vs outside connected {connected} at {v}"
+            return "fail", detail, {"vertex": v, "relative_betti": list(rel)}
+    return "pass", "relative top homology matches outside connectivity at all vertices"
 
 
-def _check_l52(c: SimplicialComplex) -> PropertyCheckResult:
-    pid = "L5.2"
-    if not c.is_pure:
-        return _skip(pid, "complex is not pure")
-    bn = banner_number(c)
-    if bn.value is None:
-        return _skip(pid, "banner number undefined")
-    for size in range(1, bn.value + 1):
+def _link_values_bounded(c: SimplicialComplex) -> tuple:
+    value = banner_number(c).value
+    for size in range(1, value + 1):
         for face in sorted(c.faces(size)):
             sub = _link_banner_value(c, face)
-            if sub is None or sub > bn.value - size:
-                return _fail(
-                    pid,
-                    f"link of {face} breaks the banner-number inequality",
-                    {"face": list(face), "link_value": sub, "value": bn.value},
-                )
-    return _ok(pid, f"inequality holds below level {bn.value}")
+            if sub is None or sub > value - size:
+                payload = {"face": list(face), "link_value": sub, "value": value}
+                return "fail", f"link of {face} breaks the banner-number inequality", payload
+    return "pass", f"inequality holds below level {value}"
 
 
-def _check_p37(c: SimplicialComplex) -> PropertyCheckResult:
-    pid = "P3.7"
-    if not c.is_pure:
-        return _skip(pid, "complex is not pure")
-    if c.dim < 2:
-        return _skip(pid, "links of a 1-dimensional complex are bare vertex pairs")
-    cls = classify(c)
-    if not cls.banner:
-        return _skip(pid, "not banner")
+def _links_inherit(c: SimplicialComplex) -> tuple:
+    strongly = classify(c).strongly_banner
     for v in c.vertices:
         sub = classify(c.link((v,)))
-        if not sub.banner or (cls.strongly_banner and not sub.strongly_banner):
-            return _fail(pid, f"link of {v} loses the property", {"vertex": v})
-    return _ok(pid, "links inherit banner (and strongly banner) status")
+        if not sub.banner or (strongly and not sub.strongly_banner):
+            return "fail", f"link of {v} loses the property", {"vertex": v}
+    return "pass", "links inherit banner (and strongly banner) status"
 
 
 def _triple(cls: BannerClass) -> list[bool]:
     return [cls.flag, cls.strongly_banner, cls.banner]
 
 
-def _properties_equal(a: BannerClass, b: BannerClass) -> bool:
-    return _triple(a) == _triple(b)
+def _preserves_triple(construction: str) -> Conclusion:
+    """P3.8i/ii: ``c.cone()`` or ``c.suspension()`` keeps the triple of ``c``."""
+
+    def conclusion(c: SimplicialComplex) -> tuple:
+        base, built = _triple(classify(c)), _triple(classify(getattr(c, construction)()))
+        if base == built:
+            return "pass", f"{construction} preserves flag / strongly banner / banner"
+        payload = {"base": base, construction: built}
+        return "fail", f"{construction} changes a banner-hierarchy property", payload
+
+    return conclusion
 
 
-def _check_p38i(c: SimplicialComplex) -> PropertyCheckResult:
-    pid = "P3.8i"
-    if not c.is_pure:
-        return _skip(pid, "complex is not pure")
-    if c.dim < 1:
-        return _skip(pid, "cone equivalence starts at dimension 1")
-    base, coned = classify(c), classify(c.cone())
-    if _properties_equal(base, coned):
-        return _ok(pid, "cone preserves flag / strongly banner / banner")
-    return _fail(
-        pid,
-        "cone changes a banner-hierarchy property",
-        {"base": _triple(base), "cone": _triple(coned)},
-    )
-
-
-def _check_p38ii(c: SimplicialComplex) -> PropertyCheckResult:
-    pid = "P3.8ii"
-    if not c.is_pure:
-        return _skip(pid, "complex is not pure")
-    if c.dim < 1:
-        return _skip(pid, "suspension equivalence starts at dimension 1")
-    base, susp = classify(c), classify(c.suspension())
-    if _properties_equal(base, susp):
-        return _ok(pid, "suspension preserves flag / strongly banner / banner")
-    return _fail(
-        pid,
-        "suspension changes a banner-hierarchy property",
-        {"base": _triple(base), "suspension": _triple(susp)},
-    )
-
-
-def _check_p38iii(c: SimplicialComplex) -> PropertyCheckResult:
-    pid = "P3.8iii"
-    if not c.is_pure:
-        return _skip(pid, "complex is not pure")
-    if c.dim < 1:
-        return _skip(pid, "a 0-dimensional complex has no boundary to cone over")
-    if c.dim < 2:
-        return _skip(pid, "a 1-dimensional boundary is bare points, which are never banner")
-    if is_pseudomanifold(c) != "with_boundary":
-        return _skip(pid, "not a pseudomanifold with boundary")
+def _boundary_cone_transfers(c: SimplicialComplex) -> tuple:
     for j in range(1, c.dim + 3):
         if classify_tilde_cliques(c, j).stranded:
-            return _skip(pid, f"stranded {j}-cliques block the product rule")
+            return "skip", f"stranded {j}-cliques block the product rule"
     bd = c.boundary()
     assert bd is not None
     base, rim, closed = classify(c), classify(bd), classify(c.tilde())
@@ -441,28 +319,78 @@ def _check_p38iii(c: SimplicialComplex) -> PropertyCheckResult:
         lhs = getattr(closed, prop)
         rhs = getattr(base, prop) and getattr(rim, prop)
         if lhs != rhs:
-            return _fail(
-                pid,
-                f"{prop} does not transfer through the boundary cone",
-                {"property": prop, "closed": lhs, "ball_and_boundary": rhs},
-            )
-    return _ok(pid, "boundary cone preserves the property conjunction")
+            payload = {"property": prop, "closed": lhs, "ball_and_boundary": rhs}
+            return "fail", f"{prop} does not transfer through the boundary cone", payload
+    return "pass", "boundary cone preserves the property conjunction"
 
 
-_CHECKS: dict[str, Callable[[SimplicialComplex], PropertyCheckResult]] = {
-    "T1.1": _check_t11,
-    "T4.1": _check_t41,
-    "L2.1": _check_l21,
-    "L4.2": _check_l42,
-    "L4.3": _check_l43,
-    "L4.4": _check_l44,
-    "L4.4-homological": _check_l44_homological,
-    "L5.2": _check_l52,
-    "P3.7": _check_p37,
-    "P3.8i": _check_p38i,
-    "P3.8ii": _check_p38ii,
-    "P3.8iii": _check_p38iii,
-    "A3.2-special-case": _check_a32,
+def _check(pid: str, hypotheses: list[Hypothesis], conclusion: Conclusion) -> Check:
+    def check(c: SimplicialComplex) -> PropertyCheckResult:
+        for holds, reason in hypotheses:
+            if not holds(c):
+                return PropertyCheckResult(pid, "skip", reason)
+        return PropertyCheckResult(pid, *conclusion(c))
+
+    return check
+
+
+_CHECKS: dict[str, Check] = {
+    pid: _check(pid, hypotheses, conclusion)
+    for pid, hypotheses, conclusion in [
+        (
+            "T1.1",
+            [PURE, CLOSED_NORMAL, dim_at_least(1, "the 0-sphere has no banner number")],
+            _bound_holds,
+        ),
+        ("T4.1", [PURE, CLOSED_NORMAL, BANNER], _kappa_at_least_2d),
+        ("L2.1", [CLOSED], _antistars_connected),
+        ("L4.2", [PURE, CLOSED, BANNER], _no_neighborhood_containment),
+        ("L4.3", [PURE, CLOSED, BANNER], _skeleton_not_complete),
+        ("L4.4", [PURE, CLOSED, BANNER], _outsides_connected),
+        (
+            "L4.4-homological",
+            [
+                PURE,
+                dim_at_least(1, "non-neighborhoods are empty in dimension 0"),
+                BANNER,
+                HOMOLOGY_MANIFOLD,
+            ],
+            _relative_homology_matches,
+        ),
+        ("L5.2", [PURE, BANNER_NUMBER], _link_values_bounded),
+        (
+            "P3.7",
+            [
+                PURE,
+                dim_at_least(2, "links of a 1-dimensional complex are bare vertex pairs"),
+                BANNER,
+            ],
+            _links_inherit,
+        ),
+        (
+            "P3.8i",
+            [PURE, dim_at_least(1, "cone equivalence starts at dimension 1")],
+            _preserves_triple("cone"),
+        ),
+        (
+            "P3.8ii",
+            [PURE, dim_at_least(1, "suspension equivalence starts at dimension 1")],
+            _preserves_triple("suspension"),
+        ),
+        (
+            "P3.8iii",
+            [
+                PURE,
+                dim_at_least(1, "a 0-dimensional complex has no boundary to cone over"),
+                dim_at_least(
+                    2, "a 1-dimensional boundary is bare points, which are never banner"
+                ),
+                WITH_BOUNDARY,
+            ],
+            _boundary_cone_transfers,
+        ),
+        ("A3.2-special-case", [PURE, CLOSED, FLAG], _kappa_at_least_2d),
+    ]
 }
 
 PROPERTY_IDS = tuple(_CHECKS)
@@ -530,8 +458,6 @@ def verify_corpus(
         try:
             res = verify_property(pid, c)
             return CorpusRow(name, pid, res.verdict, res.detail, res.payload)
-        except NotPure:
-            return CorpusRow(name, pid, "skip", "complex is not pure")
         except ScxError as exc:
             return CorpusRow(name, pid, "error", f"{type(exc).__name__}: {exc}")
 

@@ -245,9 +245,6 @@ class SimplicialComplex:
         """Face counts by dimension, starting with the empty face: (1, f0, ..., fd)."""
         return (1,) + tuple(len(self.faces_ids(k)) for k in range(1, self.dim + 2))
 
-    def edges_ids(self) -> frozenset[tuple[int, int]]:
-        return self.faces_ids(2)  # type: ignore[return-value]
-
     # -- local subcomplexes ----------------------------------------------
 
     def link(self, face: Iterable[Label]) -> "SimplicialComplex":

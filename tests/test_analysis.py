@@ -84,6 +84,12 @@ def test_report_rejects_unknown_fields():
         report_from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize("text", ["", "{", "not json", "[]", "3", "null", '"report"'])
+def test_report_rejects_text_that_is_not_a_json_object(text):
+    with pytest.raises(ScxError):
+        report_from_json(text)
+
+
 def test_report_self_consistent_after_reserialization():
     for c, name in [(ring_ball(), "rb"), (cross_polytope_boundary(2), "oct")]:
         direct = report_json(analyze(c, name=name))
