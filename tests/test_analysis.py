@@ -200,8 +200,23 @@ _DEGENERATE = {
 }
 
 
+@pytest.mark.parametrize(
+    "pid, facets",
+    [
+        ("P3.8iii", [["a"]]),
+        ("L4.4-homological", [["a"]]),
+        ("T1.1", [["a"], ["b"]]),
+        ("P3.8iii", [["v0", "v1"], ["v1", "v6"]]),  # boundary of two bare points
+    ],
+)
+def test_degenerate_inputs_skip_with_a_reason(pid, facets):
+    expected = next(e for f, e in _DEGENERATE.values() if f == facets)
+    res = verify_property(pid, from_facets(facets))
+    assert res.verdict == "skip" and (res.verdict, res.detail) == expected[pid]
+
+
 @pytest.mark.parametrize("name", list(_DEGENERATE))
-def test_degenerate_inputs_skip_with_a_reason(name):
+def test_degenerate_inputs_pin_every_check(name):
     facets, expected = _DEGENERATE[name]
     c = from_facets(facets)
     results = [verify_property(pid, c) for pid in PROPERTY_IDS]
