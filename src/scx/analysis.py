@@ -9,12 +9,14 @@ are conditional, so an unmet hypothesis must never count as a pass.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .banner import (
     BannerClass,
+    _link_banner,
     _link_banner_value,
     banner_number,
     classify,
@@ -114,6 +116,16 @@ def analyze(c: SimplicialComplex, name: str = "complex") -> AnalysisReport:
 
 
 _REPORT_KEYS = ["schema"] + [f.name for f in fields(AnalysisReport)]
+# the JSON type of each report field, read off its annotation: a tuple is a
+# list of ints, and bool is not an int
+_JSON_TYPES = {
+    "str": str, "int": int, "bool": bool, "dict": dict, "None": type(None),
+    "tuple[int,...]": list,
+}
+_REPORT_TYPES = {
+    f.name: tuple(_JSON_TYPES[t] for t in f.type.replace(" ", "").split("|"))
+    for f in fields(AnalysisReport)
+}
 
 
 def report_json(r: AnalysisReport) -> str:
@@ -144,7 +156,11 @@ def report_from_json(text: str) -> AnalysisReport:
     kwargs = {}
     for key in _REPORT_KEYS[1:]:
         value = data[key]
-        if key in ("f_vector", "betti"):
+        if type(value) not in _REPORT_TYPES[key]:
+            raise ScxError(f"report field {key!r} has the wrong type: {value!r}")
+        if type(value) is list:
+            if any(type(x) is not int for x in value):
+                raise ScxError(f"report field {key!r} holds a non-integer: {value!r}")
             value = tuple(value)
         kwargs[key] = value
     return AnalysisReport(**kwargs)
@@ -272,12 +288,34 @@ def _relative_homology_matches(c: SimplicialComplex) -> tuple:
 
 
 def _link_values_bounded(c: SimplicialComplex) -> tuple:
+    # value(lk F) <= b - |F| exactly when, for some j <= b - |F|, every
+    # (|F| + j)-face containing F has a banner-or-triangle link in ``c``
     value = banner_number(c).value
+    containing: dict[tuple[int, int], dict] = {}  # (k, s) -> s-subset -> its k-faces
+
+    def cofaces(ids: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+        if k == len(ids):
+            return [ids]
+        index = containing.get((k, len(ids)))
+        if index is None:
+            index = containing[k, len(ids)] = {}
+            for g in sorted(c.faces_ids(k)):
+                for sub in itertools.combinations(g, len(ids)):
+                    index.setdefault(sub, []).append(g)
+        return index[ids]
+
     for size in range(1, value + 1):
-        for face in sorted(c.faces(size)):
-            sub = _link_banner_value(c, face)
-            if sub is None or sub > value - size:
-                payload = {"face": list(face), "link_value": sub, "value": value}
+        for ids in sorted(c.faces_ids(size)):
+            if not any(
+                all(_link_banner(c, g) for g in cofaces(ids, k))
+                for k in range(size, value + 1)
+            ):
+                face = c._face_labels(ids)
+                payload = {
+                    "face": list(face),
+                    "link_value": _link_banner_value(c, face),
+                    "value": value,
+                }
                 return "fail", f"link of {face} breaks the banner-number inequality", payload
     return "pass", f"inequality holds below level {value}"
 

@@ -220,17 +220,73 @@ def banner_or_triangle(c: SimplicialComplex) -> bool:
     return classify(c).banner
 
 
-def _link_banner(c: SimplicialComplex, ids: tuple[int, ...]) -> bool:
-    """``banner_or_triangle(c.link(face))`` for the face with sorted ``ids``.
+def _facet_masks(c: SimplicialComplex) -> tuple[int, ...]:
+    return tuple(sum(1 << i for i in f) for f in c._facets)
 
-    Answers are kept in a table in ``c``'s memo, indexed by face; the links
-    themselves are rebuilt when needed and not kept.
+
+def _link_banner(c: SimplicialComplex, ids: tuple[int, ...]) -> bool:
+    """``banner_or_triangle(c.link(face))`` for the non-facet face with sorted ``ids``.
+
+    Answers are kept in a table in ``c``'s memo, indexed by face.  Apart
+    from the empty face, whose link is ``c`` itself, no link is built: the
+    link is read off the residues ``G - F`` of the facets ``G`` containing
+    the face ``F``, as bitmasks (``_residues_banner``).
     """
     table = c._memo.setdefault("link_banner", {})
     ok = table.get(ids)
     if ok is None:
-        ok = table[ids] = banner_or_triangle(c.link(c._face_labels(ids)))
+        ok = table[ids] = _residues_banner(c, ids) if ids else banner_or_triangle(c)
     return ok
+
+
+def _residues_banner(c: SimplicialComplex, ids: tuple[int, ...]) -> bool:
+    """Is the link of the face ``ids``, given by its facets as bitmasks, banner or a triangle?
+
+    With the facets (residues) of size m + 1, so that the link has dimension
+    m: for m = 0 the link is banner exactly when it is one point, and three
+    edges on three vertices are the triangle.  Otherwise the link fails to
+    be banner exactly when it has
+    - a critical non-spanning clique: a ridge r (a residue less one vertex)
+      with more common neighbours outside r than residues containing r,
+      since each extra neighbour x makes r + x a clique that is no face;
+    - a simplex boundary: a residue t and a neighbour x of all of t such
+      that every (t - y) + x is a residue, so all (m + 1)-subsets of t + x
+      are faces.
+    """
+    face = sum(1 << i for i in ids)
+    residues = {g ^ face for g in c._cached("facet_masks", _facet_masks) if g & face == face}
+    size = next(iter(residues)).bit_count()
+    if any(r.bit_count() != size for r in residues):
+        return False  # not pure, and so not a triangle either
+    if size == 1:
+        return len(residues) == 1
+    # common neighbourhoods below include the vertices themselves
+    adjacency: dict[int, int] = {}
+    for r in residues:
+        for v in _iter_bits(r):
+            adjacency[v] = adjacency.get(v, 0) | r
+    if size == 2 and len(residues) == 3 and len(adjacency) == 3:
+        return True
+    ridges: dict[int, int] = {}
+    for t in residues:
+        for v in _iter_bits(t):
+            ridge = t ^ (1 << v)
+            ridges[ridge] = ridges.get(ridge, 0) + 1
+    for ridge, holders in ridges.items():
+        common = -1
+        for v in _iter_bits(ridge):
+            common &= adjacency[v]
+        if common.bit_count() - (size - 1) > holders:
+            return False
+    for t in residues:
+        common = -1
+        for v in _iter_bits(t):
+            common &= adjacency[v]
+        for x in _iter_bits(common ^ t):
+            apex = 1 << x
+            if all((t ^ (1 << y)) | apex in residues for y in _iter_bits(t)):
+                return False
+    return True
 
 
 def banner_number(c: SimplicialComplex) -> BannerNumber:

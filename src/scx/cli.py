@@ -124,7 +124,7 @@ def _cmd_homology(args) -> int:
         sub = _load(args.relative)
         betti = z2_relative_betti(c, sub)
         label = "relative Betti"
-    elif args.link:
+    elif args.link is not None:
         betti = z2_betti(c.link(tuple(args.link.split())))
         label = "link Betti"
     else:

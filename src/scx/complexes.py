@@ -11,17 +11,18 @@ generated on demand and memoized.  The empty complex is unrepresentable:
 every constructor raises ``EmptyComplex`` rather than producing one.
 
 Invariants computed from a complex (its banner class, banner number,
-manifold class, skeleton, Betti numbers and the banner status of its
-face links) are cached per object in its ``_memo`` dict, so each is
-computed once however many checks ask for it.  Cached values are
-immutable, hold no reference back to the complex and die with it; there
-is no global or content-keyed cache.  Neither memo takes a lock: two
-threads asking for the same value at once may both compute it and store
-equal results.  Each store is one dict assignment, which the interpreter
-lock keeps atomic, so a complex can still be shared between threads.
-Links, stars and induced subcomplexes are themselves not cached: they
-are rebuilt from the parent's ids by ``_from_ids``, which skips label
-normalization.
+manifold class, skeleton, Betti numbers, its facets as vertex bitmasks
+and the banner status of its face links) are cached per object in its
+``_memo`` dict, so each is computed once however many checks ask for it.
+Cached values are immutable, hold no reference back to the complex and
+die with it; there is no global or content-keyed cache.  Neither memo
+takes a lock: two threads asking for the same value at once may both
+compute it and store equal results.  Each store is one dict assignment,
+which the interpreter lock keeps atomic, so a complex can still be
+shared between threads.  Links, stars and induced subcomplexes are
+themselves not cached: they are rebuilt from the parent's ids by
+``_from_ids``, which skips label normalization.  The banner status of a
+face link needs no link at all: it is read off the facet bitmasks.
 """
 
 from __future__ import annotations

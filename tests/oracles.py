@@ -11,6 +11,7 @@ genuinely separate routes:
 - face counts by raw subset enumeration,
 - flagness by scanning all vertex subsets,
 - banner classes by label tuples probed with ``has_face``,
+- banner status of face links on built link complexes,
 - maximal sets by pairwise strict-subset tests,
 - strong connectivity by pairwise facet intersections,
 - homology manifolds by the full Betti vector of every face link, faces
@@ -28,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from scx.kernels import unit_maxflow
-from scx.banner import BannerClass, BannerWitness, cliques
+from scx.banner import BannerClass, BannerWitness, banner_or_triangle, cliques
 from scx.errors import NotPseudomanifold, NotPure
 from scx.graphs import skeleton
 from scx.manifold import is_pseudomanifold
@@ -424,3 +425,12 @@ def classify_by_labels(c) -> BannerClass:
     elif flag_viol is not None:
         witness = BannerWitness("flag", "non_spanning_clique", flag_viol)
     return BannerClass(flag_viol is None, strongly, banner, witness)
+
+
+def link_banner_by_complexes(c, ids: tuple[int, ...]) -> bool:
+    """Banner-or-triangle status of the link of the face with sorted ``ids``.
+
+    The link is built as a complex and classified whole, the route the
+    library's facet-bitmask test replaced.
+    """
+    return banner_or_triangle(c.link(c._face_labels(ids)))

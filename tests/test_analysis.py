@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from scx.analysis import (
     verify_corpus,
     verify_property,
 )
+from scx.banner import banner_number
 from scx.complexes import dumps, from_facets, loads
 from scx.errors import NotAFace, ScxError, UnknownProperty
 from scx.generators import (
@@ -88,6 +90,40 @@ def test_report_rejects_unknown_fields():
 def test_report_rejects_text_that_is_not_a_json_object(text):
     with pytest.raises(ScxError):
         report_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("f_vector", 3),
+        ("betti", None),
+        ("dim", "x"),
+        ("banner", "yes"),
+        ("connectivity_certificate", [1]),
+        ("dim", True),
+        ("connectivity", 4.0),
+        ("f_vector", [1, "4", 4]),
+        ("betti", [0, False]),
+        ("name", 3),
+        ("normal", "no"),
+        ("banner_number_witness", None),
+        ("bound", [4]),
+    ],
+)
+def test_report_rejects_values_of_the_wrong_type(key, value):
+    data = json.loads(report_json(analyze(cycle(4), name="c4")))
+    data[key] = value
+    with pytest.raises(ScxError):
+        report_from_json(json.dumps(data))
+
+
+def test_golden_reports_read_back():
+    golden = Path(__file__).parent / "golden" / "analyze"
+    paths = sorted(golden.glob("*.json"))
+    assert paths
+    for path in paths:
+        text = path.read_text()
+        assert report_json(report_from_json(text)) == text, path.name
 
 
 def test_report_self_consistent_after_reserialization():
@@ -303,6 +339,27 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
     assert counts == dict.fromkeys(counts, 1)
 
 
+def test_l52_failure_row(monkeypatch):
+    from scx import banner
+
+    c = from_facets([["v0", "v4", "v5", "v6"], ["v1", "v2", "v3", "v6"], ["v2", "v3", "v4", "v5"]])
+    assert banner_number(c).value == 1  # kept in the memo before the table is tampered with
+    table_entry = banner._link_banner
+
+    def rejecting(cx, ids):
+        return False if cx is c and ids == (0,) else table_entry(cx, ids)
+
+    monkeypatch.setattr(banner, "_link_banner", rejecting)
+    monkeypatch.setattr(analysis, "_link_banner", rejecting)
+    res = verify_property("L5.2", c)
+    assert (res.verdict, res.detail) == (
+        "fail",
+        "link of ('v0',) breaks the banner-number inequality",
+    )
+    # the link of v0 is one triangle: level 0 is rejected, its three edges pass
+    assert res.payload == {"face": ["v0"], "link_value": 1, "value": 1}
+
+
 def test_verify_corpus_rejects_bad_property():
     with pytest.raises(UnknownProperty):
         verify_corpus(properties=["nope"])
@@ -386,6 +443,15 @@ def test_cli_homology(tmp_path, capsys):
     assert "(0, 2, 1)" in capsys.readouterr().out
     assert cli.main(["homology", str(path), "--link", "t0"]) == 0
     assert "(0, 1)" in capsys.readouterr().out  # a vertex link is a hexagon
+
+
+def test_cli_homology_link_of_the_empty_face(tmp_path, capsys):
+    path = tmp_path / "t7.scx"
+    cli.main(["gen", "torus-7", "-o", str(path)])
+    assert cli.main(["homology", str(path), "--link", ""]) == 0
+    assert capsys.readouterr().out == "link Betti: (0, 2, 1)\n"
+    assert cli.main(["homology", str(path), "--link", "", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"link_Betti": [0, 2, 1]}
 
 
 def test_cli_homology_relative(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
+from scx.analysis import verify_property
 from scx.banner import (
+    _link_banner,
     banner_number,
     banner_or_triangle,
     classify,
@@ -13,20 +16,22 @@ from scx.banner import (
     is_spanning,
     is_triangle_cycle,
 )
-from scx.complexes import from_facets
-from scx.errors import NoBoundary, NotAClique, NotPure
+from scx.complexes import SimplicialComplex, from_facets
+from scx.errors import NoBoundary, NotAClique, NotPure, ScxError
 from scx.generators import (
     banana,
     complete_graph_edges,
     cross_polytope_boundary,
     cycle,
+    cyclic_polytope_boundary,
     ring_ball,
     simplex,
     simplex_boundary,
     stacked_sphere,
 )
 
-from oracles import brute_is_flag, classify_by_labels
+from oracles import brute_is_flag, classify_by_labels, link_banner_by_complexes
+from test_fuzz import _FACETS
 
 
 def test_classify_matches_label_oracle_on_corpus_links(corpus):
@@ -245,6 +250,64 @@ def test_link_banner_number_inequality(corpus):
             for face in sorted(c.faces(size)):
                 sub = banner_number(c.link(face)).value
                 assert sub is not None and sub <= value - size, (name, face)
+
+
+def _compare_link_banner(c, kinds: set[str]) -> None:
+    """Check ``_link_banner`` against the oracle on every face with a non-empty link.
+
+    ``kinds`` collects what the compared links were: "triangle", the kind
+    of banner witness of a link that fails, or "not_pure".
+    """
+    for k in range(0, c.dim + 1):
+        for ids in sorted(c.faces_ids(k)) if k else [()]:
+            try:
+                lk = c.link(c._face_labels(ids))
+            except ScxError:  # a facet of a complex that is not pure
+                continue
+            expected = link_banner_by_complexes(c, ids)
+            assert _link_banner(c, ids) == expected, (c.facets, ids)
+            if is_triangle_cycle(lk):
+                kinds.add("triangle")
+            elif not lk.is_pure:
+                kinds.add("not_pure")
+            elif not expected:
+                kinds.add(classify(lk).witness.kind)
+
+
+def test_link_banner_matches_built_links(corpus):
+    kinds: set[str] = set()
+    pure = [c for c in corpus.values() if c.is_pure]
+    for c in pure + [cyclic_polytope_boundary(8, 6), cross_polytope_boundary(5)]:
+        _compare_link_banner(c, kinds)
+    assert {"triangle", "critical_non_spanning_clique", "simplex_boundary"} <= kinds
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_FACETS)
+def test_link_banner_matches_built_links_on_random_complexes(facets):
+    _compare_link_banner(from_facets(facets), set())
+
+
+def test_link_banner_matches_built_links_that_are_not_pure():
+    kinds: set[str] = set()
+    _compare_link_banner(from_facets([["a", "b"], ["b", "c"], ["a", "c"], ["a", "d", "e"]]), kinds)
+    assert "not_pure" in kinds
+
+
+def test_banner_number_and_l52_build_no_link(monkeypatch):
+    c = cyclic_polytope_boundary(7, 4)  # the corpus 4-sphere "cyclic-polytope-7-4"
+    calls = []
+    link = SimplicialComplex.link
+
+    def counted(self, face):
+        calls.append(face)
+        return link(self, face)
+
+    monkeypatch.setattr(SimplicialComplex, "link", counted)
+    assert banner_number(c).value == 3
+    assert verify_property("L5.2", c).verdict == "pass"
+    assert calls == []
+    assert len(c._memo["link_banner"]) == 63
 
 
 def test_stacked_spheres_are_barnette_tight():
