@@ -9,14 +9,12 @@ are conditional, so an unmet hypothesis must never count as a pass.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .banner import (
     BannerClass,
-    _link_banner,
     _link_banner_value,
     banner_number,
     classify,
@@ -128,6 +126,25 @@ _REPORT_TYPES = {
 }
 
 
+def _is(t: type) -> Callable[[object], bool]:
+    return lambda v: type(v) is t
+
+
+def _labels(v: object) -> bool:
+    return type(v) is list and all(type(x) is str for x in v)
+
+
+# the shapes a dict field may take, as key -> test of its value; a dict must
+# match one of them exactly
+_DICT_SHAPES = {
+    "banner_witness": [{"level": _is(str), "kind": _is(str), "vertices": _labels}],
+    "banner_number_witness": [
+        {"passed_faces": _is(int), "failing_face": lambda v: v is None or _labels(v)},
+    ],
+    "connectivity_certificate": [{"complete": _is(bool)}, {"cut": _labels, "pair": _labels}],
+}
+
+
 def report_json(r: AnalysisReport) -> str:
     data = {"schema": SCHEMA}
     for key in _REPORT_KEYS[1:]:
@@ -162,6 +179,11 @@ def report_from_json(text: str) -> AnalysisReport:
             if any(type(x) is not int for x in value):
                 raise ScxError(f"report field {key!r} holds a non-integer: {value!r}")
             value = tuple(value)
+        if type(value) is dict and not any(
+            value.keys() == shape.keys() and all(ok(value[k]) for k, ok in shape.items())
+            for shape in _DICT_SHAPES[key]
+        ):
+            raise ScxError(f"report field {key!r} has the wrong shape: {value!r}")
         kwargs[key] = value
     return AnalysisReport(**kwargs)
 
@@ -288,34 +310,12 @@ def _relative_homology_matches(c: SimplicialComplex) -> tuple:
 
 
 def _link_values_bounded(c: SimplicialComplex) -> tuple:
-    # value(lk F) <= b - |F| exactly when, for some j <= b - |F|, every
-    # (|F| + j)-face containing F has a banner-or-triangle link in ``c``
     value = banner_number(c).value
-    containing: dict[tuple[int, int], dict] = {}  # (k, s) -> s-subset -> its k-faces
-
-    def cofaces(ids: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
-        if k == len(ids):
-            return [ids]
-        index = containing.get((k, len(ids)))
-        if index is None:
-            index = containing[k, len(ids)] = {}
-            for g in sorted(c.faces_ids(k)):
-                for sub in itertools.combinations(g, len(ids)):
-                    index.setdefault(sub, []).append(g)
-        return index[ids]
-
     for size in range(1, value + 1):
-        for ids in sorted(c.faces_ids(size)):
-            if not any(
-                all(_link_banner(c, g) for g in cofaces(ids, k))
-                for k in range(size, value + 1)
-            ):
-                face = c._face_labels(ids)
-                payload = {
-                    "face": list(face),
-                    "link_value": _link_banner_value(c, face),
-                    "value": value,
-                }
+        for face in sorted(c.faces(size)):
+            sub = _link_banner_value(c, face)
+            if sub is None or sub > value - size:
+                payload = {"face": list(face), "link_value": sub, "value": value}
                 return "fail", f"link of {face} breaks the banner-number inequality", payload
     return "pass", f"inequality holds below level {value}"
 

@@ -326,30 +326,49 @@ def _link_banner_value(c: SimplicialComplex, face: Iterable[Label]) -> int | Non
 
     The j-vertex faces of the link of F are the sets G with F u G a face
     of ``c``, and the link of G in the link of F is the link of F u G in
-    ``c``, so no link of a link is built.  Raises like ``c.link(face)``
-    and, for a link that is not pure, like ``banner_number``.
+    ``c``, so no link of a link is built: level j asks the table about the
+    (|F| + j)-faces containing F (``_cofaces``).  Raises like
+    ``c.link(face)`` and, for a link that is not pure, like
+    ``banner_number``.
     """
-    face = tuple(sorted(str(v) for v in face))
+    face = tuple(sorted({str(v) for v in face}))
     try:
-        f = frozenset(c._face_ids(face))
+        ids = c._face_ids(face)
     except UnknownVertex:
         raise NotAFace(f"{face} is not a face") from None
-    residues = [tuple(sorted(fs - f)) for fs in c._facet_sets if f <= fs]
-    if not residues:
+    f = sum(1 << i for i in ids)
+    sizes = {(g ^ f).bit_count() for g in c._cached("facet_masks", _facet_masks) if g & f == f}
+    if not sizes:
         raise NotAFace(f"{face} is not a face")
-    if not all(residues):
+    if 0 in sizes:
         raise EmptyComplex("link of a facet is empty")
-    if len({len(r) for r in residues}) != 1:
+    if len(sizes) != 1:
         raise NotPure("banner number needs a pure complex")
-    for j in range(0, max(len(residues[0]) - 1, 1)):
-        cofaces = {
-            tuple(sorted(f.union(g)))
-            for r in residues
-            for g in itertools.combinations(r, j)
-        }
-        if all(_link_banner(c, ids) for ids in sorted(cofaces)):
+    (size,) = sizes
+    for j in range(0, max(size - 1, 1)):
+        if all(_link_banner(c, g) for g in _cofaces(c, ids, len(ids) + j)):
             return j
     return None
+
+
+def _cofaces(c: SimplicialComplex, ids: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    """The k-vertex faces containing the face ``ids``, sorted.
+
+    An index from each s-subset of a k-face to the k-faces holding it is
+    built once per (k, s) and kept in ``c``'s memo, so a coface is listed
+    once per (k, s) rather than once per facet above each face below it.
+    """
+    if k == len(ids):
+        return [ids]
+    indexes = c._memo.setdefault("cofaces", {})
+    index = indexes.get((k, len(ids)))
+    if index is None:
+        index = {}
+        for g in sorted(c.faces_ids(k)):
+            for sub in itertools.combinations(g, len(ids)):
+                index.setdefault(sub, []).append(g)
+        indexes[k, len(ids)] = index  # stored whole, so no thread sees it half built
+    return index[ids]
 
 
 def classify_tilde_cliques(ball: SimplicialComplex, j: int) -> TildeCliques:

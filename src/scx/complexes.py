@@ -11,8 +11,9 @@ generated on demand and memoized.  The empty complex is unrepresentable:
 every constructor raises ``EmptyComplex`` rather than producing one.
 
 Invariants computed from a complex (its banner class, banner number,
-manifold class, skeleton, Betti numbers, its facets as vertex bitmasks
-and the banner status of its face links) are cached per object in its
+manifold class, skeleton, Betti numbers, its facets as vertex bitmasks,
+the banner status of its face links and an index from faces to their
+cofaces) are cached per object in its
 ``_memo`` dict, so each is computed once however many checks ask for it.
 Cached values are immutable, hold no reference back to the complex and
 die with it; there is no global or content-keyed cache.  Neither memo

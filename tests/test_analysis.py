@@ -108,6 +108,15 @@ def test_report_rejects_text_that_is_not_a_json_object(text):
         ("normal", "no"),
         ("banner_number_witness", None),
         ("bound", [4]),
+        ("banner_number_witness", {}),
+        ("banner_number_witness", {"passed_faces": "x", "failing_face": None}),
+        ("banner_number_witness", {"passed_faces": 1, "failing_face": [1]}),
+        ("banner_number_witness", {"passed_faces": 1, "failing_face": None, "more": 0}),
+        ("connectivity_certificate", {"cut": 3}),
+        ("connectivity_certificate", {"cut": ["c1"], "pair": "c0"}),
+        ("connectivity_certificate", {"complete": 1}),
+        ("banner_witness", {"level": "banner", "kind": 2, "vertices": ["c0"]}),
+        ("banner_witness", {"level": "banner", "kind": "simplex_boundary"}),
     ],
 )
 def test_report_rejects_values_of_the_wrong_type(key, value):
@@ -350,7 +359,6 @@ def test_l52_failure_row(monkeypatch):
         return False if cx is c and ids == (0,) else table_entry(cx, ids)
 
     monkeypatch.setattr(banner, "_link_banner", rejecting)
-    monkeypatch.setattr(analysis, "_link_banner", rejecting)
     res = verify_property("L5.2", c)
     assert (res.verdict, res.detail) == (
         "fail",
