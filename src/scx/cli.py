@@ -120,7 +120,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_homology(args) -> int:
     c = _load(args.file)
-    if args.relative:
+    if args.relative is not None:
         sub = _load(args.relative)
         betti = z2_relative_betti(c, sub)
         label = "relative Betti"
@@ -140,7 +140,7 @@ def _cmd_homology(args) -> int:
 def _cmd_shelling(args) -> int:
     c = _load(args.file)
     seed = None
-    if args.seed_star:
+    if args.seed_star is not None:
         seed = c.star(args.seed_star).facets
     try:
         order = find_shelling(c, seed, budget=args.budget)

@@ -20,7 +20,11 @@ n + deg(m)^2 / 2 flows instead of one per non-adjacent pair.  The
 certificate then comes from a scan of the non-adjacent pairs in
 lexicographic order that stops at the first pair whose flow equals
 kappa, skipping pairs already known to need more; that pair's cut is
-read off the source side that the flow's last search labeled.
+read off the source side that the flow's last search labeled.  The
+residual arcs of the split network are built once per call
+(``flow_network``) and every pair's flow starts from the shared
+capacity vector; an adjacent pair gets a copy with its two direct arcs
+set to 0.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .errors import (
     TooSmall,
     UnknownVertex,
 )
-from .kernels import unit_maxflow
+from .kernels import flow_network, unit_maxflow
 
 
 class SkeletonGraph:
@@ -169,15 +173,14 @@ class _SplitNetwork:
     """The vertex-split flow network of a whole graph, shared by all pairs.
 
     Arc w < n is the split arc 2w -> 2w+1; the edge arcs follow, and
-    ``edge_arcs`` maps each of their indices to its edge (a, b), the arc
-    running 2a+1 -> 2b.
+    ``arc_of`` maps each edge (a, b) to the index of its arc
+    2a+1 -> 2b, in arc order.  ``network`` is the kernel's residual
+    structure and ``caps`` the capacity of each arc.
     """
 
-    num_nodes: int
-    tails: list[int]
-    heads: list[int]
+    network: tuple[list[list[int]], list[int]]
     caps: list[int]
-    edge_arcs: dict[int, tuple[int, int]]
+    arc_of: dict[tuple[int, int], int]
 
 
 def _split_network(g: SkeletonGraph) -> _SplitNetwork:
@@ -185,14 +188,14 @@ def _split_network(g: SkeletonGraph) -> _SplitNetwork:
     tails = [2 * w for w in range(g.n)]
     heads = [2 * w + 1 for w in range(g.n)]
     caps = [1] * g.n
-    edge_arcs: dict[int, tuple[int, int]] = {}
+    arc_of: dict[tuple[int, int], int] = {}
     for a in range(g.n):
         for b in g.adj[a]:
-            edge_arcs[len(tails)] = (a, b)
+            arc_of[a, b] = len(tails)
             tails.append(2 * a + 1)
             heads.append(2 * b)
             caps.append(big)
-    return _SplitNetwork(2 * g.n, tails, heads, caps, edge_arcs)
+    return _SplitNetwork(flow_network(2 * g.n, tails, heads), caps, arc_of)
 
 
 def _pair_flow(g: SkeletonGraph, net: _SplitNetwork, u: int, v: int):
@@ -203,11 +206,9 @@ def _pair_flow(g: SkeletonGraph, net: _SplitNetwork, u: int, v: int):
     """
     caps = net.caps
     if g.adjacent(u, v):
-        direct = ((u, v), (v, u))
-        caps = [
-            0 if net.edge_arcs.get(i) in direct else cap for i, cap in enumerate(caps)
-        ]
-    return unit_maxflow(net.num_nodes, net.tails, net.heads, caps, 2 * u + 1, 2 * v)
+        caps = caps.copy()
+        caps[net.arc_of[u, v]] = caps[net.arc_of[v, u]] = 0
+    return unit_maxflow(net.network, caps, 2 * u + 1, 2 * v)
 
 
 def local_connectivity(g: SkeletonGraph, u: int, v: int) -> int:
@@ -313,7 +314,7 @@ def independent_paths(g: SkeletonGraph, u_label: str, v_label: str) -> PathFamil
 
     # Decompose the flow: walk saturated edge arcs from u, consuming them.
     out_of: dict[int, list[int]] = {}
-    for i, (a, b) in net.edge_arcs.items():
+    for (a, b), i in net.arc_of.items():
         if flows[i] > 0:
             out_of.setdefault(a, []).append(b)
     for lst in out_of.values():

@@ -2,9 +2,12 @@
 
 - ``gf2_rank(rows, ncols)``: rank over GF(2); each row is an int bitmask
   that must fit in ``ncols`` bits.
-- ``unit_maxflow(num_nodes, tails, heads, caps, source, sink)``: BFS
-  augmenting-path max flow with deterministic arc order, returning the
-  flow together with the source side of a minimum cut.
+- ``flow_network(num_nodes, tails, heads)``: the residual structure of a
+  network, built once and shared by every flow on it.
+- ``unit_maxflow(network, caps, source, sink)``: BFS augmenting-path max
+  flow on such a network with deterministic arc order, returning the
+  flow together with the source side of a minimum cut.  Each call starts
+  from its own capacity vector, so one network serves many flows.
 """
 
 from collections import deque
@@ -28,24 +31,40 @@ def gf2_rank(rows, ncols):
     return rank
 
 
-def unit_maxflow(num_nodes, tails, heads, caps, source, sink):
+def flow_network(num_nodes, tails, heads):
+    """The residual arcs of a network whose arc ``i`` runs ``tails[i] -> heads[i]``.
+
+    Returns ``(out, to)``: residual arc 2i is arc i and 2i+1 its reverse;
+    ``out[x]`` lists the residual arcs leaving node x in input order, and
+    ``to[a]`` is the node that residual arc a enters.
+    """
+    out: list[list[int]] = [[] for _ in range(num_nodes)]
+    to = [0] * (2 * len(tails))
+    for i, (t, h) in enumerate(zip(tails, heads)):
+        out[t].append(2 * i)
+        out[h].append(2 * i + 1)
+        to[2 * i] = h
+        to[2 * i + 1] = t
+    return out, to
+
+
+def unit_maxflow(network, caps, source, sink):
     """Max flow with BFS augmentation on small integer-capacity networks.
 
-    Arc ``i`` runs ``tails[i] -> heads[i]`` with capacity ``caps[i]``; the
-    reverse residual arc is implicit.  BFS scans each node's arcs in input
-    order and stops as soon as the sink is labeled, which makes the final
-    flow assignment deterministic.  Returns ``(value, flows, reach)`` with
-    one flow entry per input arc; ``reach[x]`` says whether node x was
-    labeled by the last BFS, which misses the sink and so runs to
-    exhaustion: the labeled nodes are the source side of a minimum cut.
+    ``network`` comes from ``flow_network`` and ``caps[i]`` is the
+    capacity of its arc i; the network is not changed, so it can be
+    reused with other capacities and terminals.  BFS scans each node's
+    arcs in input order and stops as soon as the sink is labeled, which
+    makes the final flow assignment deterministic.  Returns
+    ``(value, flows, reach)`` with one flow entry per input arc;
+    ``reach[x]`` says whether node x was labeled by the last BFS, which
+    misses the sink and so runs to exhaustion: the labeled nodes are the
+    source side of a minimum cut.
     """
-    m = len(tails)
-    res = [0] * (2 * m)  # arc 2i forward, 2i+1 its residual
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    for i in range(m):
-        res[2 * i] = caps[i]
-        adj[tails[i]].append(2 * i)
-        adj[heads[i]].append(2 * i + 1)
+    out, to = network
+    num_nodes = len(out)
+    res = [0] * len(to)  # residual capacity of each residual arc
+    res[0::2] = caps
 
     value = 0
     while True:
@@ -54,9 +73,9 @@ def unit_maxflow(num_nodes, tails, heads, caps, source, sink):
         queue = deque([source])
         while queue and parent[sink] == -1:
             u = queue.popleft()
-            for a in adj[u]:
+            for a in out[u]:
                 if res[a] > 0:
-                    v = heads[a >> 1] if not (a & 1) else tails[a >> 1]
+                    v = to[a]
                     if parent[v] == -1:
                         parent[v] = a
                         queue.append(v)
@@ -68,14 +87,14 @@ def unit_maxflow(num_nodes, tails, heads, caps, source, sink):
             a = parent[v]
             if bottleneck is None or res[a] < bottleneck:
                 bottleneck = res[a]
-            v = tails[a >> 1] if not (a & 1) else heads[a >> 1]
+            v = to[a ^ 1]
         v = sink
         while v != source:
             a = parent[v]
             res[a] -= bottleneck
             res[a ^ 1] += bottleneck
-            v = tails[a >> 1] if not (a & 1) else heads[a >> 1]
+            v = to[a ^ 1]
         value += bottleneck
 
-    flows = [caps[i] - res[2 * i] for i in range(m)]
+    flows = [cap - left for cap, left in zip(caps, res[0::2])]
     return value, flows, [p != -1 for p in parent]

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from scx.kernels import unit_maxflow
+from scx.kernels import flow_network, unit_maxflow
 from scx.banner import BannerClass, BannerWitness, banner_or_triangle, cliques
 from scx.errors import NotPseudomanifold, NotPure
 from scx.graphs import skeleton
@@ -98,7 +98,7 @@ def _pair_min_cut(g, u, v) -> tuple[int, tuple[int, ...]]:
             heads.append(2 * b)
             caps.append(g.n)
     s, t = 2 * u + 1, 2 * v
-    value, flows, _ = unit_maxflow(2 * g.n, tails, heads, caps, s, t)
+    value, flows, _ = unit_maxflow(flow_network(2 * g.n, tails, heads), caps, s, t)
     out: list[list[tuple[int, int]]] = [[] for _ in range(2 * g.n)]
     for i, (a, b) in enumerate(zip(tails, heads)):
         out[a].append((b, caps[i] - flows[i]))

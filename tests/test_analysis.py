@@ -472,6 +472,16 @@ def test_cli_homology_relative(tmp_path, capsys):
     assert data["relative_Betti"] == [0, 1]
 
 
+def test_cli_homology_relative_to_an_empty_path(tmp_path, capsys):
+    path = tmp_path / "c5.scx"
+    cli.main(["gen", "cycle", "5", "-o", str(path)])
+    capsys.readouterr()
+    assert cli.main(["homology", str(path), "--relative", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot read" in captured.err
+
+
 def test_cli_shelling_seeded(tmp_path, capsys):
     path = tmp_path / "ball.scx"
     cli.main(["gen", "ring-ball", "-o", str(path)])
@@ -479,6 +489,16 @@ def test_cli_shelling_seeded(tmp_path, capsys):
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
     assert len(lines) == 26
     assert all("y" in l.split() for l in lines[:8])
+
+
+def test_cli_shelling_with_an_empty_seed(tmp_path, capsys):
+    path = tmp_path / "c5.scx"
+    cli.main(["gen", "cycle", "5", "-o", str(path)])
+    capsys.readouterr()
+    assert cli.main(["shelling", str(path), "--seed-star", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown vertex ''" in captured.err
 
 
 def test_cli_shelling_no_shelling(tmp_path, capsys):

@@ -272,3 +272,33 @@ def test_connectivity_flow_count_on_large_stacked_sphere(monkeypatch):
     assert res.value == 3 and not res.complete
     assert res.cut.vertices == ("v0", "v2", "v3")
     assert res.cut.pair == ("s0", "s1")
+
+
+def test_pair_flows_leave_no_state_in_the_shared_network():
+    for seed in range(20):
+        g = random_graph(4 + seed % 6, 0.5, seed=700 + seed)
+        net = scx.graphs._split_network(g)
+        pairs = [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
+        adjacent = [p for p in pairs if g.adjacent(*p)]
+        for u, v in adjacent[:1] + pairs:
+            fresh = scx.graphs._pair_flow(g, scx.graphs._split_network(g), u, v)
+            assert scx.graphs._pair_flow(g, net, u, v) == fresh, (seed, u, v)
+
+
+def test_connectivity_builds_one_flow_network(monkeypatch):
+    builds = []
+    builder = scx.graphs.flow_network
+
+    def counted(*args):
+        builds.append(args[0])
+        return builder(*args)
+
+    monkeypatch.setattr(scx.graphs, "flow_network", counted)
+    graphs = [skeleton(stacked_sphere(2, 40, 3)), skeleton(cross_polytope_boundary(3))]
+    graphs += [random_graph(6 + seed % 5, 0.5, seed=800 + seed) for seed in range(20)]
+    for g in graphs:
+        builds.clear()
+        vertex_connectivity(g)
+        flows_needed = g.n > 1 and g.is_connected() and not g.is_complete()
+        assert builds == ([2 * g.n] if flows_needed else [])
+    assert sum(1 for g in graphs if g.is_connected() and not g.is_complete()) >= 10

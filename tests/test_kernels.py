@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scx.kernels import gf2_rank, unit_maxflow
+from scx.kernels import flow_network, gf2_rank, unit_maxflow
 from oracles import gf2_rank_dense
 
 
@@ -60,7 +60,7 @@ def test_maxflow_returns_a_max_flow_min_cut_certificate(inst):
     tails = [a[0] for a in arcs]
     heads = [a[1] for a in arcs]
     caps = [a[2] for a in arcs]
-    value, flows, reach = unit_maxflow(n, tails, heads, caps, 0, n - 1)
+    value, flows, reach = unit_maxflow(flow_network(n, tails, heads), caps, 0, n - 1)
     # conservation at interior nodes, capacity bounds
     assert all(0 <= f <= c for f, c in zip(flows, caps))
     net = [0] * n
@@ -78,10 +78,11 @@ def test_maxflow_returns_a_max_flow_min_cut_certificate(inst):
 
 def test_maxflow_known_values():
     # two disjoint length-2 routes from 0 to 3
-    value, _, reach = unit_maxflow(4, [0, 1, 0, 2], [1, 3, 2, 3], [1, 1, 1, 1], 0, 3)
+    net = flow_network(4, [0, 1, 0, 2], [1, 3, 2, 3])
+    value, _, reach = unit_maxflow(net, [1, 1, 1, 1], 0, 3)
     assert value == 2 and reach == [True, False, False, False]
     # bottleneck through one middle vertex arc
-    value, _, reach = unit_maxflow(3, [0, 1], [1, 2], [5, 2], 0, 2)
+    value, _, reach = unit_maxflow(flow_network(3, [0, 1], [1, 2]), [5, 2], 0, 2)
     assert value == 2 and reach == [True, True, False]
 
 
@@ -97,6 +98,33 @@ def test_maxflow_deterministic_repeat():
         tails = [a[0] for a in arcs]
         heads = [a[1] for a in arcs]
         caps = [1] * len(arcs)
-        first = unit_maxflow(n, tails, heads, caps, 0, n - 1)
-        second = unit_maxflow(n, tails, heads, caps, 0, n - 1)
+        first = unit_maxflow(flow_network(n, tails, heads), caps, 0, n - 1)
+        second = unit_maxflow(flow_network(n, tails, heads), caps, 0, n - 1)
         assert first == second
+
+
+def test_flow_network_lists_residual_arcs_in_input_order():
+    out, to = flow_network(3, [0, 1, 0], [1, 2, 2])
+    assert out == [[0, 4], [1, 2], [3, 5]]
+    assert to == [1, 0, 2, 1, 2, 0]
+
+
+def test_maxflow_reuses_one_network():
+    rng = random.Random(11)
+    for _ in range(30):
+        n = rng.randint(3, 12)
+        arcs = [
+            (rng.randrange(n), rng.randrange(n))
+            for _ in range(rng.randint(0, 30))
+        ]
+        arcs = [(t, h) for t, h in arcs if t != h]
+        tails = [a[0] for a in arcs]
+        heads = [a[1] for a in arcs]
+        net = flow_network(n, tails, heads)
+        before = ([list(x) for x in net[0]], list(net[1]))
+        for _ in range(6):
+            caps = [rng.randint(0, 3) for _ in arcs]
+            s, t = rng.sample(range(n), 2)
+            fresh = unit_maxflow(flow_network(n, tails, heads), caps, s, t)
+            assert unit_maxflow(net, caps, s, t) == fresh
+        assert net == before
