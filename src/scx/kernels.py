@@ -63,7 +63,7 @@ def unit_maxflow(network, caps, source, sink):
     """
     out, to = network
     num_nodes = len(out)
-    res = [0] * len(to)  # residual capacity of each residual arc
+    res = [0] * len(to)
     res[0::2] = caps
 
     value = 0
