@@ -31,7 +31,6 @@ from .graphs import (
     is_outside_connected,
     liu_scan,
     neighborhood,
-    outside_subcomplex,
     skeleton,
     vertex_connectivity,
 )

@@ -61,12 +61,17 @@ class TildeCliques:
     stranded: tuple[Face, ...]  # apex cliques not supported by the boundary
 
 
-def _adjacency_masks(c: SimplicialComplex) -> list[int]:
+def _adjacency_masks(c: SimplicialComplex) -> tuple[int, ...]:
+    """Bit j of entry i says that ids i and j span an edge; kept in ``c``'s memo."""
+    return c._cached("adjacency_masks", _build_adjacency_masks)
+
+
+def _build_adjacency_masks(c: SimplicialComplex) -> tuple[int, ...]:
     masks = [0] * c.n_vertices
     for a, b in c.faces_ids(2):
         masks[a] |= 1 << b
         masks[b] |= 1 << a
-    return masks
+    return tuple(masks)
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -221,6 +226,11 @@ def banner_or_triangle(c: SimplicialComplex) -> bool:
 
 
 def _facet_masks(c: SimplicialComplex) -> tuple[int, ...]:
+    """The facets of ``c`` as vertex bitmasks, in ``c._facets`` order; kept in the memo."""
+    return c._cached("facet_masks", _build_facet_masks)
+
+
+def _build_facet_masks(c: SimplicialComplex) -> tuple[int, ...]:
     return tuple(sum(1 << i for i in f) for f in c._facets)
 
 
@@ -254,7 +264,7 @@ def _residues_banner(c: SimplicialComplex, ids: tuple[int, ...]) -> bool:
       are faces.
     """
     face = sum(1 << i for i in ids)
-    residues = {g ^ face for g in c._cached("facet_masks", _facet_masks) if g & face == face}
+    residues = {g ^ face for g in _facet_masks(c) if g & face == face}
     size = next(iter(residues)).bit_count()
     if any(r.bit_count() != size for r in residues):
         return False  # not pure, and so not a triangle either
@@ -337,7 +347,7 @@ def _link_banner_value(c: SimplicialComplex, face: Iterable[Label]) -> int | Non
     except UnknownVertex:
         raise NotAFace(f"{face} is not a face") from None
     f = sum(1 << i for i in ids)
-    sizes = {(g ^ f).bit_count() for g in c._cached("facet_masks", _facet_masks) if g & f == f}
+    sizes = {(g ^ f).bit_count() for g in _facet_masks(c) if g & f == f}
     if not sizes:
         raise NotAFace(f"{face} is not a face")
     if 0 in sizes:
@@ -386,7 +396,13 @@ def classify_tilde_cliques(ball: SimplicialComplex, j: int) -> TildeCliques:
     bd = ball.boundary()
     if bd is None:
         raise NoBoundary("complex is closed; nothing was coned")
-    closed = ball.tilde()
+    return _tilde_cliques(ball, bd, ball._tilde(bd), j)
+
+
+def _tilde_cliques(
+    ball: SimplicialComplex, bd: SimplicialComplex, closed: SimplicialComplex, j: int
+) -> TildeCliques:
+    """``classify_tilde_cliques`` given the boundary ``bd`` and ``closed = ball.tilde()``."""
     apex = (set(closed.vertices) - set(ball.vertices)).pop()
     bd_edges = bd.faces(2)
     bd_vertices = set(bd.vertices)

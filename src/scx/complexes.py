@@ -11,9 +11,10 @@ generated on demand and memoized.  The empty complex is unrepresentable:
 every constructor raises ``EmptyComplex`` rather than producing one.
 
 Invariants computed from a complex (its banner class, banner number,
-manifold class, skeleton, Betti numbers, its facets as vertex bitmasks,
-the banner status of its face links and an index from faces to their
-cofaces) are cached per object in its
+manifold class, skeleton, Betti numbers, its vertex adjacency and its
+facets as bitmasks, the ridge graph of its facets, the banner status of
+its face links and an index from faces to their cofaces) are cached per
+object in its
 ``_memo`` dict, so each is computed once however many checks ask for it.
 Cached values are immutable, hold no reference back to the complex and
 die with it; there is no global or content-keyed cache.  Neither memo
@@ -299,7 +300,10 @@ class SimplicialComplex:
         for v in wanted:
             if v not in self._index:
                 raise UnknownVertex(f"unknown vertex {v!r}")
-        ids = {self._index[v] for v in wanted}
+        return self._induced({self._index[v] for v in wanted})
+
+    def _induced(self, ids: set[int]) -> "SimplicialComplex":
+        """``induced`` on the non-empty set of vertex ``ids``."""
         pieces = {fs & ids for fs in self._facet_sets}
         pieces.discard(frozenset())
         return SimplicialComplex._from_ids(self._labels, pieces)
@@ -363,6 +367,10 @@ class SimplicialComplex:
         bd = self.boundary()
         if bd is None:
             raise NoBoundary("complex is closed, nothing to cone over")
+        return self._tilde(bd, apex)
+
+    def _tilde(self, bd: "SimplicialComplex", apex: Label | None = None) -> "SimplicialComplex":
+        """``tilde`` over ``bd``, the boundary of this complex, built by the caller."""
         apex = self._fresh_label() if apex is None else self._check_fresh(apex)
         facets = list(self.facets)
         facets += [f + (apex,) for f in bd.facets]

@@ -33,6 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .banner import _adjacency_masks, _iter_bits
 from .complexes import Label, SimplicialComplex
 from .errors import (
     EmptyOutside,
@@ -381,16 +382,29 @@ def liu_scan(g: SkeletonGraph, k: int) -> LiuScan:
     return LiuScan(True, k, None)
 
 
-# -- neighborhood subcomplexes ------------------------------------------
-
-
-def outside_subcomplex(c: SimplicialComplex, vertex: Label) -> SimplicialComplex:
-    """The subcomplex induced on vertices not in the closed neighborhood."""
-    rest = set(c.vertices) - neighborhood(c, vertex)
-    if not rest:
-        raise EmptyOutside(f"every vertex is adjacent to {vertex!r}")
-    return c.induced(rest)
+# -- outside the closed neighborhood ------------------------------------
 
 
 def is_outside_connected(c: SimplicialComplex, vertex: Label) -> bool:
-    return skeleton(outside_subcomplex(c, vertex)).is_connected()
+    """Is the subcomplex induced on the vertices outside the closed
+    neighborhood of ``vertex`` connected?
+
+    The 1-skeleton of an induced subcomplex is the induced subgraph of the
+    1-skeleton, so no subcomplex is built: the search runs over the
+    parent's adjacency bitmasks, restricted to the outside vertices.
+    """
+    i = c._index.get(str(vertex))  # noqa: SLF001 - intra-package id view
+    if i is None:
+        raise UnknownVertex(f"unknown vertex {vertex!r}")
+    masks = _adjacency_masks(c)
+    rest = ((1 << c.n_vertices) - 1) & ~(masks[i] | 1 << i)
+    if not rest:
+        raise EmptyOutside(f"every vertex is adjacent to {vertex!r}")
+    seen = frontier = rest & -rest
+    while frontier:
+        reach = 0
+        for w in _iter_bits(frontier):
+            reach |= masks[w]
+        frontier = reach & rest & ~seen
+        seen |= frontier
+    return seen == rest

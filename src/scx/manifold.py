@@ -21,7 +21,8 @@ Strong connectivity, including that of each vertex antistar in
 ``verify_barnette_antistar``, is searched on facet id tuples; no label
 facet graph or antistar complex is built.  On a closed pseudomanifold
 the antistar of v is exactly the facets avoiding v, searched on one
-ridge graph of all facets; a pseudomanifold with boundary absorbs the
+ridge graph of all facets, which the complex keeps in its memo for the
+L4.4-homological check too; a pseudomanifold with boundary absorbs the
 pieces G - v of each antistar first.
 """
 
@@ -75,6 +76,21 @@ def _face_members(
 def _ridge_members(facets: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
     """Map each ridge to the indices of the equal-size id tuples containing it."""
     return _face_members(facets, len(facets[0]) - 1)
+
+
+def _ridge_graph(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
+    """For each facet of ``c``, the facets sharing a ridge with it, as indices
+    into ``c._facets``; kept in ``c``'s memo."""
+    return c._cached("ridge_graph", _build_ridge_graph)
+
+
+def _build_ridge_graph(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
+    adjacent: list[list[int]] = [[] for _ in c._facets]  # noqa: SLF001
+    for members in _ridge_members(c._facets).values():  # noqa: SLF001
+        for a, b in itertools.combinations(members, 2):
+            adjacent[a].append(b)
+            adjacent[b].append(a)
+    return tuple(tuple(a) for a in adjacent)
 
 
 def _facets_connected(facets: Sequence[tuple[int, ...]]) -> bool:
@@ -170,10 +186,7 @@ def _closed_antistars(c: SimplicialComplex) -> tuple[bool, str | None]:
     facets avoiding v.
     """
     sets = c._facet_sets  # noqa: SLF001 - intra-package id view
-    adjacent: list[list[int]] = [[] for _ in sets]
-    for a, b in _ridge_members(c._facets).values():  # noqa: SLF001
-        adjacent[a].append(b)
-        adjacent[b].append(a)
+    adjacent = _ridge_graph(c)
     for i, v in enumerate(c.vertices):
         avoiding = [j for j, fs in enumerate(sets) if i not in fs]
         seen = {avoiding[0]}

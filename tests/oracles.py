@@ -17,6 +17,9 @@ genuinely separate routes:
 - homology manifolds by the full Betti vector of every face link, faces
   visited from vertices up, ranks by dense elimination,
 - antistar strong connectivity on built antistar complexes,
+- vertex non-neighborhoods as built induced complexes, their connectivity
+  by a BFS on their own skeleton, and the relative top Betti number of
+  (complex, closed neighborhood) by the full ranks of the pair,
 - cyclic polytope facets by exact moment-curve determinants.
 """
 
@@ -30,8 +33,9 @@ import numpy as np
 
 from scx.kernels import flow_network, unit_maxflow
 from scx.banner import BannerClass, BannerWitness, banner_or_triangle, cliques
-from scx.errors import NotPseudomanifold, NotPure
-from scx.graphs import skeleton
+from scx.errors import EmptyOutside, NotPseudomanifold, NotPure
+from scx.graphs import neighborhood, skeleton
+from scx.homology import z2_betti, z2_relative_betti
 from scx.manifold import is_pseudomanifold
 
 
@@ -434,3 +438,48 @@ def link_banner_by_complexes(c, ids: tuple[int, ...]) -> bool:
     library's facet-bitmask test replaced.
     """
     return banner_or_triangle(c.link(c._face_labels(ids)))
+
+
+def outside_subcomplex(c, vertex):
+    """The subcomplex induced on vertices not in the closed neighborhood."""
+    rest = set(c.vertices) - neighborhood(c, vertex)
+    if not rest:
+        raise EmptyOutside(f"every vertex is adjacent to {vertex!r}")
+    return c.induced(rest)
+
+
+def outside_connected_by_complexes(c, vertex) -> bool:
+    """``is_outside_connected`` on the built outside complex's own skeleton."""
+    return skeleton(outside_subcomplex(c, vertex)).is_connected()
+
+
+def relative_betti_by_complexes(c, vertex) -> tuple[int, ...]:
+    """GF(2) Betti numbers of (c, induced closed neighborhood of ``vertex``), all degrees."""
+    return z2_relative_betti(c, c.induced(neighborhood(c, vertex)))
+
+
+def relative_homology_matches_by_complexes(c) -> tuple:
+    """The L4.4-homological conclusion by built complexes and full ranks.
+
+    Every vertex gets its neighborhood complex, the full Betti numbers of
+    the pair and a built outside complex, the route the library's facet
+    component count replaced.
+    """
+    d = c.dim
+    for v in c.vertices:
+        hood = c.induced(neighborhood(c, v))
+        betti = z2_betti(hood)
+        betti += (0,) * (d + 1 - len(betti))
+        if betti[d] != 0 or betti[d - 1] != 0:
+            payload = {"vertex": v, "betti": list(betti)}
+            return "fail", f"neighborhood complex of {v} has top homology", payload
+        rel = z2_relative_betti(c, hood)
+        rel_top = rel[d] if d < len(rel) else 0
+        try:
+            connected = outside_connected_by_complexes(c, v)
+        except EmptyOutside:
+            return "fail", f"every vertex is adjacent to {v}", {"vertex": v}
+        if rel_top != 1 or not connected:
+            detail = f"relative top Betti {rel_top} vs outside connected {connected} at {v}"
+            return "fail", detail, {"vertex": v, "relative_betti": list(rel)}
+    return "pass", "relative top homology matches outside connectivity at all vertices"

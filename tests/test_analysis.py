@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,16 +15,27 @@ from scx.analysis import (
     verify_corpus,
     verify_property,
 )
-from scx.banner import banner_number
+from scx.banner import _adjacency_masks, banner_number
 from scx.complexes import dumps, from_facets, loads
-from scx.errors import NotAFace, ScxError, UnknownProperty
+from scx.errors import EmptyOutside, NotAFace, ScxError, UnknownProperty
 from scx.generators import (
     banana,
     complete_graph_edges,
     cross_polytope_boundary,
     cycle,
+    cyclic_polytope_boundary,
+    fan_ball,
     ring_ball,
     simplex_boundary,
+    stacked_sphere,
+)
+from scx.graphs import is_outside_connected
+from scx.manifold import manifold_class
+
+from oracles import (
+    outside_connected_by_complexes,
+    relative_betti_by_complexes,
+    relative_homology_matches_by_complexes,
 )
 
 
@@ -342,6 +356,11 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
     count(banner, "_classify", lambda x: x is c)
     count(banner, "_banner_number", lambda x: x is c)
     count(graphs, "_vertex_connectivity", lambda g: g is graphs.skeleton(c))
+    for name in ("_build_adjacency_masks", "_build_facet_masks"):
+        counts[name] = 0
+        count(banner, name, lambda x: x is c)
+    counts["_build_ridge_graph"] = 0
+    count(manifold, "_build_ridge_graph", lambda x: x is c)
     summary = verify_corpus([("octahedral-3-sphere", c)])
     verdicts = {r.property_id: r.verdict for r in summary.rows}
     assert verdicts["T1.1"] == verdicts["T4.1"] == verdicts["L5.2"] == "pass"
@@ -366,6 +385,137 @@ def test_l52_failure_row(monkeypatch):
     )
     # the link of v0 is one triangle: level 0 is rejected, its three edges pass
     assert res.payload == {"face": ["v0"], "link_value": 1, "value": 1}
+
+
+def _neighborhood_subjects(corpus):
+    """Pure complexes of the corpus, stacked, cyclic and cross-polytope
+    spheres, and the cones and suspensions of those spheres."""
+    spheres = [
+        ("stacked-2-6-1", stacked_sphere(2, 6, 1)),
+        ("stacked-3-5-2", stacked_sphere(3, 5, 2)),
+        ("stacked-4-3-3", stacked_sphere(4, 3, 3)),
+        ("cyclic-7-3", cyclic_polytope_boundary(7, 3)),
+        ("cyclic-8-4", cyclic_polytope_boundary(8, 4)),
+        ("cyclic-9-5", cyclic_polytope_boundary(9, 5)),
+        ("cross-polytope-2", cross_polytope_boundary(2)),
+        ("cross-polytope-4", cross_polytope_boundary(4)),
+    ]
+    subjects = [(name, c) for name, c in corpus.items() if c.is_pure]
+    for name, c in spheres:
+        subjects += [(name, c), (name + "-cone", c.cone()), (name + "-suspension", c.suspension())]
+    return subjects
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except ScxError as exc:
+        return "raise", type(exc)
+
+
+def test_outside_routes_match_the_built_complexes_per_vertex(corpus):
+    seen = set()
+    for name, c in _neighborhood_subjects(corpus):
+        homology_manifold = manifold_class(c).homology_manifold
+        adjacency = _adjacency_masks(c)
+        for i, v in enumerate(c.vertices):
+            got = _outcome(is_outside_connected, c, v)
+            assert got == _outcome(outside_connected_by_complexes, c, v), (name, v)
+            seen.add(got[1])
+            if homology_manifold:
+                count = analysis._outside_facet_components(c, adjacency[i] | 1 << i)
+                assert count == relative_betti_by_complexes(c, v)[c.dim], (name, v)
+                seen.add(("components", count))
+        if homology_manifold and c.dim >= 1:
+            assert analysis._relative_homology_matches(c) == (
+                relative_homology_matches_by_complexes(c)
+            ), name
+    # connected and disconnected outsides, empty ones, and a homology
+    # manifold whose outside falls into two facet components all occur
+    assert {True, False, EmptyOutside, ("components", 0), ("components", 2)} <= seen
+
+
+def test_l44_failure_rows(monkeypatch):
+    c = cross_polytope_boundary(3)
+    connected = analysis.is_outside_connected
+
+    def failing(cx, v):
+        return False if cx is c and v == "p1" else connected(cx, v)
+
+    monkeypatch.setattr(analysis, "is_outside_connected", failing)
+    res = verify_property("L4.4", c)
+    assert (res.verdict, res.detail, res.payload) == (
+        "fail",
+        "non-neighborhood of p1 is disconnected",
+        {"vertex": "p1"},
+    )
+    res = verify_property("L4.4-homological", c)
+    assert (res.verdict, res.detail) == (
+        "fail",
+        "relative top Betti 1 vs outside connected False at p1",
+    )
+    # the pair's full Betti numbers: the outside of p1 is the vertex m1
+    assert res.payload == {"vertex": "p1", "relative_betti": [0, 0, 0, 1]}
+    assert res.payload["relative_betti"] == list(relative_betti_by_complexes(c, "p1"))
+
+
+def test_l44_homological_failure_path_rechecks_the_component_count(monkeypatch):
+    c = cross_polytope_boundary(3)
+    count = analysis._outside_facet_components
+    monkeypatch.setattr(
+        analysis, "_outside_facet_components", lambda cx, near: count(cx, near) + 1
+    )
+    with pytest.raises(AssertionError, match="facet components disagree"):
+        verify_property("L4.4-homological", c)
+
+
+_L42_ROW = """
+from scx import analysis
+from scx.generators import cross_polytope_boundary
+
+c = cross_polytope_boundary(3)
+full = (1 << c.n_vertices) - 1
+analysis._adjacency_masks = lambda cx: (full,) * cx.n_vertices  # every edge fails
+res = analysis.verify_property("L4.2", c)
+print(res.verdict, res.detail, res.payload)
+"""
+
+
+def test_l42_failure_row_does_not_depend_on_the_hash_seed():
+    src = str(Path(analysis.__file__).parents[1])
+    rows = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _L42_ROW], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        rows.add(done.stdout)
+    # the first edge in label order
+    assert rows == {"fail neighborhood containment on edge m0-m1 {'edge': ['m0', 'm1']}\n"}
+
+
+def test_p38iii_builds_one_boundary_and_one_tilde(monkeypatch):
+    from scx.complexes import SimplicialComplex
+
+    ball = fan_ball()
+    calls = {"boundary": 0, "_tilde": 0, "tilde": 0}
+
+    def count(name):
+        body = getattr(SimplicialComplex, name)
+
+        def counted(self, *args):
+            if self is ball:
+                calls[name] += 1
+            return body(self, *args)
+
+        monkeypatch.setattr(SimplicialComplex, name, counted)
+
+    for name in calls:
+        count(name)
+    res = verify_property("P3.8iii", ball)
+    assert res.verdict == "skip" and res.detail.startswith("stranded")
+    assert calls == {"boundary": 1, "_tilde": 1, "tilde": 0}
 
 
 def test_verify_corpus_rejects_bad_property():

@@ -11,7 +11,9 @@ object, agrees with the same check run alone on a fresh copy.  The
 id-based classification, absorption and strong-connectivity search
 agree with the label-based and pairwise oracles of ``oracles.py``, and
 so do the top-down homology-manifold pass and the antistar check, on
-every complex and every pure face link.  The
+every complex and every pure face link.  Outside connectivity, the
+facet component count and the L4.4-homological conclusion agree with
+the built complexes and full relative ranks of ``oracles.py``.  The
 examples are derandomized so that the suite gives the same verdict on
 every run.
 """
@@ -21,23 +23,34 @@ from hypothesis import strategies as st
 
 from scx.analysis import (
     PROPERTY_IDS,
+    _outside_facet_components,
+    _relative_homology_matches,
     analyze,
     report_from_json,
     report_json,
     verify_corpus,
     verify_property,
 )
-from scx.banner import _link_banner_value, banner_number, classify
+from scx.banner import _adjacency_masks, _link_banner_value, banner_number, classify
 from scx.complexes import SimplicialComplex, _maximal, from_facets
 from scx.errors import ScxError
 from scx.generators import stacked_sphere
-from scx.manifold import is_homology_manifold, is_strongly_connected, verify_barnette_antistar
+from scx.graphs import is_outside_connected
+from scx.manifold import (
+    is_homology_manifold,
+    is_strongly_connected,
+    manifold_class,
+    verify_barnette_antistar,
+)
 
 from oracles import (
     barnette_antistar_by_complexes,
     classify_by_labels,
     homology_manifold_ascending,
     maximal_by_pairs,
+    outside_connected_by_complexes,
+    relative_betti_by_complexes,
+    relative_homology_matches_by_complexes,
     strongly_connected_by_pairs,
 )
 
@@ -133,3 +146,18 @@ def test_id_paths_match_oracles(facets):
             assert _outcome(verify_barnette_antistar, lk) == _outcome(
                 barnette_antistar_by_complexes, lk
             ), face
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_FACETS)
+def test_neighborhood_routes_match_oracles(facets):
+    c = _build(facets)
+    for v in c.vertices:
+        got = _outcome(is_outside_connected, c, v)
+        assert got == _outcome(outside_connected_by_complexes, c, v), v
+    if c.is_pure and c.dim >= 1 and manifold_class(c).homology_manifold:
+        adjacency = _adjacency_masks(c)
+        for i, v in enumerate(c.vertices):
+            count = _outside_facet_components(c, adjacency[i] | 1 << i)
+            assert count == relative_betti_by_complexes(c, v)[c.dim], v
+        assert _relative_homology_matches(c) == relative_homology_matches_by_complexes(c)

@@ -21,7 +21,6 @@ from scx.graphs import (
     liu_scan,
     local_connectivity,
     neighborhood,
-    outside_subcomplex,
     skeleton,
     vertex_connectivity,
 )
@@ -32,6 +31,7 @@ from oracles import (
     brute_max_independent_family,
     brute_min_separator,
     brute_min_vertex_cut,
+    outside_subcomplex,
 )
 
 
@@ -175,6 +175,11 @@ def test_outside_subcomplex_on_cycle():
 def test_outside_subcomplex_empty():
     with pytest.raises(EmptyOutside):
         outside_subcomplex(simplex_boundary(3), "v0")
+
+
+def test_outside_connected_raises_on_an_empty_outside():
+    with pytest.raises(EmptyOutside, match="every vertex is adjacent to 'v0'"):
+        is_outside_connected(simplex_boundary(3), "v0")
 
 
 def test_outside_connected_for_banner_pseudomanifolds(corpus):
