@@ -339,7 +339,16 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
 
     c = cross_polytope_boundary(3)
     counts = dict.fromkeys(
-        ["_manifold_class", "_classify", "_banner_number", "_vertex_connectivity"], 0
+        [
+            "_manifold_class",
+            "_classify",
+            "_banner_number",
+            "_vertex_connectivity",
+            "_build_adjacency_masks",
+            "_build_facet_masks",
+            "_build_ridge_graph",
+        ],
+        0,
     )
 
     def count(module, name, is_subject):
@@ -356,10 +365,8 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
     count(banner, "_classify", lambda x: x is c)
     count(banner, "_banner_number", lambda x: x is c)
     count(graphs, "_vertex_connectivity", lambda g: g is graphs.skeleton(c))
-    for name in ("_build_adjacency_masks", "_build_facet_masks"):
-        counts[name] = 0
-        count(banner, name, lambda x: x is c)
-    counts["_build_ridge_graph"] = 0
+    count(banner, "_build_adjacency_masks", lambda x: x is c)
+    count(banner, "_build_facet_masks", lambda x: x is c)
     count(manifold, "_build_ridge_graph", lambda x: x is c)
     summary = verify_corpus([("octahedral-3-sphere", c)])
     verdicts = {r.property_id: r.verdict for r in summary.rows}
