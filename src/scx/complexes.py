@@ -12,19 +12,30 @@ every constructor raises ``EmptyComplex`` rather than producing one.
 
 Invariants computed from a complex (its banner class, banner number,
 manifold class, skeleton, Betti numbers, its vertex adjacency and its
-facets as bitmasks, the ridge graph of its facets, the banner status of
-its face links and an index from faces to their cofaces) are cached per
-object in its
-``_memo`` dict, so each is computed once however many checks ask for it.
+facets as bitmasks, the facets holding each ridge, the ridge graph of its
+facets, the banner status of its face links and an index from faces to
+their cofaces) are cached per object in its ``_memo`` dict, so each is
+computed once however many checks ask for it.
 Cached values are immutable, hold no reference back to the complex and
 die with it; there is no global or content-keyed cache.  Neither memo
 takes a lock: two threads asking for the same value at once may both
 compute it and store equal results.  Each store is one dict assignment,
 which the interpreter lock keeps atomic, so a complex can still be
-shared between threads.  Links, stars and induced subcomplexes are
-themselves not cached: they are rebuilt from the parent's ids by
-``_from_ids``, which skips label normalization.  The banner status of a
-face link needs no link at all: it is read off the facet bitmasks.
+shared between threads.  The banner status of a face link needs no link
+at all: it is read off the facet bitmasks.
+
+``SimplicialComplex(...)`` is the only entry point that validates its
+input.  Complexes derived from a built one skip that work through one of
+two trusted constructors:
+
+- ``_from_ids`` builds links, stars, antistars, induced subcomplexes and
+  boundaries, none of which is cached.  It assumes valid sorted labels
+  and non-empty id sets; it still absorbs nested sets and drops unused
+  labels.
+- ``_join`` builds cones, suspensions and boundary cones (``tilde``).  It
+  assumes base facets free of nested sets and apex labels that
+  ``_check_fresh`` has already accepted, so it absorbs nothing: it sorts
+  the apexes into the labels and adds each apex id to each base facet.
 """
 
 from __future__ import annotations
@@ -48,16 +59,22 @@ FVector = tuple[int, ...]
 _T = TypeVar("_T")
 
 
-def _normalize_facet(facet: Iterable[Label]) -> tuple[Label, ...]:
-    vertices = [str(v) for v in facet]
-    if not vertices:
-        raise MalformedFace("empty facet")
-    for v in vertices:
+def _check_labels(labels: Iterable[Label]) -> None:
+    """Raise ``MalformedFace`` for a label that is empty, starts with ``#``
+    or contains whitespace."""
+    for v in labels:
         # a facet line led by a '#' label would read back as a comment
         if not v or v[0] == "#" or any(ch.isspace() for ch in v):
             raise MalformedFace(
                 f"label {v!r} is empty, starts with '#' or contains whitespace"
             )
+
+
+def _normalize_facet(facet: Iterable[Label]) -> tuple[Label, ...]:
+    vertices = [str(v) for v in facet]
+    if not vertices:
+        raise MalformedFace("empty facet")
+    _check_labels(vertices)
     if len(set(vertices)) != len(vertices):
         raise MalformedFace(f"facet {vertices} repeats a vertex")
     return tuple(sorted(vertices))
@@ -146,6 +163,35 @@ class SimplicialComplex:
             len(sets) - len(maximal),
         )
         return self
+
+    def _join(
+        self,
+        apexes: list[Label],
+        bases: Iterable[tuple[int, ...]],
+        kept: Iterable[tuple[int, ...]] = (),
+    ) -> "SimplicialComplex":
+        """The facets ``kept`` plus each of ``bases`` joined with each apex.
+
+        A trusted constructor for cones, suspensions and boundary cones.  It
+        assumes that ``kept`` and ``bases`` are id tuples of this complex,
+        neither family holding two nested tuples, that no kept tuple lies in
+        a base, and that the apexes are distinct valid labels unused here.
+        Then nothing is absorbed: ``f + a`` lies in ``g + b`` only when
+        ``a == b`` and ``f`` lies in ``g``, and no kept tuple holds an apex.
+        The old ids keep their order among the merged labels, so only the
+        apex id is sorted into each facet.
+        """
+        labels = tuple(sorted(self._labels + tuple(apexes)))
+        index = {v: i for i, v in enumerate(labels)}
+        new_id = [index[v] for v in self._labels]
+        tips = [index[a] for a in apexes]
+        facets = [tuple(new_id[i] for i in f) for f in kept]
+        for f in bases:
+            moved = tuple(new_id[i] for i in f)
+            facets += [tuple(sorted(moved + (a,))) for a in tips]
+        joined = SimplicialComplex.__new__(SimplicialComplex)
+        joined._fill(labels, index, facets, 0)
+        return joined
 
     def _fill(
         self,
@@ -325,25 +371,25 @@ class SimplicialComplex:
 
     def _check_fresh(self, label: Label) -> Label:
         label = str(label)
+        _check_labels((label,))
         if label in self._index:
             raise LabelClash(f"apex label {label!r} already in use")
         return label
 
     def cone(self, apex: Label | None = None) -> "SimplicialComplex":
         apex = self._fresh_label() if apex is None else self._check_fresh(apex)
-        return SimplicialComplex(f + (apex,) for f in self.facets)
+        return self._join([apex], self._facets)
 
     def suspension(
         self, north: Label | None = None, south: Label | None = None
     ) -> "SimplicialComplex":
         if north is None and south is None:
             north, south = self._fresh_labels(2)
+        elif north is not None and south is not None:
+            north, south = self._check_fresh(north), self._check_fresh(south)
         if north is None or south is None or north == south:
             raise LabelClash("suspension needs two distinct fresh apex labels")
-        north, south = self._check_fresh(north), self._check_fresh(south)
-        facets = [f + (north,) for f in self.facets]
-        facets += [f + (south,) for f in self.facets]
-        return SimplicialComplex(facets)
+        return self._join([north, south], self._facets)
 
     def boundary(self) -> "SimplicialComplex | None":
         """The complex generated by ridges lying in exactly one facet.
@@ -372,9 +418,9 @@ class SimplicialComplex:
     def _tilde(self, bd: "SimplicialComplex", apex: Label | None = None) -> "SimplicialComplex":
         """``tilde`` over ``bd``, the boundary of this complex, built by the caller."""
         apex = self._fresh_label() if apex is None else self._check_fresh(apex)
-        facets = list(self.facets)
-        facets += [f + (apex,) for f in bd.facets]
-        return SimplicialComplex(facets)
+        ids = [self._index[v] for v in bd._labels]  # sorted labels map to sorted ids
+        rim = [tuple(ids[i] for i in f) for f in bd._facets]
+        return self._join([apex], rim, self._facets)
 
 
 def from_facets(facets: Iterable[Iterable[Label]]) -> SimplicialComplex:

@@ -7,6 +7,11 @@ pseudomanifold => pseudomanifold.  ``is_normal`` and
 and runs ``is_normal`` only on pseudomanifolds that fail it; the tests
 compare the two routes on the test corpora.
 
+The facets containing each ridge are found in one pass per complex and
+kept in its memo.  The pseudomanifold test counts them, the ridge link
+test of ``is_homology_manifold`` reads them, and the facet ridge graph is
+built from them once.
+
 ``is_homology_manifold`` visits faces from ridges down to vertices and
 takes the link of a face F as the residues G - F of the facet id sets G
 containing it; no link complex is built and the residues are dropped
@@ -19,17 +24,17 @@ links built and fully ranked, faces ascending, for the witness.
 
 Strong connectivity, including that of each vertex antistar in
 ``verify_barnette_antistar``, is searched on facet id tuples; no label
-facet graph or antistar complex is built.  On a closed pseudomanifold
-the antistar of v is exactly the facets avoiding v, searched on one
-ridge graph of all facets, which the complex keeps in its memo for the
-L4.4-homological check too; a pseudomanifold with boundary absorbs the
-pieces G - v of each antistar first.
+facet graph or antistar complex is built.  The complex itself is
+searched on its memoized ridge graph.  On a closed pseudomanifold the
+antistar of v is exactly the facets avoiding v, searched on the same
+ridge graph, which the L4.4-homological check shares too; a
+pseudomanifold with boundary absorbs the pieces G - v of each antistar
+first.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -78,6 +83,16 @@ def _ridge_members(facets: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], l
     return _face_members(facets, len(facets[0]) - 1)
 
 
+def _ridges(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
+    """For each ridge of the pure complex ``c``, the indices into
+    ``c._facets`` of the facets containing it; kept in ``c``'s memo."""
+    return c._cached("ridges", _build_ridges)
+
+
+def _build_ridges(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(m) for m in _ridge_members(c._facets).values())  # noqa: SLF001
+
+
 def _ridge_graph(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
     """For each facet of ``c``, the facets sharing a ridge with it, as indices
     into ``c._facets``; kept in ``c``'s memo."""
@@ -85,29 +100,33 @@ def _ridge_graph(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
 
 
 def _build_ridge_graph(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    adjacent: list[list[int]] = [[] for _ in c._facets]  # noqa: SLF001
-    for members in _ridge_members(c._facets).values():  # noqa: SLF001
+    return _adjacency(_ridges(c), len(c._facets))  # noqa: SLF001
+
+
+def _adjacency(ridges: Iterable[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """For each of ``n`` facets, the facets sharing one of the ``ridges`` with it."""
+    adjacent: list[list[int]] = [[] for _ in range(n)]
+    for members in ridges:
         for a, b in itertools.combinations(members, 2):
             adjacent[a].append(b)
             adjacent[b].append(a)
     return tuple(tuple(a) for a in adjacent)
 
 
+def _graph_connected(adjacent: Sequence[Sequence[int]]) -> bool:
+    seen = {0}
+    queue = [0]
+    for a in queue:
+        for b in adjacent[a]:
+            if b not in seen:
+                seen.add(b)
+                queue.append(b)
+    return len(seen) == len(adjacent)
+
+
 def _facets_connected(facets: Sequence[tuple[int, ...]]) -> bool:
     """Is the graph on ``facets`` (equal-size id tuples) sharing ridges connected?"""
-    by_facet: list[list[list[int]]] = [[] for _ in facets]
-    for members in _ridge_members(facets).values():
-        for i in members:
-            by_facet[i].append(members)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        for members in by_facet[queue.popleft()]:
-            for j in members:
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-    return len(seen) == len(facets)
+    return _graph_connected(_adjacency(_ridge_members(facets).values(), len(facets)))
 
 
 def facet_graph(c: SimplicialComplex) -> FacetGraph:
@@ -115,7 +134,7 @@ def facet_graph(c: SimplicialComplex) -> FacetGraph:
     if not c.is_pure:
         raise NotPure("facet graph is defined for pure complexes")
     edges = set()
-    for members in _ridge_members(c._facets).values():  # noqa: SLF001 - intra-package id view
+    for members in _ridges(c):
         for a, b in itertools.combinations(members, 2):
             edges.add((a, b) if a < b else (b, a))
     return FacetGraph(c.facets, tuple(sorted(edges)))
@@ -124,7 +143,7 @@ def facet_graph(c: SimplicialComplex) -> FacetGraph:
 def is_strongly_connected(c: SimplicialComplex) -> bool:
     if not c.is_pure:
         raise NotPure("facet graph is defined for pure complexes")
-    return _facets_connected(c._facets)  # noqa: SLF001 - intra-package id view
+    return _graph_connected(_ridge_graph(c))
 
 
 def is_pseudomanifold(c: SimplicialComplex) -> str:
@@ -138,7 +157,7 @@ def is_pseudomanifold(c: SimplicialComplex) -> str:
 
 
 def _is_pseudomanifold(c: SimplicialComplex) -> str:
-    counts = [len(m) for m in _ridge_members(c._facets).values()]  # noqa: SLF001
+    counts = [len(m) for m in _ridges(c)]
     if any(k > 2 for k in counts) or not is_strongly_connected(c):
         return "no"
     return "closed" if all(k == 2 for k in counts) else "with_boundary"
@@ -276,7 +295,10 @@ def is_homology_manifold(c: SimplicialComplex) -> tuple[bool, Face | None]:
         return False, None
     sets = c._facet_sets  # noqa: SLF001 - intra-package id view
     d = c.dim
-    for k in range(d, 0, -1):  # facets have empty links: nothing to check
+    # a ridge link is a 0-sphere exactly when the ridge lies in two facets
+    if d and any(len(members) != 2 for members in _ridges(c)):
+        return False, _first_deviating_face(c)
+    for k in range(d - 1, 0, -1):  # facets have empty links: nothing to check
         for face, members in _face_members(c._facets, k).items():  # noqa: SLF001
             residues = [sets[i].difference(face) for i in members]
             if not _manifold_link_is_sphere(residues, d - k):

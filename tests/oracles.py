@@ -20,7 +20,10 @@ genuinely separate routes:
 - vertex non-neighborhoods as built induced complexes, their connectivity
   by a BFS on their own skeleton, and the relative top Betti number of
   (complex, closed neighborhood) by the full ranks of the pair,
-- cyclic polytope facets by exact moment-curve determinants.
+- cyclic polytope facets by exact moment-curve determinants,
+- cones, suspensions and boundary cones as label tuples through the
+  public constructor, which normalizes, absorbs and interns them again,
+- pseudomanifold status by ridge counts and pairwise facet intersections.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ import numpy as np
 
 from scx.kernels import flow_network, unit_maxflow
 from scx.banner import BannerClass, BannerWitness, banner_or_triangle, cliques
-from scx.errors import EmptyOutside, NotPseudomanifold, NotPure
+from scx.complexes import SimplicialComplex
+from scx.errors import EmptyOutside, NoBoundary, NotPseudomanifold, NotPure, ScxError
 from scx.graphs import neighborhood, skeleton
 from scx.homology import z2_betti, z2_relative_betti
 from scx.manifold import is_pseudomanifold
@@ -305,6 +309,75 @@ def ridge_facet_counts(c) -> dict[frozenset, int]:
 
 def closed_by_ridge_count(c) -> bool:
     return all(k == 2 for k in ridge_facet_counts(c).values())
+
+
+def pseudomanifold_by_ridge_counts(c) -> str:
+    """``is_pseudomanifold`` from label ridge counts and pairwise strong connectivity."""
+    counts = ridge_facet_counts(c).values()
+    if any(k > 2 for k in counts) or not strongly_connected_by_pairs(c):
+        return "no"
+    return "closed" if all(k == 2 for k in counts) else "with_boundary"
+
+
+def cone_by_labels(c, apex=None):
+    """``c.cone(apex)`` built from label tuples by the public constructor."""
+    apex = c._fresh_label() if apex is None else c._check_fresh(apex)
+    return SimplicialComplex(f + (apex,) for f in c.facets)
+
+
+def suspension_by_labels(c, north=None, south=None):
+    """``c.suspension(north, south)`` built from label tuples by the public constructor."""
+    if north is None and south is None:
+        north, south = c._fresh_labels(2)
+    else:
+        north, south = c._check_fresh(north), c._check_fresh(south)
+    facets = [f + (north,) for f in c.facets]
+    facets += [f + (south,) for f in c.facets]
+    return SimplicialComplex(facets)
+
+
+def tilde_by_labels(c, apex=None):
+    """``c.tilde(apex)`` built from label tuples by the public constructor."""
+    bd = c.boundary()
+    if bd is None:
+        raise NoBoundary("complex is closed, nothing to cone over")
+    apex = c._fresh_label() if apex is None else c._check_fresh(apex)
+    facets = list(c.facets)
+    facets += [f + (apex,) for f in bd.facets]
+    return SimplicialComplex(facets)
+
+
+def built_fields(c) -> tuple:
+    """What two constructions of the same complex must store alike."""
+    return c._labels, c._index, c._facets, c.absorbed, c.dim, c.is_pure
+
+
+def _built_or_raised(fn, *args):
+    try:
+        return "value", built_fields(fn(*args))
+    except ScxError as exc:
+        return "raise", type(exc)
+
+
+def join_route_outcomes(c) -> list[tuple]:
+    """``(construction, apexes, trusted outcome, label-route outcome)`` for
+    ``cone``, ``suspension`` and ``tilde`` of ``c`` under default apexes and
+    under apexes that sort before, between and after the labels of ``c``."""
+    first, last = "!a", "~z"
+    assert first < c.vertices[0] and c.vertices[-1] < last
+    middle = c.vertices[len(c.vertices) // 2] + "~"
+    cases = [
+        ("cone", cone_by_labels, [(None,), (first,), (middle,), (last,)]),
+        ("suspension", suspension_by_labels,
+         [(None, None), (first, last), (last, first), (middle, first)]),
+        ("tilde", tilde_by_labels, [(None,), (first,), (middle,), (last,)]),
+    ]
+    return [
+        (name, apexes, _built_or_raised(getattr(c, name), *apexes),
+         _built_or_raised(oracle, c, *apexes))
+        for name, oracle, choices in cases
+        for apexes in choices
+    ]
 
 
 def _det_fraction(matrix: list[list[int]]) -> Fraction:

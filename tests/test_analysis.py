@@ -346,6 +346,8 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
             "_vertex_connectivity",
             "_build_adjacency_masks",
             "_build_facet_masks",
+            "_ridge_members",
+            "_build_ridges",
             "_build_ridge_graph",
         ],
         0,
@@ -367,6 +369,8 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
     count(graphs, "_vertex_connectivity", lambda g: g is graphs.skeleton(c))
     count(banner, "_build_adjacency_masks", lambda x: x is c)
     count(banner, "_build_facet_masks", lambda x: x is c)
+    count(manifold, "_ridge_members", lambda facets: facets is c._facets)
+    count(manifold, "_build_ridges", lambda x: x is c)
     count(manifold, "_build_ridge_graph", lambda x: x is c)
     summary = verify_corpus([("octahedral-3-sphere", c)])
     verdicts = {r.property_id: r.verdict for r in summary.rows}

@@ -11,9 +11,16 @@ from scx.errors import (
     NotAFace,
     UnknownVertex,
 )
-from scx.generators import cycle, ring_ball, simplex, simplex_boundary
+from scx.generators import (
+    cycle,
+    cyclic_polytope_boundary,
+    ring_ball,
+    simplex,
+    simplex_boundary,
+    stacked_sphere,
+)
 
-from oracles import brute_f_vector, maximal_by_pairs
+from oracles import brute_f_vector, join_route_outcomes, maximal_by_pairs
 
 
 def test_maximal_matches_pairwise_oracle_on_corpus_antistars(corpus):
@@ -139,6 +146,63 @@ def test_cone_f_vector_recurrence(corpus):
 def test_cone_label_clash():
     with pytest.raises(LabelClash):
         cycle(3).cone("c0")
+
+
+def test_suspension_rejects_apexes_equal_as_labels():
+    # 1 and "1" differ as values but name the same vertex
+    with pytest.raises(LabelClash):
+        cycle(4).suspension(1, "1")
+
+
+@pytest.mark.parametrize("bad", ["#x", "a b", ""])
+def test_apex_labels_obey_the_label_rules(bad):
+    with pytest.raises(MalformedFace):
+        cycle(4).cone(bad)
+    with pytest.raises(MalformedFace):
+        cycle(4).suspension(bad, "n")
+    with pytest.raises(MalformedFace):
+        cycle(4).suspension("n", bad)
+    with pytest.raises(MalformedFace):
+        simplex(2).tilde(bad)
+
+
+def test_apex_label_in_use_clashes():
+    used = cycle(4).vertices[0]
+    with pytest.raises(LabelClash):
+        cycle(4).cone(used)
+    with pytest.raises(LabelClash):
+        cycle(4).suspension("n", used)
+    with pytest.raises(LabelClash):
+        simplex(2).tilde(simplex(2).vertices[0])
+
+
+def test_joins_skip_the_public_constructor(monkeypatch):
+    ball = ring_ball()
+
+    def refuse(self, facets):
+        raise AssertionError("SimplicialComplex(...) called")
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", refuse)
+    assert ball.cone().absorbed == ball.suspension().absorbed == ball.tilde().absorbed == 0
+
+
+def test_joins_match_label_routes(corpus):
+    balls = [stacked_sphere(d, k, seed) for d, k, seed in [(1, 3, 0), (2, 4, 1), (3, 3, 2)]]
+    subjects = list(corpus.items()) + [
+        (f"stacked-{d}-{k}-{seed}", stacked_sphere(d, k, seed))
+        for d, k, seed in [(1, 2, 0), (2, 6, 1), (3, 5, 2), (4, 3, 3)]
+    ] + [
+        (f"cyclic-{n}-{d}", cyclic_polytope_boundary(n, d))
+        for n, d in [(7, 3), (8, 4), (9, 5)]
+    ] + [
+        (f"stacked-ball-{b.dim}", from_facets(b.facets[1:])) for b in balls
+    ]
+    built = 0
+    for name, c in subjects:
+        for construction, apexes, trusted, by_labels in join_route_outcomes(c):
+            assert trusted == by_labels, (name, construction, apexes)
+            built += trusted[0] == "value"
+    assert built >= 8 * len(subjects)  # every cone and suspension, and some tildes
 
 
 def test_boundary_of_simplex():

@@ -13,8 +13,10 @@ agree with the label-based and pairwise oracles of ``oracles.py``, and
 so do the top-down homology-manifold pass and the antistar check, on
 every complex and every pure face link.  Outside connectivity, the
 facet component count and the L4.4-homological conclusion agree with
-the built complexes and full relative ranks of ``oracles.py``.  The
-examples are derandomized so that the suite gives the same verdict on
+the built complexes and full relative ranks of ``oracles.py``.  Cones,
+suspensions and boundary cones store the same labels, ids and facets as
+their label routes through the public constructor, and the pseudomanifold
+status agrees with plain ridge counts.  The examples are derandomized so that the suite gives the same verdict on
 every run.
 """
 
@@ -38,6 +40,7 @@ from scx.generators import stacked_sphere
 from scx.graphs import is_outside_connected
 from scx.manifold import (
     is_homology_manifold,
+    is_pseudomanifold,
     is_strongly_connected,
     manifold_class,
     verify_barnette_antistar,
@@ -47,8 +50,10 @@ from oracles import (
     barnette_antistar_by_complexes,
     classify_by_labels,
     homology_manifold_ascending,
+    join_route_outcomes,
     maximal_by_pairs,
     outside_connected_by_complexes,
+    pseudomanifold_by_ridge_counts,
     relative_betti_by_complexes,
     relative_homology_matches_by_complexes,
     strongly_connected_by_pairs,
@@ -133,6 +138,14 @@ def test_from_ids_matches_public_constructor(facets, data):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_FACETS)
+def test_joins_match_label_routes(facets):
+    c = _build(facets)
+    for construction, apexes, trusted, by_labels in join_route_outcomes(c):
+        assert trusted == by_labels, (construction, apexes)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_FACETS)
 def test_id_paths_match_oracles(facets):
     sets = {frozenset(f) for f in facets}
     assert set(_maximal(sets)) == maximal_by_pairs(sets)
@@ -142,6 +155,7 @@ def test_id_paths_match_oracles(facets):
         if kind == "value" and lk.is_pure:
             assert classify(lk) == classify_by_labels(lk), face
             assert is_strongly_connected(lk) == strongly_connected_by_pairs(lk), face
+            assert is_pseudomanifold(lk) == pseudomanifold_by_ridge_counts(lk), face
             assert is_homology_manifold(lk) == homology_manifold_ascending(lk), face
             assert _outcome(verify_barnette_antistar, lk) == _outcome(
                 barnette_antistar_by_complexes, lk
