@@ -41,7 +41,7 @@ two trusted constructors:
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
     EmptyComplex,
@@ -104,6 +104,32 @@ def _maximal(sets: set[frozenset]) -> list[frozenset]:
                 holders[v] = holders.get(v, 0) | bit
             maximal.append(cand)
     return maximal
+
+
+def _face_members(
+    facets: Sequence[tuple[int, ...]], k: int
+) -> dict[tuple[int, ...], list[int]]:
+    """Map each k-vertex face to the indices of the sorted id tuples containing it."""
+    out: dict[tuple[int, ...], list[int]] = {}
+    for i, f in enumerate(facets):
+        for face in itertools.combinations(f, k):
+            out.setdefault(face, []).append(i)
+    return out
+
+
+def _ridge_members(facets: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
+    """Map each ridge to the indices of the equal-size id tuples containing it."""
+    return _face_members(facets, len(facets[0]) - 1)
+
+
+def _ridges(c: "SimplicialComplex") -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each ridge of the pure complex ``c`` with the indices into
+    ``c._facets`` of the facets containing it; kept in ``c``'s memo."""
+    return c._cached("ridges", _build_ridges)
+
+
+def _build_ridges(c: "SimplicialComplex") -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    return tuple((r, tuple(m)) for r, m in _ridge_members(c._facets).items())
 
 
 class SimplicialComplex:
@@ -399,11 +425,7 @@ class SimplicialComplex:
         """
         if not self.is_pure:
             raise NotPure("boundary is defined for pure complexes")
-        counts: dict[tuple[int, ...], int] = {}
-        for f in self._facets:
-            for ridge in itertools.combinations(f, len(f) - 1):
-                counts[ridge] = counts.get(ridge, 0) + 1
-        rim = [frozenset(r) for r, c in counts.items() if c == 1]
+        rim = [frozenset(r) for r, m in _ridges(self) if len(m) == 1]
         if not rim:
             return None
         return SimplicialComplex._from_ids(self._labels, rim)

@@ -11,20 +11,31 @@ ascending-neighbor order, so path families and cut certificates are
 deterministic.
 
 Flow plan of ``vertex_connectivity`` (Esfahanian & Hakimi, Networks 14,
-1984).  Let m be the lowest-id vertex of minimum degree.  A minimum
-separator either misses m, and then separates m from one of its
-non-neighbors, or contains m, and then separates two non-adjacent
-neighbors of m, since every vertex of a minimum separator has a neighbor
-on each side.  So kappa is the least flow over those pairs: at most
-n + deg(m)^2 / 2 flows instead of one per non-adjacent pair.  The
-certificate then comes from a scan of the non-adjacent pairs in
-lexicographic order that stops at the first pair whose flow equals
-kappa, skipping pairs already known to need more; that pair's cut is
-read off the source side that the flow's last search labeled.  The
-residual arcs of the split network are built once per call
-(``flow_network``) and every pair's flow starts from the shared
-capacity vector; an adjacent pair gets a copy with its two direct arcs
-set to 0.
+1984, with the grown source side of Even, SIAM J. Comput. 4, 1975, and
+Henzinger, Rao & Gabow, J. Algorithms 34, 2000).  Let m be the
+lowest-id vertex of minimum degree.  A minimum separator either contains
+m, and then separates two non-adjacent neighbors of m, since every
+vertex of a minimum separator has a neighbor on each side, or misses m,
+and then separates m from one of its non-neighbors.  Each non-adjacent
+pair of neighbors takes one flow.  The non-neighbors join m's side A
+one at a time, starting from k = deg(m) and A = N(m); the next is the
+one with the most neighbors in A, lowest id first.  If it has fewer
+than k of them, one flow from m to it, capped at k, may lower k;
+otherwise it needs no flow.  The final k is K, the least of deg(m) and
+the uncapped flows from m to all its non-neighbors.  It is not below K,
+as no flow is.  Nor is it above: if a separator of s < deg(m) vertices,
+m not among them, cuts a part W off from m, the first vertex of W to be
+taken has its neighbors in A inside the separator, so unless k <= s
+already, its flow runs and is at most s.  (Even's algorithm also joins
+m to each absorbed vertex; the argument does not need that edge, which
+only raises later flows.)  The certificate then comes from a scan of
+the non-adjacent pairs in lexicographic order that stops at the first
+pair whose flow equals kappa, skipping neighbor pairs already known to
+need more; that pair's cut is read off the source side that the flow's
+last search labeled.  The residual arcs of the split network are built
+once per call (``flow_network``) and every pair's flow starts from the
+shared capacity vector; an adjacent pair gets a copy with its two
+direct arcs set to 0.
 """
 
 from __future__ import annotations
@@ -91,17 +102,7 @@ class SkeletonGraph:
         return all(len(a) == self.n - 1 for a in self.adj)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.n
+        return self.n > 0 and len(_component(self, 0)) == self.n
 
     def distance(self, u: int, v: int) -> int | None:
         dist = {u: 0}
@@ -226,6 +227,12 @@ def vertex_connectivity(g: SkeletonGraph) -> ConnectivityResult:
     Complete graphs (and the one-vertex graph) have no cut; otherwise the
     certificate is a minimum cut set together with the lexicographically
     first non-adjacent pair it separates.  The result is kept on ``g``.
+
+    With m the minimum-degree vertex, flows run for the non-adjacent pairs
+    of m's neighbors, for the non-neighbors of m with fewer neighbors in
+    m's grown side than the least flow so far (the module docstring shows
+    why skipping the others still gives the least flow) and for the pairs
+    that the certificate scan tries.
     """
     if g._connectivity is None:
         g._connectivity = _vertex_connectivity(g)
@@ -238,24 +245,18 @@ def _vertex_connectivity(g: SkeletonGraph) -> ConnectivityResult:
     if g.is_complete():
         return ConnectivityResult(g.n - 1, True, None)
     if not g.is_connected():
-        pair = _disconnected_pair(g)
-        return ConnectivityResult(
-            0, False, CutSet((), (g.labels[pair[0]], g.labels[pair[1]]))
-        )
+        outside = min(set(range(g.n)) - _component(g, 0))
+        return ConnectivityResult(0, False, CutSet((), (g.labels[0], g.labels[outside])))
     net = _split_network(g)
     m = min(range(g.n), key=lambda w: len(g.adj[w]))
     near = g.adj[m]
-    pairs = [(m, w) for w in range(g.n) if w != m and not g.adjacent(m, w)]
-    pairs += [
-        (x, y)
+    known = {
+        (x, y): _pair_flow(g, net, x, y)[0]
         for i, x in enumerate(near)
         for y in near[i + 1 :]
         if not g.adjacent(x, y)
-    ]
-    known = {
-        (min(a, b), max(a, b)): _pair_flow(g, net, a, b)[0] for a, b in pairs
     }
-    kappa = min(known.values())
+    kappa = min([_absorbed_bound(g, net, m), *known.values()])
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if g.adjacent(u, v) or known.get((u, v), kappa) > kappa:
@@ -278,17 +279,36 @@ def _vertex_connectivity(g: SkeletonGraph) -> ConnectivityResult:
     raise AssertionError("no non-adjacent pair attains the connectivity")
 
 
-def _disconnected_pair(g: SkeletonGraph) -> tuple[int, int]:
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
+def _absorbed_bound(g: SkeletonGraph, net: _SplitNetwork, m: int) -> int:
+    """min(deg m, least flow from ``m`` to a non-neighbor), as the module
+    docstring argues; each flow leaves m's in-node, whose split arc caps it."""
+    caps = net.caps.copy()
+    k = len(g.adj[m])
+    in_side = [0] * g.n  # neighbors in m's side
+    for x in g.adj[m]:
         for y in g.adj[x]:
+            in_side[y] += 1
+    rest = [w for w in range(g.n) if w != m and not g.adjacent(m, w)]
+    while rest:
+        w = max(rest, key=in_side.__getitem__)
+        rest.remove(w)
+        if in_side[w] < k:
+            caps[m] = k
+            k = unit_maxflow(net.network, caps, 2 * m, 2 * w)[0]
+        for y in g.adj[w]:
+            in_side[y] += 1
+    return k
+
+
+def _component(g: SkeletonGraph, u: int) -> set[int]:
+    seen = {u}
+    queue = deque([u])
+    while queue:
+        for y in g.adj[queue.popleft()]:
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
-    outside = min(set(range(g.n)) - seen)
-    return (0, outside) if 0 < outside else (outside, 0)
+    return seen
 
 
 def _check_cut(g: SkeletonGraph, cut: tuple[int, ...], u: int, v: int) -> None:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import Face, SimplicialComplex, _maximal
+from .complexes import Face, SimplicialComplex, _face_members, _maximal, _ridge_members, _ridges
 from .errors import BadSeed, EmptyComplex, NotPseudomanifold, NotPure, SearchBudgetExceeded
 from .graphs import skeleton
 from .homology import _boundary_rank, sphere_pattern, z2_betti
@@ -67,32 +67,6 @@ class ManifoldClass:
     witnesses: Mapping[str, Face]  # read-only: the result is shared through the memo
 
 
-def _face_members(
-    facets: Sequence[tuple[int, ...]], k: int
-) -> dict[tuple[int, ...], list[int]]:
-    """Map each k-vertex face to the indices of the sorted id tuples containing it."""
-    out: dict[tuple[int, ...], list[int]] = {}
-    for i, f in enumerate(facets):
-        for face in itertools.combinations(f, k):
-            out.setdefault(face, []).append(i)
-    return out
-
-
-def _ridge_members(facets: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
-    """Map each ridge to the indices of the equal-size id tuples containing it."""
-    return _face_members(facets, len(facets[0]) - 1)
-
-
-def _ridges(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    """For each ridge of the pure complex ``c``, the indices into
-    ``c._facets`` of the facets containing it; kept in ``c``'s memo."""
-    return c._cached("ridges", _build_ridges)
-
-
-def _build_ridges(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(m) for m in _ridge_members(c._facets).values())  # noqa: SLF001
-
-
 def _ridge_graph(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
     """For each facet of ``c``, the facets sharing a ridge with it, as indices
     into ``c._facets``; kept in ``c``'s memo."""
@@ -100,7 +74,7 @@ def _ridge_graph(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
 
 
 def _build_ridge_graph(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    return _adjacency(_ridges(c), len(c._facets))  # noqa: SLF001
+    return _adjacency((m for _, m in _ridges(c)), len(c._facets))  # noqa: SLF001
 
 
 def _adjacency(ridges: Iterable[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
@@ -134,7 +108,7 @@ def facet_graph(c: SimplicialComplex) -> FacetGraph:
     if not c.is_pure:
         raise NotPure("facet graph is defined for pure complexes")
     edges = set()
-    for members in _ridges(c):
+    for _, members in _ridges(c):
         for a, b in itertools.combinations(members, 2):
             edges.add((a, b) if a < b else (b, a))
     return FacetGraph(c.facets, tuple(sorted(edges)))
@@ -157,7 +131,7 @@ def is_pseudomanifold(c: SimplicialComplex) -> str:
 
 
 def _is_pseudomanifold(c: SimplicialComplex) -> str:
-    counts = [len(m) for m in _ridges(c)]
+    counts = [len(m) for _, m in _ridges(c)]
     if any(k > 2 for k in counts) or not is_strongly_connected(c):
         return "no"
     return "closed" if all(k == 2 for k in counts) else "with_boundary"
@@ -296,7 +270,7 @@ def is_homology_manifold(c: SimplicialComplex) -> tuple[bool, Face | None]:
     sets = c._facet_sets  # noqa: SLF001 - intra-package id view
     d = c.dim
     # a ridge link is a 0-sphere exactly when the ridge lies in two facets
-    if d and any(len(members) != 2 for members in _ridges(c)):
+    if d and any(len(members) != 2 for _, members in _ridges(c)):
         return False, _first_deviating_face(c)
     for k in range(d - 1, 0, -1):  # facets have empty links: nothing to check
         for face, members in _face_members(c._facets, k).items():  # noqa: SLF001

@@ -335,7 +335,7 @@ def test_cli_verify_reports_error_rows(monkeypatch, tmp_path, capsys):
 
 
 def test_verify_corpus_computes_each_invariant_once(monkeypatch):
-    from scx import banner, graphs, manifold
+    from scx import banner, complexes, graphs, manifold
 
     c = cross_polytope_boundary(3)
     counts = dict.fromkeys(
@@ -369,13 +369,36 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
     count(graphs, "_vertex_connectivity", lambda g: g is graphs.skeleton(c))
     count(banner, "_build_adjacency_masks", lambda x: x is c)
     count(banner, "_build_facet_masks", lambda x: x is c)
+    count(complexes, "_ridge_members", lambda facets: facets is c._facets)
     count(manifold, "_ridge_members", lambda facets: facets is c._facets)
-    count(manifold, "_build_ridges", lambda x: x is c)
+    count(complexes, "_build_ridges", lambda x: x is c)
     count(manifold, "_build_ridge_graph", lambda x: x is c)
     summary = verify_corpus([("octahedral-3-sphere", c)])
     verdicts = {r.property_id: r.verdict for r in summary.rows}
     assert verdicts["T1.1"] == verdicts["T4.1"] == verdicts["L5.2"] == "pass"
     assert counts == dict.fromkeys(counts, 1)
+
+
+def test_balls_with_boundary_make_one_ridge_pass(monkeypatch):
+    from scx import complexes, manifold
+
+    passes = []
+    body = complexes._ridge_members
+
+    def counted(facets):
+        passes.append(facets)
+        return body(facets)
+
+    monkeypatch.setattr(complexes, "_ridge_members", counted)
+    monkeypatch.setattr(manifold, "_ridge_members", counted)
+    for ball in (fan_ball(), ring_ball()):
+        passes.clear()
+        verify_corpus([("ball", ball)])
+        assert sum(f is ball._facets for f in passes) == 1
+        assert len({id(f) for f in passes}) == len(passes)  # one pass per complex
+        fresh = from_facets(ball.facets)
+        assert fresh.boundary() == ball.boundary()
+        assert "ridges" in fresh._memo  # boundary() reads the memoized pass
 
 
 def test_l52_failure_row(monkeypatch):

@@ -16,8 +16,9 @@ facet component count and the L4.4-homological conclusion agree with
 the built complexes and full relative ranks of ``oracles.py``.  Cones,
 suspensions and boundary cones store the same labels, ids and facets as
 their label routes through the public constructor, and the pseudomanifold
-status agrees with plain ridge counts.  The examples are derandomized so that the suite gives the same verdict on
-every run.
+status agrees with plain ridge counts.  Vertex connectivity, its cut and
+its pair agree with one flow per non-adjacent pair.  The examples are
+derandomized so that the suite gives the same verdict on every run.
 """
 
 from hypothesis import given, settings
@@ -37,7 +38,7 @@ from scx.banner import _adjacency_masks, _link_banner_value, banner_number, clas
 from scx.complexes import SimplicialComplex, _maximal, from_facets
 from scx.errors import ScxError
 from scx.generators import stacked_sphere
-from scx.graphs import is_outside_connected
+from scx.graphs import is_outside_connected, skeleton, vertex_connectivity
 from scx.manifold import (
     is_homology_manifold,
     is_pseudomanifold,
@@ -47,6 +48,7 @@ from scx.manifold import (
 )
 
 from oracles import (
+    all_pairs_connectivity,
     barnette_antistar_by_complexes,
     classify_by_labels,
     homology_manifold_ascending,
@@ -175,3 +177,13 @@ def test_neighborhood_routes_match_oracles(facets):
             count = _outside_facet_components(c, adjacency[i] | 1 << i)
             assert count == relative_betti_by_complexes(c, v)[c.dim], v
         assert _relative_homology_matches(c) == relative_homology_matches_by_complexes(c)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_FACETS)
+def test_connectivity_matches_all_pairs_reference(facets):
+    g = skeleton(_build(facets))
+    if g.n <= 12:
+        res = vertex_connectivity(g)
+        cut = (None, None) if res.cut is None else (res.cut.vertices, res.cut.pair)
+        assert (res.value, *cut) == all_pairs_connectivity(g)

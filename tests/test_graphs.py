@@ -5,6 +5,7 @@ import pytest
 
 import scx.graphs
 from scx.banner import classify
+from scx.complexes import from_facets
 from scx.errors import EmptyOutside, SameVertex, TooSmall
 from scx.generators import (
     cross_polytope_boundary,
@@ -263,7 +264,7 @@ def test_connectivity_certificate_matches_all_pairs_reference():
     assert len(cases) >= 100 and min(kinds.values()) >= 10, kinds
 
 
-def test_connectivity_flow_count_on_large_stacked_sphere(monkeypatch):
+def _counted_flows(monkeypatch):
     calls = []
     kernel = scx.graphs.unit_maxflow
 
@@ -272,12 +273,79 @@ def test_connectivity_flow_count_on_large_stacked_sphere(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(scx.graphs, "unit_maxflow", counted)
+    return calls
+
+
+def test_connectivity_flow_count_on_large_stacked_sphere(monkeypatch):
+    # every non-neighbor of m has deg(m) = 3 neighbors in m's grown side when
+    # it is absorbed, so the one flow is the certificate's
+    calls = _counted_flows(monkeypatch)
     res = vertex_connectivity(skeleton(stacked_sphere(2, 150, 7)))
-    assert len(calls) == 151
+    assert len(calls) == 1
     assert res.value == 3 and not res.complete
     assert res.cut.vertices == ("v0", "v2", "v3")
     assert res.cut.pair == ("s0", "s1")
 
+
+
+def _barycentric(c):
+    """The barycentric subdivision: one vertex per face, one facet per chain."""
+    facets = []
+    for facet in c.facets:
+        for order in itertools.permutations(facet):
+            facets.append(["-".join(sorted(order[:k])) for k in range(1, len(order) + 1)])
+    return from_facets(facets)
+
+
+def test_connectivity_flow_count_on_subdivided_octahedron(monkeypatch):
+    # m is an octahedron vertex of degree 4 with 21 non-neighbors, of which 16
+    # have fewer than 4 neighbors in m's grown side when absorbed
+    g = skeleton(_barycentric(cross_polytope_boundary(2)))
+    calls = _counted_flows(monkeypatch)
+    res = vertex_connectivity(g)
+    m = min(range(g.n), key=lambda w: len(g.adj[w]))
+    assert (g.n, len(g.adj[m])) == (26, 4)
+    assert sum(source == 2 * m for source, _ in calls) == 16
+    assert len(calls) == 19  # and two neighbor pairs and one certificate flow
+    assert res.value == 4
+    assert res.cut.vertices == ("m0-m1-m2", "m1", "m1-m2-p0", "m2")
+    assert res.cut.pair == ("m0", "m1-m2")
+
+
+def _two_blobs(seed):
+    """Two dense blobs joined by a separator S of 1 to 3 vertices, shuffled.
+
+    A planted hub in the first blob has more neighbors than S has vertices
+    and none in S, so S separates the hub's side from the second blob and
+    holds neither the hub nor a neighbor of it.  Returns the graph, the
+    hub's id and the size of S.
+    """
+    rng = random.Random(seed)
+    s = rng.randint(1, 3)
+    t = s + rng.randint(1, 2)
+    a, b = rng.randint(t + 2, 8), rng.randint(t + 1, 7)
+    first, second = list(range(1, a)), list(range(a, a + b))
+    edges = {(0, x) for x in rng.sample(first, t)}
+    for part in (first, second):
+        edges |= {e for e in itertools.combinations(part, 2) if rng.random() < 0.9}
+    for x in range(a + b, a + b + s):
+        edges |= {(rng.choice(first), x), (rng.choice(second), x)}
+        edges |= {(y, x) for y in first + second if rng.random() < 0.6}
+    perm = list(range(a + b + s))
+    rng.shuffle(perm)
+    return SkeletonGraph(len(perm), [(perm[x], perm[y]) for x, y in edges]), perm[0], s
+
+
+def test_absorbing_matches_all_pairs_reference_on_two_blobs():
+    below_degree = 0
+    for seed in range(200):
+        g, hub, s = _two_blobs(3000 + seed)
+        expected = all_pairs_connectivity(g)
+        assert _certificate(g) == expected, seed
+        m = min(range(g.n), key=lambda w: len(g.adj[w]))
+        if m == hub and expected[0] == s < len(g.adj[m]):
+            below_degree += 1
+    assert below_degree >= 100, below_degree
 
 def test_pair_flows_leave_no_state_in_the_shared_network():
     for seed in range(20):
