@@ -228,11 +228,9 @@ def vertex_connectivity(g: SkeletonGraph) -> ConnectivityResult:
     certificate is a minimum cut set together with the lexicographically
     first non-adjacent pair it separates.  The result is kept on ``g``.
 
-    With m the minimum-degree vertex, flows run for the non-adjacent pairs
-    of m's neighbors, for the non-neighbors of m with fewer neighbors in
-    m's grown side than the least flow so far (the module docstring shows
-    why skipping the others still gives the least flow) and for the pairs
-    that the certificate scan tries.
+    Flows run for the non-adjacent pairs of neighbors of a minimum-degree
+    vertex m, for the non-neighbors of m that the grown-side test of the
+    module docstring cannot skip, and for the certificate scan's pairs.
     """
     if g._connectivity is None:
         g._connectivity = _vertex_connectivity(g)

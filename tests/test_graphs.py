@@ -277,15 +277,14 @@ def _counted_flows(monkeypatch):
 
 
 def test_connectivity_flow_count_on_large_stacked_sphere(monkeypatch):
-    # every non-neighbor of m has deg(m) = 3 neighbors in m's grown side when
-    # it is absorbed, so the one flow is the certificate's
+    # each non-neighbor of m has at least deg(m) = 3 neighbors in m's grown
+    # side when it is taken, so the one flow is the certificate scan's
     calls = _counted_flows(monkeypatch)
     res = vertex_connectivity(skeleton(stacked_sphere(2, 150, 7)))
     assert len(calls) == 1
     assert res.value == 3 and not res.complete
     assert res.cut.vertices == ("v0", "v2", "v3")
     assert res.cut.pair == ("s0", "s1")
-
 
 
 def _barycentric(c):
@@ -346,6 +345,7 @@ def test_absorbing_matches_all_pairs_reference_on_two_blobs():
         if m == hub and expected[0] == s < len(g.adj[m]):
             below_degree += 1
     assert below_degree >= 100, below_degree
+
 
 def test_pair_flows_leave_no_state_in_the_shared_network():
     for seed in range(20):
