@@ -29,7 +29,6 @@ from .graphs import (
     SkeletonGraph,
     independent_paths,
     is_outside_connected,
-    liu_scan,
     neighborhood,
     skeleton,
     vertex_connectivity,

@@ -18,6 +18,7 @@ from .banner import (
     _adjacency_masks,
     _facet_masks,
     _iter_bits,
+    _link_banner,
     _link_banner_value,
     _tilde_cliques,
     banner_number,
@@ -364,10 +365,15 @@ def _link_values_bounded(c: SimplicialComplex) -> tuple:
 
 
 def _links_inherit(c: SimplicialComplex) -> tuple:
+    # Strongly banner implies banner, so one side is checked per vertex.  The
+    # link table answers banner-or-triangle, and with c banner and d >= 2 the
+    # link of no vertex v is a triangle abc: only for d = 2 is it a graph, and
+    # then v, a, b, c span a simplex boundary if abc is a face and abc is a
+    # critical non-spanning clique if not.
     strongly = classify(c).strongly_banner
-    for v in c.vertices:
-        sub = classify(c.link((v,)))
-        if not sub.banner or (strongly and not sub.strongly_banner):
+    for i, v in enumerate(c.vertices):
+        ok = classify(c.link((v,))).strongly_banner if strongly else _link_banner(c, (i,))
+        if not ok:
             return "fail", f"link of {v} loses the property", {"vertex": v}
     return "pass", "links inherit banner (and strongly banner) status"
 

@@ -57,14 +57,6 @@ class SameVertex(ScxError):
     """Path queries need two distinct endpoints."""
 
 
-class TooSmall(ScxError):
-    """The graph has too few vertices for the requested connectivity level."""
-
-
-class GraphNotConnected(ScxError):
-    """The operation requires a connected graph."""
-
-
 class EmptyOutside(ScxError):
     """Every vertex lies in the closed neighborhood, leaving nothing outside."""
 

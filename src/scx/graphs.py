@@ -42,17 +42,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .banner import _adjacency_masks, _iter_bits
 from .complexes import Label, SimplicialComplex
-from .errors import (
-    EmptyOutside,
-    GraphNotConnected,
-    SameVertex,
-    TooSmall,
-    UnknownVertex,
-)
+from .errors import EmptyOutside, SameVertex, UnknownVertex
 from .kernels import flow_network, unit_maxflow
 
 
@@ -158,13 +152,6 @@ class PathFamily:
 
     def __len__(self) -> int:
         return len(self.paths)
-
-
-@dataclass(frozen=True)
-class LiuScan:
-    holds: bool
-    level: int
-    failing_pair: tuple[str, str] | None
 
 
 # -- flow plumbing -----------------------------------------------------
@@ -298,28 +285,20 @@ def _absorbed_bound(g: SkeletonGraph, net: _SplitNetwork, m: int) -> int:
     return k
 
 
-def _component(g: SkeletonGraph, u: int) -> set[int]:
+def _component(g: SkeletonGraph, u: int, removed: Collection[int] = frozenset()) -> set[int]:
+    """The vertices reachable from ``u`` in ``g`` without the ``removed`` ones."""
     seen = {u}
     queue = deque([u])
     while queue:
         for y in g.adj[queue.popleft()]:
-            if y not in seen:
+            if y not in seen and y not in removed:
                 seen.add(y)
                 queue.append(y)
     return seen
 
 
 def _check_cut(g: SkeletonGraph, cut: tuple[int, ...], u: int, v: int) -> None:
-    removed = set(cut)
-    seen = {u}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in g.adj[x]:
-            if y not in removed and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    if v in seen:
+    if v in _component(g, u, set(cut)):
         raise AssertionError("flow cut certificate failed independent validation")
 
 
@@ -375,29 +354,6 @@ def _validate_family(g: SkeletonGraph, family: PathFamily) -> None:
         if u in interior or v in interior:
             raise AssertionError("endpoint reappears inside a path")
         seen_interior |= interior
-
-
-def liu_scan(g: SkeletonGraph, k: int) -> LiuScan:
-    """Check k independent paths between every pair at distance two.
-
-    When this holds on a connected graph with more than k vertices, the
-    graph is k-connected.
-    """
-    if g.n <= k:
-        raise TooSmall(f"need more than {k} vertices, have {g.n}")
-    if not g.is_connected():
-        raise GraphNotConnected("scan is defined for connected graphs")
-    net = _split_network(g)
-    for u in range(g.n):
-        at_two = sorted(
-            {w for nb in g.adj[u] for w in g.adj[nb]} - set(g.adj[u]) - {u}
-        )
-        for v in at_two:
-            if v <= u:
-                continue
-            if _pair_flow(g, net, u, v)[0] < k:
-                return LiuScan(False, k, (g.labels[u], g.labels[v]))
-    return LiuScan(True, k, None)
 
 
 # -- outside the closed neighborhood ------------------------------------

@@ -14,6 +14,7 @@ genuinely separate routes:
 - banner status of face links on built link complexes,
 - maximal sets by pairwise strict-subset tests,
 - strong connectivity by pairwise facet intersections,
+- normality by the skeleton connectivity of every built face link,
 - homology manifolds by the full Betti vector of every face link, faces
   visited from vertices up, ranks by dense elimination,
 - antistar strong connectivity on built antistar complexes,
@@ -244,6 +245,22 @@ def betti_by_dense_rank(c) -> tuple[int, ...]:
         upper = ranks[m + 1] if m + 1 < top else 0
         out.append(len(layers[m]) - ranks[m] - upper)
     return tuple(out)
+
+
+def normal_by_links(c) -> tuple[bool, tuple[str, ...] | None]:
+    """``is_normal`` as ``(normal, witness)`` on built links.
+
+    Every face link of dimension at least one must have a connected
+    skeleton; faces are visited by size and then label order, and the
+    first with a disconnected link is the witness.
+    """
+    if is_pseudomanifold(c) == "no":
+        raise NotPseudomanifold("normality is defined on pseudomanifolds")
+    for k in range(c.dim):  # faces with link dimension d-k >= 1
+        for face in sorted(c.faces(k)) if k else [()]:
+            if not skeleton(c.link(face)).is_connected():
+                return False, face
+    return True, None
 
 
 def homology_manifold_ascending(c) -> tuple[bool, tuple[str, ...] | None]:

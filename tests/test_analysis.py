@@ -15,15 +15,17 @@ from scx.analysis import (
     verify_corpus,
     verify_property,
 )
-from scx.banner import _adjacency_masks, banner_number
-from scx.complexes import dumps, from_facets, loads
+from scx.banner import _adjacency_masks, banner_number, classify
+from scx.complexes import SimplicialComplex, dumps, from_facets, loads
 from scx.errors import EmptyOutside, NotAFace, ScxError, UnknownProperty
 from scx.generators import (
     banana,
+    catalog,
     complete_graph_edges,
     cross_polytope_boundary,
     cycle,
     cyclic_polytope_boundary,
+    display_name,
     fan_ball,
     ring_ball,
     simplex_boundary,
@@ -419,6 +421,68 @@ def test_l52_failure_row(monkeypatch):
     )
     # the link of v0 is one triangle: level 0 is rejected, its three edges pass
     assert res.payload == {"face": ["v0"], "link_value": 1, "value": 1}
+
+
+def test_p37_failure_row_on_a_strongly_banner_input(monkeypatch):
+    from dataclasses import replace
+
+    c = cross_polytope_boundary(3)
+    assert classify(c).strongly_banner
+    v = c.vertices[1]
+    link = c.link((v,))
+    real = analysis.classify
+
+    def demoting(cx):
+        cls = real(cx)
+        return replace(cls, strongly_banner=False) if cx == link else cls
+
+    def unread(cx, ids):
+        raise AssertionError("a strongly banner input is checked on its built links")
+
+    monkeypatch.setattr(analysis, "classify", demoting)
+    monkeypatch.setattr(analysis, "_link_banner", unread)
+    res = verify_property("P3.7", c)
+    assert (res.verdict, res.detail) == ("fail", f"link of {v} loses the property")
+    assert res.payload == {"vertex": v}
+
+
+def test_p37_failure_row_on_a_banner_input_reads_the_link_table(monkeypatch):
+    # the one catalog input with d >= 2 that is banner but not strongly banner
+    c = banana(complete_graph_edges(4))
+    cls = classify(c)
+    assert c.dim >= 2 and cls.banner and not cls.strongly_banner
+    assert verify_property("P3.7", c).verdict == "pass"
+    v = c.vertices[2]
+    table_entry = analysis._link_banner
+
+    def rejecting(cx, ids):
+        return False if cx is c and ids == (2,) else table_entry(cx, ids)
+
+    def unbuilt(cx, face):
+        raise AssertionError("a banner input that is not strongly banner builds no link")
+
+    monkeypatch.setattr(analysis, "_link_banner", rejecting)
+    monkeypatch.setattr(SimplicialComplex, "link", unbuilt)
+    res = verify_property("P3.7", c)
+    assert (res.verdict, res.detail) == ("fail", f"link of {v} loses the property")
+    assert res.payload == {"vertex": v}
+
+
+def test_only_p37_on_strongly_banner_inputs_and_witnesses_build_links(monkeypatch):
+    callers = []
+    real = SimplicialComplex.link
+
+    def traced(cx, face):
+        callers.append((sys._getframe(1).f_code.co_name, cx))
+        return real(cx, face)
+
+    monkeypatch.setattr(SimplicialComplex, "link", traced)
+    verify_corpus([(display_name(spec), c) for spec, c in catalog()])
+    for spec, c in catalog():  # fresh complexes, as the memo would answer the old ones
+        if c.is_pure:
+            analyze(c, display_name(spec))
+    assert {name for name, _ in callers} == {"_links_inherit", "_first_deviating_face"}
+    assert all(classify(cx).strongly_banner for name, cx in callers if name == "_links_inherit")
 
 
 def _neighborhood_subjects(corpus):

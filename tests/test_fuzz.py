@@ -10,8 +10,10 @@ run inside ``verify_corpus``, next to the other checks on the same
 object, agrees with the same check run alone on a fresh copy.  The
 id-based classification, absorption and strong-connectivity search
 agree with the label-based and pairwise oracles of ``oracles.py``, and
-so do the top-down homology-manifold pass and the antistar check, on
-every complex and every pure face link.  Outside connectivity, the
+so do the top-down homology-manifold pass, normality on facet residues
+and the antistar check, on every complex and every pure face link.  Under
+the hypotheses of P3.7 the link table's verdict on a vertex is the
+banner status of its built link.  Outside connectivity, the
 facet component count and the L4.4-homological conclusion agree with
 the built complexes and full relative ranks of ``oracles.py``.  Cones,
 suspensions and boundary cones store the same labels, ids and facets as
@@ -34,13 +36,20 @@ from scx.analysis import (
     verify_corpus,
     verify_property,
 )
-from scx.banner import _adjacency_masks, _link_banner_value, banner_number, classify
+from scx.banner import (
+    _adjacency_masks,
+    _link_banner,
+    _link_banner_value,
+    banner_number,
+    classify,
+)
 from scx.complexes import SimplicialComplex, _maximal, from_facets
 from scx.errors import ScxError
 from scx.generators import stacked_sphere
 from scx.graphs import is_outside_connected, skeleton, vertex_connectivity
 from scx.manifold import (
     is_homology_manifold,
+    is_normal,
     is_pseudomanifold,
     is_strongly_connected,
     manifold_class,
@@ -54,6 +63,7 @@ from oracles import (
     homology_manifold_ascending,
     join_route_outcomes,
     maximal_by_pairs,
+    normal_by_links,
     outside_connected_by_complexes,
     pseudomanifold_by_ridge_counts,
     relative_betti_by_complexes,
@@ -89,6 +99,11 @@ def _outcome(fn, *args):
         return "value", fn(*args)
     except ScxError as exc:
         return "raise", type(exc)
+
+
+def _normality(c: SimplicialComplex):
+    res = is_normal(c)
+    return res.normal, res.witness
 
 
 def _faces(c: SimplicialComplex):
@@ -159,6 +174,7 @@ def test_id_paths_match_oracles(facets):
             assert is_strongly_connected(lk) == strongly_connected_by_pairs(lk), face
             assert is_pseudomanifold(lk) == pseudomanifold_by_ridge_counts(lk), face
             assert is_homology_manifold(lk) == homology_manifold_ascending(lk), face
+            assert _outcome(_normality, lk) == _outcome(normal_by_links, lk), face
             assert _outcome(verify_barnette_antistar, lk) == _outcome(
                 barnette_antistar_by_complexes, lk
             ), face
@@ -187,3 +203,17 @@ def test_connectivity_matches_all_pairs_reference(facets):
         res = vertex_connectivity(g)
         cut = (None, None) if res.cut is None else (res.cut.vertices, res.cut.pair)
         assert (res.value, *cut) == all_pairs_connectivity(g)
+
+
+def _suspended(facets) -> list[tuple[str, ...]]:
+    return list(_build(facets).suspension().facets)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(_FACETS, _FACETS.map(_suspended)))
+def test_vertex_link_table_is_banner_under_p37_hypotheses(facets):
+    # suspensions keep banner status (P3.8ii) and reach d >= 2 more often
+    c = _build(facets)
+    if c.is_pure and c.dim >= 2 and classify(c).banner:
+        for i, v in enumerate(c.vertices):
+            assert _link_banner(c, (i,)) == classify(c.link((v,))).banner, v

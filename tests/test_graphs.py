@@ -6,7 +6,7 @@ import pytest
 import scx.graphs
 from scx.banner import classify
 from scx.complexes import from_facets
-from scx.errors import EmptyOutside, SameVertex, TooSmall
+from scx.errors import EmptyOutside, SameVertex
 from scx.generators import (
     cross_polytope_boundary,
     cycle,
@@ -19,7 +19,6 @@ from scx.graphs import (
     SkeletonGraph,
     independent_paths,
     is_outside_connected,
-    liu_scan,
     local_connectivity,
     neighborhood,
     skeleton,
@@ -117,32 +116,14 @@ def test_independent_paths_deterministic():
     assert a == b
 
 
-def test_liu_scan():
-    octa = skeleton(cross_polytope_boundary(2))
-    assert liu_scan(octa, 4).holds
-    c5 = skeleton(cycle(5))
-    res = liu_scan(c5, 3)
-    assert not res.holds and res.failing_pair is not None
-    k4 = skeleton(simplex_boundary(3))
-    assert liu_scan(k4, 2).holds  # vacuous: no distance-2 pairs
-    with pytest.raises(TooSmall):
-        liu_scan(k4, 4)
-
-
-def test_liu_consistency_with_connectivity(corpus):
-    # whenever the scan holds, connectivity is at least that level
-    for name, c in corpus.items():
-        g = skeleton(c)
-        if g.n > 12 or not g.is_connected():
-            continue
-        kappa = vertex_connectivity(g).value
-        for k in range(1, g.n - 1):
-            try:
-                res = liu_scan(g, k)
-            except TooSmall:
-                break
-            if res.holds:
-                assert kappa >= k, (name, k)
+def test_cut_check_searches_around_the_cut():
+    g = skeleton(cycle(5))
+    u, v = g.id_of("c0"), g.id_of("c2")
+    assert scx.graphs._component(g, u, {1, 3}) == {0, 4}
+    assert scx.graphs._component(g, u) == set(range(5))
+    scx.graphs._check_cut(g, (1, 3), u, v)
+    with pytest.raises(AssertionError, match="independent validation"):
+        scx.graphs._check_cut(g, (1,), u, v)
 
 
 def test_neighborhood_containment_absent_in_banner_pseudomanifolds(corpus):

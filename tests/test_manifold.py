@@ -36,6 +36,7 @@ from oracles import (
     barnette_antistar_by_complexes,
     closed_by_ridge_count,
     homology_manifold_ascending,
+    normal_by_links,
 )
 
 
@@ -114,6 +115,21 @@ def _pinched_torus():
         ["a1", "b3", "b1"],
     ]
     return from_facets(facets)
+
+
+def _twice_pinched_sphere():
+    # a tube of four triangle rings r0..r3 joined by antiprism bands, capped
+    # by cones N over r0 and S over r3, with S and r10 identified into P and
+    # r02 and r30 into Q; the first facet, (N, Q, r00), meets Q before P
+    glued = {"S": "P", "r10": "P", "r02": "Q", "r30": "Q"}
+    facets = [["N", f"r0{j}", f"r0{(j + 1) % 3}"] for j in range(3)]
+    facets += [["S", f"r3{j}", f"r3{(j + 1) % 3}"] for j in range(3)]
+    for i in range(3):
+        for j in range(3):
+            a, b = f"r{i}{j}", f"r{i}{(j + 1) % 3}"
+            x, y = f"r{i + 1}{j}", f"r{i + 1}{(j + 1) % 3}"
+            facets += [[a, b, x], [b, x, y]]
+    return from_facets([[glued.get(v, v) for v in f] for f in facets])
 
 
 def test_pinched_torus_closed_but_not_normal():
@@ -206,6 +222,37 @@ def _outcome(fn, c):
         return "value", fn(c)
     except ScxError as exc:
         return "raise", type(exc)
+
+
+def _normality(c):
+    res = is_normal(c)
+    return res.normal, res.witness
+
+
+def test_normality_matches_link_oracle(corpus):
+    pinched = _pinched_torus()
+    subjects = [(name, c) for name, c in corpus.items() if c.is_pure]
+    subjects += [
+        ("pinched-torus", pinched),
+        ("pinched-torus-cone", pinched.cone()),
+        ("pinched-torus-suspension", pinched.suspension()),
+        ("twice-pinched-sphere", _twice_pinched_sphere()),
+        ("torus-7-suspension", torus_7().suspension()),
+    ]
+    for d, k, seed in [(2, 6, 1), (3, 5, 2), (4, 3, 3)]:
+        sphere = stacked_sphere(d, k, seed)
+        name = f"stacked-{d}-{k}-{seed}"
+        subjects += [(name + "-cone", sphere.cone()), (name + "-suspension", sphere.suspension())]
+    seen = set()
+    for name, c in subjects:
+        got = _outcome(_normality, c)
+        assert got == _outcome(normal_by_links, c), name
+        seen.add(got[0] if got[0] == "raise" else got[1][0])
+    assert seen == {True, False, "raise"}
+    assert _normality(pinched) == (False, ("P",))
+    twice = _twice_pinched_sphere()
+    assert len(twice.facets) == 24 and is_pseudomanifold(twice) == "closed"
+    assert _normality(twice) == (False, ("P",))  # the first by label, not by facet order
 
 
 def test_barnette_antistar_matches_built_antistars(corpus):
