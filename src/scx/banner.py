@@ -264,7 +264,8 @@ def _residues_banner(c: SimplicialComplex, ids: tuple[int, ...]) -> bool:
       are faces.
     """
     face = sum(1 << i for i in ids)
-    residues = {g ^ face for g in _facet_masks(c) if g & face == face}
+    masks = _facet_masks(c)
+    residues = {masks[i] ^ face for i in c._holders(len(ids))[ids]}
     size = next(iter(residues)).bit_count()
     if any(r.bit_count() != size for r in residues):
         return False  # not pure, and so not a triangle either
@@ -346,10 +347,10 @@ def _link_banner_value(c: SimplicialComplex, face: Iterable[Label]) -> int | Non
         ids = c._face_ids(face)
     except UnknownVertex:
         raise NotAFace(f"{face} is not a face") from None
-    f = sum(1 << i for i in ids)
-    sizes = {(g ^ f).bit_count() for g in _facet_masks(c) if g & f == f}
-    if not sizes:
+    holders = c._holders(len(ids)).get(ids)
+    if holders is None:
         raise NotAFace(f"{face} is not a face")
+    sizes = {len(c._facets[i]) - len(ids) for i in holders}
     if 0 in sizes:
         raise EmptyComplex("link of a facet is empty")
     if len(sizes) != 1:

@@ -22,7 +22,7 @@ from .kernels import BACKEND
 def _load(path: str) -> complexes.SimplicialComplex:
     try:
         return complexes.load(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScxError(f"cannot read {path}: {exc}") from exc
 
 
@@ -63,8 +63,11 @@ def _cmd_gen(args) -> int:
     c = generators.build(args.name, tuple(args.params))
     text = complexes.dumps(c)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ScxError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0

@@ -6,16 +6,24 @@ interned to dense integer ids in label-sorted order, so id-lexicographic
 and label-lexicographic enumeration agree.  At the API boundary faces travel
 as sorted label tuples; internally they are sorted id tuples.
 
-A complex is immutable once built.  Per-cardinality face sets are
-generated on demand and memoized.  The empty complex is unrepresentable:
-every constructor raises ``EmptyComplex`` rather than producing one.
+A complex is immutable once built.  The empty complex is
+unrepresentable: every constructor raises ``EmptyComplex`` rather than
+producing one.
+
+Each complex keeps one index from its faces to the facets holding them,
+built one face size at a time on first use (``_holders``).  Its keys are
+the faces (``faces_ids``); its ridge level holds what the pseudomanifold
+test, ``boundary()`` and the facet ridge graph need; and the link and
+star of a face, the normality and homology-manifold checks and the
+banner status of a face link start from the holders of the face.  Its
+lists are never mutated.
 
 Invariants computed from a complex (its banner class, banner number,
 manifold class, skeleton, Betti numbers, its vertex adjacency and its
-facets as bitmasks, the facets holding each ridge, the ridge graph of its
-facets, the banner status of its face links and an index from faces to
-their cofaces) are cached per object in its ``_memo`` dict, so each is
-computed once however many checks ask for it.
+facets as bitmasks, the ridge graph of its facets, the banner status of
+its face links and an index from faces to their cofaces) are cached per
+object in its ``_memo`` dict, so each is computed once however many
+checks ask for it.
 Cached values are immutable, hold no reference back to the complex and
 die with it; there is no global or content-keyed cache.  Neither memo
 takes a lock: two threads asking for the same value at once may both
@@ -41,7 +49,7 @@ two trusted constructors:
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import AbstractSet, Callable, Iterable, Sequence, TypeVar
 
 from .errors import (
     EmptyComplex,
@@ -115,21 +123,6 @@ def _face_members(
         for face in itertools.combinations(f, k):
             out.setdefault(face, []).append(i)
     return out
-
-
-def _ridge_members(facets: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], list[int]]:
-    """Map each ridge to the indices of the equal-size id tuples containing it."""
-    return _face_members(facets, len(facets[0]) - 1)
-
-
-def _ridges(c: "SimplicialComplex") -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Each ridge of the pure complex ``c`` with the indices into
-    ``c._facets`` of the facets containing it; kept in ``c``'s memo."""
-    return c._cached("ridges", _build_ridges)
-
-
-def _build_ridges(c: "SimplicialComplex") -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    return tuple((r, tuple(m)) for r, m in _ridge_members(c._facets).items())
 
 
 class SimplicialComplex:
@@ -235,7 +228,7 @@ class SimplicialComplex:
         self.dim = max(sizes) - 1
         self.is_pure = len(sizes) == 1
         self.absorbed = absorbed
-        self._face_cache: dict[int, frozenset[tuple[int, ...]]] = {}
+        self._face_cache: dict[int, dict[tuple[int, ...], list[int]]] = {}
         self._memo: dict[str, object] = {}
 
     def _cached(self, key: str, compute: Callable[["SimplicialComplex"], _T]) -> _T:
@@ -285,16 +278,24 @@ class SimplicialComplex:
 
     # -- face enumeration -----------------------------------------------
 
-    def faces_ids(self, k: int) -> frozenset[tuple[int, ...]]:
+    def _holders(self, k: int) -> dict[tuple[int, ...], list[int]]:
+        """Each k-vertex face, as an id tuple, mapped to the indices into
+        ``_facets`` of the facets holding it; built once per ``k``.
+
+        Level ``dim`` holds the ridges of a pure complex and level 0 maps
+        the empty face to every facet.  The level is stored whole, so no
+        thread sees it half built, and its lists are never mutated.
+        """
+        level = self._face_cache.get(k)
+        if level is None:
+            level = self._face_cache[k] = _face_members(self._facets, k)
+        return level
+
+    def faces_ids(self, k: int) -> AbstractSet[tuple[int, ...]]:
         """All faces with exactly ``k`` vertices, as id tuples."""
         if k < 1 or k > self.dim + 1:
             return frozenset()
-        cached = self._face_cache.get(k)
-        if cached is None:
-            cached = self._face_cache[k] = frozenset(
-                sub for f in self._facets for sub in itertools.combinations(f, k)
-            )
-        return cached
+        return self._holders(k).keys()
 
     def faces(self, k: int) -> frozenset[Face]:
         """All faces with exactly ``k`` vertices, as label tuples."""
@@ -336,10 +337,10 @@ class SimplicialComplex:
         if not ids:
             return self
         idset = set(ids)
-        if not any(idset <= fs for fs in self._facet_sets):
+        holders = self._holders(len(idset)).get(tuple(sorted(idset)))
+        if holders is None:
             raise NotAFace(f"{labels} is not a face")
-        residues = [fs - idset for fs in self._facet_sets if idset <= fs]
-        residues = [r for r in residues if r]
+        residues = [r for r in (self._facet_sets[i] - idset for i in holders) if r]
         if not residues:
             raise EmptyComplex("link of a facet is empty")
         return SimplicialComplex._from_ids(self._labels, residues)
@@ -350,7 +351,7 @@ class SimplicialComplex:
         if i is None:
             raise UnknownVertex(f"unknown vertex {vertex!r}")
         return SimplicialComplex._from_ids(
-            self._labels, [fs for fs in self._facet_sets if i in fs]
+            self._labels, [self._facet_sets[j] for j in self._holders(1)[(i,)]]
         )
 
     def antistar(self, vertex: Label) -> "SimplicialComplex":
@@ -425,7 +426,7 @@ class SimplicialComplex:
         """
         if not self.is_pure:
             raise NotPure("boundary is defined for pure complexes")
-        rim = [frozenset(r) for r, m in _ridges(self) if len(m) == 1]
+        rim = [frozenset(r) for r, m in self._holders(self.dim).items() if len(m) == 1]
         if not rim:
             return None
         return SimplicialComplex._from_ids(self._labels, rim)

@@ -98,19 +98,6 @@ class SkeletonGraph:
     def is_connected(self) -> bool:
         return self.n > 0 and len(_component(self, 0)) == self.n
 
-    def distance(self, u: int, v: int) -> int | None:
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            w = queue.popleft()
-            if w == v:
-                return dist[w]
-            for z in self.adj[w]:
-                if z not in dist:
-                    dist[z] = dist[w] + 1
-                    queue.append(z)
-        return None
-
 
 def skeleton(c: SimplicialComplex) -> SkeletonGraph:
     """The graph with the complex's vertices as nodes and its edges as edges.

@@ -9,10 +9,11 @@ compare the two routes on the test corpora.  ``is_normal`` builds no
 link either: the link of a face F is connected exactly when the residues
 G - F of the facets G containing F, each joining its vertices, are.
 
-The facets containing each ridge are found in one pass per complex and
-kept in its memo.  The pseudomanifold test counts them, the ridge link
-test of ``is_homology_manifold`` reads them, and the facet ridge graph is
-built from them once.
+The facets containing each ridge are the ridge level of the complex's
+face index (``SimplicialComplex._holders``), as the facets containing
+any smaller face are its lower levels.  The pseudomanifold test counts
+them, the ridge link test of ``is_homology_manifold`` reads them, and the
+facet ridge graph is built from them once.
 
 ``is_homology_manifold`` visits faces from ridges down to vertices and
 takes the link of a face F as the residues G - F of the facet id sets G
@@ -25,13 +26,12 @@ m, its Euler characteristic is 2.  Only when some link fails are the
 links built and fully ranked, faces ascending, for the witness.
 
 Strong connectivity, including that of each vertex antistar in
-``verify_barnette_antistar``, is searched on facet id tuples; no label
-facet graph or antistar complex is built.  The complex itself is
-searched on its memoized ridge graph.  On a closed pseudomanifold the
-antistar of v is exactly the facets avoiding v, searched on the same
-ridge graph, which the L4.4-homological check shares too; a
-pseudomanifold with boundary absorbs the pieces G - v of each antistar
-first.
+``verify_barnette_antistar``, is searched on the memoized ridge graph of
+the facets, which the L4.4-homological check shares too; no label facet
+graph or antistar complex is built.  On a pseudomanifold the antistar of
+a vertex v in some but not all facets is the facets avoiding v, unless a
+facet holding v has a boundary ridge avoiding v, which makes the
+antistar impure; when v lies in every facet its antistar is its link.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import Face, SimplicialComplex, _face_members, _maximal, _ridge_members, _ridges
+from .complexes import Face, SimplicialComplex
 from .errors import BadSeed, EmptyComplex, NotPseudomanifold, NotPure, SearchBudgetExceeded
 from .graphs import skeleton
 from .homology import _boundary_rank, sphere_pattern, z2_betti
@@ -76,13 +76,8 @@ def _ridge_graph(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
 
 
 def _build_ridge_graph(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    return _adjacency((m for _, m in _ridges(c)), len(c._facets))  # noqa: SLF001
-
-
-def _adjacency(ridges: Iterable[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
-    """For each of ``n`` facets, the facets sharing one of the ``ridges`` with it."""
-    adjacent: list[list[int]] = [[] for _ in range(n)]
-    for members in ridges:
+    adjacent: list[list[int]] = [[] for _ in c._facets]
+    for members in c._holders(c.dim).values():
         for a, b in itertools.combinations(members, 2):
             adjacent[a].append(b)
             adjacent[b].append(a)
@@ -100,17 +95,12 @@ def _graph_connected(adjacent: Sequence[Sequence[int]]) -> bool:
     return len(seen) == len(adjacent)
 
 
-def _facets_connected(facets: Sequence[tuple[int, ...]]) -> bool:
-    """Is the graph on ``facets`` (equal-size id tuples) sharing ridges connected?"""
-    return _graph_connected(_adjacency(_ridge_members(facets).values(), len(facets)))
-
-
 def facet_graph(c: SimplicialComplex) -> FacetGraph:
     """Facets as nodes, adjacency = sharing a ridge."""
     if not c.is_pure:
         raise NotPure("facet graph is defined for pure complexes")
     edges = set()
-    for _, members in _ridges(c):
+    for members in c._holders(c.dim).values():
         for a, b in itertools.combinations(members, 2):
             edges.add((a, b) if a < b else (b, a))
     return FacetGraph(c.facets, tuple(sorted(edges)))
@@ -133,7 +123,7 @@ def is_pseudomanifold(c: SimplicialComplex) -> str:
 
 
 def _is_pseudomanifold(c: SimplicialComplex) -> str:
-    counts = [len(m) for _, m in _ridges(c)]
+    counts = [len(m) for m in c._holders(c.dim).values()]
     if any(k > 2 for k in counts) or not is_strongly_connected(c):
         return "no"
     return "closed" if all(k == 2 for k in counts) else "with_boundary"
@@ -149,44 +139,39 @@ def is_normal(c: SimplicialComplex) -> NormalityResult:
         raise NotPseudomanifold("normality is defined on pseudomanifolds")
     sets = c._facet_sets  # noqa: SLF001 - intra-package id view
     for k in range(c.dim):  # faces with link dimension d-k >= 1
-        for face, members in sorted(_face_members(c._facets, k).items()):  # noqa: SLF001
+        for face, members in sorted(c._holders(k).items()):
             if not _connected([sets[i].difference(face) for i in members]):
                 return NormalityResult(False, c._face_labels(face))
     return NormalityResult(True, None)
 
 
 def verify_barnette_antistar(c: SimplicialComplex) -> tuple[bool, str | None]:
-    """Strong connectivity of every vertex antistar; witness on failure."""
+    """Strong connectivity of every vertex antistar; witness on failure.
+
+    The pieces G - v of the antistar of v are the facets avoiding v and
+    the ridges G - v of the facets G holding v.  Such a ridge lies in a
+    second facet, which avoids v, or is a boundary ridge: so the antistar
+    is the facets avoiding v, or is not pure, or, when v lies in every
+    facet, is the link of v.  That link is strongly connected, since the
+    complex is the cone over it and is strongly connected itself.
+    """
     pm = is_pseudomanifold(c)
     if pm == "no":
         raise NotPseudomanifold("antistar connectivity assumes a pseudomanifold")
     if c.n_vertices == 1:
         raise EmptyComplex("antistar of the only vertex is empty")
-    if pm == "closed":
-        return _closed_antistars(c)
-    # the facets of antistar(v), as ``c.antistar(v)`` would find them
-    for i, v in enumerate(c.vertices):
-        pieces = {fs - {i} for fs in c._facet_sets}  # noqa: SLF001 - intra-package id view
-        pieces.discard(frozenset())
-        facets = [tuple(sorted(f)) for f in _maximal(pieces)]
-        if len({len(f) for f in facets}) != 1:
-            raise NotPure("facet graph is defined for pure complexes")
-        if not _facets_connected(facets):
-            return False, v
-    return True, None
-
-
-def _closed_antistars(c: SimplicialComplex) -> tuple[bool, str | None]:
-    """``verify_barnette_antistar`` on a closed pseudomanifold.
-
-    Each ridge G - v of a facet G containing v lies in a second facet,
-    which avoids v and absorbs G - v, so the antistar of v is exactly the
-    facets avoiding v.
-    """
     sets = c._facet_sets  # noqa: SLF001 - intra-package id view
+    rim: set[int] = set()  # each v of a facet G whose ridge G - v lies in no other facet
+    for ridge, members in c._holders(c.dim).items():
+        if len(members) == 1:
+            rim |= sets[members[0]].difference(ridge)
     adjacent = _ridge_graph(c)
     for i, v in enumerate(c.vertices):
         avoiding = [j for j, fs in enumerate(sets) if i not in fs]
+        if not avoiding:
+            continue
+        if i in rim:
+            raise NotPure("facet graph is defined for pure complexes")
         seen = {avoiding[0]}
         queue = [avoiding[0]]
         for a in queue:
@@ -275,10 +260,10 @@ def is_homology_manifold(c: SimplicialComplex) -> tuple[bool, Face | None]:
     sets = c._facet_sets  # noqa: SLF001 - intra-package id view
     d = c.dim
     # a ridge link is a 0-sphere exactly when the ridge lies in two facets
-    if d and any(len(members) != 2 for _, members in _ridges(c)):
+    if d and any(len(members) != 2 for members in c._holders(d).values()):
         return False, _first_deviating_face(c)
     for k in range(d - 1, 0, -1):  # facets have empty links: nothing to check
-        for face, members in _face_members(c._facets, k).items():  # noqa: SLF001
+        for face, members in c._holders(k).items():
             residues = [sets[i].difference(face) for i in members]
             if not _manifold_link_is_sphere(residues, d - k):
                 return False, _first_deviating_face(c)
@@ -286,8 +271,7 @@ def is_homology_manifold(c: SimplicialComplex) -> tuple[bool, Face | None]:
 
 
 def is_homology_sphere(c: SimplicialComplex) -> bool:
-    ok, _ = is_homology_manifold(c)
-    return ok and z2_betti(c) == sphere_pattern(c.dim, c.dim + 1)
+    return manifold_class(c).homology_sphere
 
 
 def manifold_class(c: SimplicialComplex) -> ManifoldClass:

@@ -336,8 +336,23 @@ def test_cli_verify_reports_error_rows(monkeypatch, tmp_path, capsys):
     assert len(data["errors"]) == 1
 
 
+def _count_index_levels(monkeypatch) -> list:
+    """Record each face-index level built, as (facets, k), during the test."""
+    from scx import complexes
+
+    built = []
+    body = complexes._face_members
+
+    def counted(facets, k):
+        built.append((facets, k))
+        return body(facets, k)
+
+    monkeypatch.setattr(complexes, "_face_members", counted)
+    return built
+
+
 def test_verify_corpus_computes_each_invariant_once(monkeypatch):
-    from scx import banner, complexes, graphs, manifold
+    from scx import banner, graphs, manifold
 
     c = cross_polytope_boundary(3)
     counts = dict.fromkeys(
@@ -348,8 +363,6 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
             "_vertex_connectivity",
             "_build_adjacency_masks",
             "_build_facet_masks",
-            "_ridge_members",
-            "_build_ridges",
             "_build_ridge_graph",
         ],
         0,
@@ -371,36 +384,28 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
     count(graphs, "_vertex_connectivity", lambda g: g is graphs.skeleton(c))
     count(banner, "_build_adjacency_masks", lambda x: x is c)
     count(banner, "_build_facet_masks", lambda x: x is c)
-    count(complexes, "_ridge_members", lambda facets: facets is c._facets)
-    count(manifold, "_ridge_members", lambda facets: facets is c._facets)
-    count(complexes, "_build_ridges", lambda x: x is c)
     count(manifold, "_build_ridge_graph", lambda x: x is c)
+    built = _count_index_levels(monkeypatch)
     summary = verify_corpus([("octahedral-3-sphere", c)])
     verdicts = {r.property_id: r.verdict for r in summary.rows}
     assert verdicts["T1.1"] == verdicts["T4.1"] == verdicts["L5.2"] == "pass"
     assert counts == dict.fromkeys(counts, 1)
+    # built holds each facet tuple, so no id is reused within the run
+    assert len({(id(f), k) for f, k in built}) == len(built)  # each level at most once
+    assert c.dim in [k for f, k in built if f is c._facets]  # the shared ridge level
 
 
 def test_balls_with_boundary_make_one_ridge_pass(monkeypatch):
-    from scx import complexes, manifold
-
-    passes = []
-    body = complexes._ridge_members
-
-    def counted(facets):
-        passes.append(facets)
-        return body(facets)
-
-    monkeypatch.setattr(complexes, "_ridge_members", counted)
-    monkeypatch.setattr(manifold, "_ridge_members", counted)
+    built = _count_index_levels(monkeypatch)
     for ball in (fan_ball(), ring_ball()):
-        passes.clear()
+        built.clear()
         verify_corpus([("ball", ball)])
-        assert sum(f is ball._facets for f in passes) == 1
-        assert len({id(f) for f in passes}) == len(passes)  # one pass per complex
+        assert [k for f, k in built if f is ball._facets].count(ball.dim) == 1
+        # built holds each facet tuple, so no id is reused within the run
+        assert len({(id(f), k) for f, k in built}) == len(built)
         fresh = from_facets(ball.facets)
         assert fresh.boundary() == ball.boundary()
-        assert "ridges" in fresh._memo  # boundary() reads the memoized pass
+        assert list(fresh._face_cache) == [fresh.dim]  # boundary() reads the index
 
 
 def test_l52_failure_row(monkeypatch):
@@ -683,6 +688,27 @@ def test_cli_verify_single_file(tmp_path, capsys):
 
 def test_cli_verify_missing_file(capsys):
     assert cli.main(["verify", "/nonexistent/file.scx"]) == 2
+
+
+def test_cli_verify_reports_an_undecodable_file_and_keeps_the_others(tmp_path, capsys):
+    good = tmp_path / "good.scx"
+    bad = tmp_path / "bad.scx"
+    good.write_text(dumps(cycle(6)))
+    bad.write_bytes(b"a b\n\xff\xfe c\n")
+    assert cli.main(["verify", str(good), str(bad), "--property", "T1.1"]) == 2
+    captured = capsys.readouterr()
+    assert str(good) in captured.out and "1 passed" in captured.out
+    assert captured.err.startswith(f"error: cannot read {bad}: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("target", ["missing/c4.scx", "."])
+def test_cli_gen_reports_an_unwritable_output(target, tmp_path, capsys):
+    path = tmp_path / target
+    assert cli.main(["gen", "cycle", "4", "-o", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
 
 
 def test_cli_verify_corpus_json(capsys):

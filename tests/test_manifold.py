@@ -11,6 +11,7 @@ from scx.generators import (
     cross_polytope_boundary,
     cycle,
     cyclic_polytope_boundary,
+    fan_ball,
     ring_ball,
     simplex,
     simplex_boundary,
@@ -170,6 +171,21 @@ def test_barnette_antistar():
     assert ok
     ok, _ = verify_barnette_antistar(ring_ball().tilde())
     assert ok
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: cycle(4).cone(), ("value", (True, None))),  # the apex lies in every facet
+        (fan_ball, ("value", (False, "p"))),  # the facets avoiding p fall apart
+        (ring_ball, ("raise", NotPure)),  # a boundary ridge left as an antistar facet
+    ],
+    ids=["cone-apex-in-every-facet", "fan-ball-fails", "ring-ball-not-pure"],
+)
+def test_barnette_antistar_outcomes(build, expected):
+    c = build()
+    assert _outcome(verify_barnette_antistar, c) == expected
+    assert _outcome(barnette_antistar_by_complexes, c) == expected
 
 
 def test_homology_manifold_examples():
