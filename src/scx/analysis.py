@@ -20,7 +20,6 @@ from .banner import (
     _iter_bits,
     _link_banner,
     _link_banner_value,
-    _tilde_cliques,
     banner_number,
     classify,
 )
@@ -396,13 +395,17 @@ def _preserves_triple(construction: str) -> Conclusion:
 
 
 def _boundary_cone_transfers(c: SimplicialComplex) -> tuple:
+    """P3.8iii.  The cone apex is adjacent to the boundary vertices only, so
+    it lies in a stranded clique exactly when an edge of ``c`` joins two
+    boundary vertices without being a boundary edge: a stranded 3-clique."""
     bd = c.boundary()
     assert bd is not None
-    coned = c._tilde(bd)
-    for j in range(1, c.dim + 3):
-        if _tilde_cliques(c, bd, coned, j).stranded:
-            return "skip", f"stranded {j}-cliques block the product rule"
-    base, rim, closed = classify(c), classify(bd), classify(coned)
+    ids = c._face_ids(bd.vertices)  # id i of bd is id ids[i] of c
+    bd_edges = {(ids[a], ids[b]) for a, b in bd.faces_ids(2)}
+    on_bd = set(ids)
+    if any(a in on_bd and b in on_bd and (a, b) not in bd_edges for a, b in c.faces_ids(2)):
+        return "skip", "stranded 3-cliques block the product rule"
+    base, rim, closed = classify(c), classify(bd), classify(c._tilde(bd))
     for prop in ("flag", "strongly_banner", "banner"):
         lhs = getattr(closed, prop)
         rhs = getattr(base, prop) and getattr(rim, prop)

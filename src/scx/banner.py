@@ -10,6 +10,13 @@ cycle.
 
 Cliques are enumerated in label-lexicographic order by a bounded DFS over
 adjacency bitmasks, so witnesses are reproducible.
+
+Classification stops at its first violation, taken in witness order: a
+critical non-spanning (d+1)-clique, then a simplex boundary, then a
+non-spanning (d+1)-clique, then a non-spanning j-clique for j = 3 ... d.
+For d >= 1, flag => strongly banner => banner, so each violation also
+refutes every stronger property, and ``_classify`` proves that only a
+strongly banner complex needs the last scan, and no larger j.
 """
 
 from __future__ import annotations
@@ -161,55 +168,46 @@ def classify(c: SimplicialComplex) -> BannerClass:
 
 
 def _classify(c: SimplicialComplex) -> BannerClass:
-    # cliques and faces as sorted id tuples; labels only for the witness
-    d = c.dim
+    """The scans in witness order, each run only when all earlier ones passed.
 
-    forbidden = contains_simplex_boundary(c, d + 1) if d >= 1 else (
-        c.vertices[:2] if c.n_vertices >= 2 else None
-    )
+    The (d+1)-clique walk returns at the first critical non-spanning clique
+    and keeps the first non-spanning one.  Flag needs j-cliques only for
+    j = 3 ... d: a strongly banner complex has every (d+1)-clique as a face
+    and no (d+2)-clique, since the (d+1)-subsets of one would be cliques,
+    so faces, and span the boundary of a simplex.  Cliques and faces are
+    sorted id tuples; labels are only for the witness.
+    """
+    d = c.dim
+    if d == 0:  # flag, but two points bound an edge
+        if c.n_vertices < 2:
+            return BannerClass(True, True, True, None)
+        witness = BannerWitness("banner", "simplex_boundary", c.vertices[:2])
+        return BannerClass(True, False, False, witness)
     top, ridges = c.faces_ids(d + 1), c.faces_ids(d)
-    critical_viol: tuple[int, ...] | None = None
     spanning_viol: tuple[int, ...] | None = None
     for t in cliques_ids(c, d + 1):
         if t in top:
             continue
+        if any(t[:i] + t[i + 1 :] in ridges for i in range(len(t))):
+            witness = BannerWitness("banner", "critical_non_spanning_clique", c._face_labels(t))
+            return BannerClass(False, False, False, witness)
         if spanning_viol is None:
             spanning_viol = t
-        if any(t[:i] + t[i + 1 :] in ridges for i in range(len(t))):
-            critical_viol = t
-            break
-
-    flag_viol: tuple[int, ...] | None = None
-    for size in range(3, d + 3):
-        found_any = False
+    forbidden = contains_simplex_boundary(c, d + 1)
+    if forbidden is not None:
+        witness = BannerWitness("banner", "simplex_boundary", forbidden)
+        return BannerClass(False, False, False, witness)
+    if spanning_viol is not None:
+        labels = c._face_labels(spanning_viol)
+        witness = BannerWitness("strongly_banner", "non_spanning_clique", labels)
+        return BannerClass(False, False, True, witness)
+    for size in range(3, d + 1):
         faces = c.faces_ids(size)
         for t in cliques_ids(c, size):
-            found_any = True
             if t not in faces:
-                flag_viol = t
-                break
-        if flag_viol is not None or not found_any:
-            break
-
-    banner = forbidden is None and critical_viol is None
-    strongly = forbidden is None and spanning_viol is None
-    flag = flag_viol is None
-
-    witness: BannerWitness | None = None
-    if not banner:
-        if critical_viol is not None:
-            witness = BannerWitness(
-                "banner", "critical_non_spanning_clique", c._face_labels(critical_viol)
-            )
-        else:
-            witness = BannerWitness("banner", "simplex_boundary", forbidden)
-    elif not strongly:
-        witness = BannerWitness(
-            "strongly_banner", "non_spanning_clique", c._face_labels(spanning_viol)
-        )
-    elif not flag:
-        witness = BannerWitness("flag", "non_spanning_clique", c._face_labels(flag_viol))
-    return BannerClass(flag, strongly, banner, witness)
+                witness = BannerWitness("flag", "non_spanning_clique", c._face_labels(t))
+                return BannerClass(False, True, True, witness)
+    return BannerClass(True, True, True, None)
 
 
 def is_triangle_cycle(c: SimplicialComplex) -> bool:
@@ -397,13 +395,7 @@ def classify_tilde_cliques(ball: SimplicialComplex, j: int) -> TildeCliques:
     bd = ball.boundary()
     if bd is None:
         raise NoBoundary("complex is closed; nothing was coned")
-    return _tilde_cliques(ball, bd, ball._tilde(bd), j)
-
-
-def _tilde_cliques(
-    ball: SimplicialComplex, bd: SimplicialComplex, closed: SimplicialComplex, j: int
-) -> TildeCliques:
-    """``classify_tilde_cliques`` given the boundary ``bd`` and ``closed = ball.tilde()``."""
+    closed = ball._tilde(bd)
     apex = (set(closed.vertices) - set(ball.vertices)).pop()
     bd_edges = bd.faces(2)
     bd_vertices = set(bd.vertices)

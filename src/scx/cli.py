@@ -245,6 +245,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.files and args.corpus:
         parser.error("give files or --corpus, not both")
+    if args.command == "shelling" and args.budget < 1:
+        parser.error(f"--budget must be at least 1, not {args.budget}")
     try:
         return args.func(args)
     except ScxError as exc:

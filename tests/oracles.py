@@ -11,7 +11,8 @@ genuinely separate routes:
 - face counts by raw subset enumeration,
 - flagness by scanning all vertex subsets,
 - banner classes by label tuples probed with ``has_face``,
-- banner status of face links on built link complexes,
+- banner status of face links on built link complexes, classified on
+  label tuples, with the triangle told by brute-force face counts,
 - maximal sets by pairwise strict-subset tests,
 - strong connectivity by pairwise facet intersections,
 - normality by the skeleton connectivity of every built face link,
@@ -36,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from scx.kernels import flow_network, unit_maxflow
-from scx.banner import BannerClass, BannerWitness, banner_or_triangle, cliques
+from scx.banner import BannerClass, BannerWitness, cliques
 from scx.complexes import SimplicialComplex
 from scx.errors import EmptyOutside, NoBoundary, NotPseudomanifold, NotPure, ScxError
 from scx.graphs import neighborhood, skeleton
@@ -524,10 +525,14 @@ def classify_by_labels(c) -> BannerClass:
 def link_banner_by_complexes(c, ids: tuple[int, ...]) -> bool:
     """Banner-or-triangle status of the link of the face with sorted ``ids``.
 
-    The link is built as a complex and classified whole, the route the
-    library's facet-bitmask test replaced.
+    The link is built as a complex, the route the library's facet-bitmask
+    test replaced: it is a triangle by its brute-force f-vector, and
+    banner by ``classify_by_labels`` when it is pure.
     """
-    return banner_or_triangle(c.link(c._face_labels(ids)))
+    lk = c.link(c._face_labels(ids))
+    if lk.dim == 1 and brute_f_vector(lk) == (1, 3, 3):
+        return True
+    return lk.is_pure and classify_by_labels(lk).banner
 
 
 def outside_subcomplex(c, vertex):

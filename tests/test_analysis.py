@@ -28,6 +28,7 @@ from scx.generators import (
     display_name,
     fan_ball,
     ring_ball,
+    simplex,
     simplex_boundary,
     stacked_sphere,
 )
@@ -599,26 +600,31 @@ def test_l42_failure_row_does_not_depend_on_the_hash_seed():
 
 
 def test_p38iii_builds_one_boundary_and_one_tilde(monkeypatch):
+    """The stranded test reads the ball's edges, so only a passing ball builds a cone."""
     from scx.complexes import SimplicialComplex
 
-    ball = fan_ball()
-    calls = {"boundary": 0, "_tilde": 0, "tilde": 0}
+    cases = [
+        (fan_ball(), "stranded 3-cliques block the product rule", 0),
+        (simplex(3), "boundary cone preserves the property conjunction", 1),
+    ]
+    for ball, detail, tildes in cases:
+        calls = {"boundary": 0, "_tilde": 0, "tilde": 0}
 
-    def count(name):
-        body = getattr(SimplicialComplex, name)
+        def count(name):
+            body = getattr(SimplicialComplex, name)
 
-        def counted(self, *args):
-            if self is ball:
-                calls[name] += 1
-            return body(self, *args)
+            def counted(self, *args):
+                if self is ball:
+                    calls[name] += 1
+                return body(self, *args)
 
-        monkeypatch.setattr(SimplicialComplex, name, counted)
+            monkeypatch.setattr(SimplicialComplex, name, counted)
 
-    for name in calls:
-        count(name)
-    res = verify_property("P3.8iii", ball)
-    assert res.verdict == "skip" and res.detail.startswith("stranded")
-    assert calls == {"boundary": 1, "_tilde": 1, "tilde": 0}
+        for name in calls:
+            count(name)
+        assert verify_property("P3.8iii", ball).detail == detail
+        assert calls == {"boundary": 1, "_tilde": tildes, "tilde": 0}
+        monkeypatch.undo()
 
 
 def test_verify_corpus_rejects_bad_property():
@@ -779,6 +785,18 @@ def test_cli_shelling_no_shelling(tmp_path, capsys):
     path = tmp_path / "two.scx"
     path.write_text("a b c\nx y z\n")
     assert cli.main(["shelling", str(path)]) == 1
+
+
+@pytest.mark.parametrize("budget", ["-1", "0"])
+def test_cli_shelling_rejects_a_budget_below_one(tmp_path, capsys, budget):
+    path = tmp_path / "c5.scx"
+    cli.main(["gen", "cycle", "5", "-o", str(path)])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["shelling", str(path), "--budget", budget])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--budget must be at least 1, not {budget}" in captured.err
 
 
 def test_cli_connectivity(tmp_path, capsys):

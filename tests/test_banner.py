@@ -98,6 +98,15 @@ def test_classify_bananas():
     assert k4.witness is not None and k4.witness.vertices == ("g0", "g1", "g2", "g3")
 
 
+def test_strongly_banner_witness_is_the_first_of_several_non_spanning_cliques():
+    # all five 4-subsets of the graph's vertices are non-spanning, none critical
+    c = banana(complete_graph_edges(5))
+    cls = classify(c)
+    assert cls == classify_by_labels(c)
+    assert (cls.banner, cls.strongly_banner) == (True, False)
+    assert cls.witness.vertices == ("g0", "g1", "g2", "g3")
+
+
 def test_classify_ring_ball():
     cls = classify(ring_ball())
     assert cls.strongly_banner and not cls.flag
