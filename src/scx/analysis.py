@@ -26,10 +26,11 @@ from .banner import (
 from .complexes import SimplicialComplex
 from .errors import EmptyOutside, NotPure, ScxError, UnknownProperty
 from .generators import catalog, display_name
-from .graphs import is_outside_connected, skeleton, vertex_connectivity
+from .graphs import _reach, is_outside_connected, skeleton, vertex_connectivity
 from .homology import z2_betti, z2_relative_betti
 from .manifold import (
     _ridge_graph,
+    _vertex_facets,
     is_pseudomanifold,
     manifold_class,
     verify_barnette_antistar,
@@ -307,23 +308,25 @@ def _outsides_connected(c: SimplicialComplex) -> tuple:
 
 def _outside_facet_components(c: SimplicialComplex, near: int) -> int:
     """Components of the facets not inside the vertex bitmask ``near``,
-    joined by the ridges not inside it."""
-    masks = _facet_masks(c)
-    adjacent = _ridge_graph(c)
-    seen = [not g & ~near for g in masks]
+    joined by the ridges not inside it.
+
+    Every ridge of a facet with two vertices outside ``near`` has one
+    outside it too; a facet with one, y, keeps the ridges that hold y,
+    which it shares with the facets holding y.
+    """
+    holding = _vertex_facets(c)
+    joins = list(_ridge_graph(c))
+    rest = 0
+    for a, g in enumerate(_facet_masks(c)):
+        out = g & ~near
+        if out:
+            rest |= 1 << a
+            if not out & (out - 1):
+                joins[a] &= holding[out.bit_length() - 1]
     count = 0
-    for start in range(len(masks)):
-        if seen[start]:
-            continue
+    while rest:
+        rest &= ~_reach(joins, rest & -rest, rest)
         count += 1
-        seen[start] = True
-        stack = [start]
-        while stack:
-            a = stack.pop()
-            for b in adjacent[a]:
-                if not seen[b] and masks[a] & masks[b] & ~near:
-                    seen[b] = True
-                    stack.append(b)
     return count
 
 

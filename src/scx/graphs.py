@@ -1,5 +1,13 @@
 """The 1-skeleton graph and its connectivity machinery.
 
+Every connectivity question of the package is answered by ``_reach``, a
+frontier search over neighbor bitmasks: the skeleton's connectivity and
+the check of each cut certificate here, the vertices outside a closed
+neighborhood (``is_outside_connected``, on the complex's adjacency
+bitmasks, so no subcomplex is built), strong connectivity and vertex
+antistars on the facet ridge graph (``manifold``), and the facet
+components of L4.4-homological (``analysis``).
+
 Vertex connectivity and independent path families come out of one
 unit-vertex-capacity flow network per graph.  Every vertex w is split
 into an in-node 2w and an out-node 2w+1 joined by a capacity-1 arc, and
@@ -40,9 +48,8 @@ direct arcs set to 0.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .banner import _adjacency_masks, _iter_bits
 from .complexes import Label, SimplicialComplex
@@ -51,9 +58,10 @@ from .kernels import flow_network, unit_maxflow
 
 
 class SkeletonGraph:
-    """Simple undirected graph on dense vertex ids with display labels."""
+    """Simple undirected graph on dense vertex ids with display labels;
+    bit x of ``masks[w]`` joins w and x, and ``adj[w]`` lists w's neighbors."""
 
-    __slots__ = ("n", "labels", "adj", "_index", "_connectivity")
+    __slots__ = ("n", "labels", "masks", "adj", "_index", "_connectivity")
 
     def __init__(
         self,
@@ -68,15 +76,16 @@ class SkeletonGraph:
         if len(self.labels) != n:
             raise ValueError("label count must match vertex count")
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        neigh: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         for a, b in edges:
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge ({a}, {b}) has an endpoint outside 0 ... {n - 1}")
             if a == b:
                 raise ValueError("loops are not allowed")
-            neigh[a].add(b)
-            neigh[b].add(a)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in neigh
-        )
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        self.masks: tuple[int, ...] = tuple(masks)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(_iter_bits(m)) for m in masks)
         self._connectivity: ConnectivityResult | None = None  # vertex_connectivity's memo
 
     @property
@@ -90,13 +99,14 @@ class SkeletonGraph:
             raise UnknownVertex(f"unknown vertex {label!r}") from None
 
     def adjacent(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return self.masks[u] >> v & 1 == 1
 
     def is_complete(self) -> bool:
         return all(len(a) == self.n - 1 for a in self.adj)
 
     def is_connected(self) -> bool:
-        return self.n > 0 and len(_component(self, 0)) == self.n
+        full = (1 << self.n) - 1
+        return self.n > 0 and _reach(self.masks, 1, full) == full
 
 
 def skeleton(c: SimplicialComplex) -> SkeletonGraph:
@@ -216,8 +226,10 @@ def _vertex_connectivity(g: SkeletonGraph) -> ConnectivityResult:
         return ConnectivityResult(0, False, None)
     if g.is_complete():
         return ConnectivityResult(g.n - 1, True, None)
-    if not g.is_connected():
-        outside = min(set(range(g.n)) - _component(g, 0))
+    full = (1 << g.n) - 1
+    reached = _reach(g.masks, 1, full)
+    if reached != full:
+        outside = next(_iter_bits(full ^ reached))
         return ConnectivityResult(0, False, CutSet((), (g.labels[0], g.labels[outside])))
     net = _split_network(g)
     m = min(range(g.n), key=lambda w: len(g.adj[w]))
@@ -272,20 +284,26 @@ def _absorbed_bound(g: SkeletonGraph, net: _SplitNetwork, m: int) -> int:
     return k
 
 
-def _component(g: SkeletonGraph, u: int, removed: Collection[int] = frozenset()) -> set[int]:
-    """The vertices reachable from ``u`` in ``g`` without the ``removed`` ones."""
-    seen = {u}
-    queue = deque([u])
-    while queue:
-        for y in g.adj[queue.popleft()]:
-            if y not in seen and y not in removed:
-                seen.add(y)
-                queue.append(y)
+def _reach(masks: Sequence[int], seen: int, allowed: int) -> int:
+    """The nodes reachable from the node set ``seen`` through nodes of ``allowed``.
+
+    Bit j of ``masks[i]`` joins nodes i and j, and node sets are bitmasks;
+    the result is ``seen`` with every node of ``allowed`` that a path inside
+    ``allowed`` joins to it, found one frontier at a time.
+    """
+    frontier = seen
+    while frontier:
+        reach = 0
+        for w in _iter_bits(frontier):
+            reach |= masks[w]
+        frontier = reach & allowed & ~seen
+        seen |= frontier
     return seen
 
 
 def _check_cut(g: SkeletonGraph, cut: tuple[int, ...], u: int, v: int) -> None:
-    if v in _component(g, u, set(cut)):
+    around = (1 << g.n) - 1 - sum(1 << w for w in cut)
+    if _reach(g.masks, 1 << u, around) >> v & 1:
         raise AssertionError("flow cut certificate failed independent validation")
 
 
@@ -361,11 +379,4 @@ def is_outside_connected(c: SimplicialComplex, vertex: Label) -> bool:
     rest = ((1 << c.n_vertices) - 1) & ~(masks[i] | 1 << i)
     if not rest:
         raise EmptyOutside(f"every vertex is adjacent to {vertex!r}")
-    seen = frontier = rest & -rest
-    while frontier:
-        reach = 0
-        for w in _iter_bits(frontier):
-            reach |= masks[w]
-        frontier = reach & rest & ~seen
-        seen |= frontier
-    return seen == rest
+    return _reach(masks, rest & -rest, rest) == rest

@@ -26,8 +26,9 @@ m, its Euler characteristic is 2.  Only when some link fails are the
 links built and fully ranked, faces ascending, for the witness.
 
 Strong connectivity, including that of each vertex antistar in
-``verify_barnette_antistar``, is searched on the memoized ridge graph of
-the facets, which the L4.4-homological check shares too; no label facet
+``verify_barnette_antistar``, is one ``graphs._reach`` search on the
+memoized ridge graph of the facets, a neighbor bitmask per facet, which
+``facet_graph`` and the L4.4-homological check read too; no label facet
 graph or antistar complex is built.  On a pseudomanifold the antistar of
 a vertex v in some but not all facets is the facets avoiding v, unless a
 facet holding v has a boundary ridge avoiding v, which makes the
@@ -41,9 +42,10 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+from .banner import _iter_bits
 from .complexes import Face, SimplicialComplex
 from .errors import BadSeed, EmptyComplex, NotPseudomanifold, NotPure, SearchBudgetExceeded
-from .graphs import skeleton
+from .graphs import _reach, skeleton
 from .homology import _boundary_rank, sphere_pattern, z2_betti
 
 
@@ -69,47 +71,45 @@ class ManifoldClass:
     witnesses: Mapping[str, Face]  # read-only: the result is shared through the memo
 
 
-def _ridge_graph(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    """For each facet of ``c``, the facets sharing a ridge with it, as indices
-    into ``c._facets``; kept in ``c``'s memo."""
+def _ridge_graph(c: SimplicialComplex) -> tuple[int, ...]:
+    """For each facet of ``c``, the bitmask of the facets sharing a ridge
+    with it, over indices into ``c._facets``; kept in ``c``'s memo."""
     return c._cached("ridge_graph", _build_ridge_graph)
 
 
-def _build_ridge_graph(c: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    adjacent: list[list[int]] = [[] for _ in c._facets]
+def _build_ridge_graph(c: SimplicialComplex) -> tuple[int, ...]:
+    adjacent = [0] * len(c._facets)
     for members in c._holders(c.dim).values():
         for a, b in itertools.combinations(members, 2):
-            adjacent[a].append(b)
-            adjacent[b].append(a)
-    return tuple(tuple(a) for a in adjacent)
+            adjacent[a] |= 1 << b
+            adjacent[b] |= 1 << a
+    return tuple(adjacent)
 
 
-def _graph_connected(adjacent: Sequence[Sequence[int]]) -> bool:
-    seen = {0}
-    queue = [0]
-    for a in queue:
-        for b in adjacent[a]:
-            if b not in seen:
-                seen.add(b)
-                queue.append(b)
-    return len(seen) == len(adjacent)
+def _vertex_facets(c: SimplicialComplex) -> tuple[int, ...]:
+    """For each vertex id of ``c``, the bitmask of the facets holding it, over
+    indices into ``c._facets``; kept in ``c``'s memo."""
+    return c._cached("vertex_facets", _build_vertex_facets)
+
+
+def _build_vertex_facets(c: SimplicialComplex) -> tuple[int, ...]:
+    holders = c._holders(1)
+    return tuple(sum(1 << j for j in holders[(i,)]) for i in range(c.n_vertices))
 
 
 def facet_graph(c: SimplicialComplex) -> FacetGraph:
     """Facets as nodes, adjacency = sharing a ridge."""
     if not c.is_pure:
         raise NotPure("facet graph is defined for pure complexes")
-    edges = set()
-    for members in c._holders(c.dim).values():
-        for a, b in itertools.combinations(members, 2):
-            edges.add((a, b) if a < b else (b, a))
-    return FacetGraph(c.facets, tuple(sorted(edges)))
+    adjacent = enumerate(_ridge_graph(c))
+    return FacetGraph(c.facets, tuple((a, b) for a, m in adjacent for b in _iter_bits(m) if a < b))
 
 
 def is_strongly_connected(c: SimplicialComplex) -> bool:
     if not c.is_pure:
         raise NotPure("facet graph is defined for pure complexes")
-    return _graph_connected(_ridge_graph(c))
+    full = (1 << len(c._facets)) - 1
+    return _reach(_ridge_graph(c), 1, full) == full
 
 
 def is_pseudomanifold(c: SimplicialComplex) -> str:
@@ -166,20 +166,14 @@ def verify_barnette_antistar(c: SimplicialComplex) -> tuple[bool, str | None]:
         if len(members) == 1:
             rim |= sets[members[0]].difference(ridge)
     adjacent = _ridge_graph(c)
-    for i, v in enumerate(c.vertices):
-        avoiding = [j for j, fs in enumerate(sets) if i not in fs]
+    full = (1 << len(sets)) - 1
+    for i, (v, holding) in enumerate(zip(c.vertices, _vertex_facets(c))):
+        avoiding = full - holding
         if not avoiding:
             continue
         if i in rim:
             raise NotPure("facet graph is defined for pure complexes")
-        seen = {avoiding[0]}
-        queue = [avoiding[0]]
-        for a in queue:
-            for b in adjacent[a]:
-                if b not in seen and i not in sets[b]:
-                    seen.add(b)
-                    queue.append(b)
-        if len(seen) != len(avoiding):
+        if _reach(adjacent, avoiding & -avoiding, avoiding) != avoiding:
             return False, v
     return True, None
 
@@ -342,8 +336,10 @@ def find_shelling(
     constrained to exhaust the seed facets, in any workable order, before
     touching the rest.  Returns ``None`` when no shelling extends the
     constraints; raises ``SearchBudgetExceeded`` when the node budget runs
-    out before the search can decide.
+    out before the search can decide, and ``ValueError`` on a budget below 1.
     """
+    if budget < 1:
+        raise ValueError(f"search budget must be at least 1, not {budget}")
     if not c.is_pure:
         raise NotPure("shellings are defined for pure complexes")
     d = c.dim

@@ -545,7 +545,8 @@ def outside_subcomplex(c, vertex):
 
 def outside_connected_by_complexes(c, vertex) -> bool:
     """``is_outside_connected`` on the built outside complex's own skeleton."""
-    return skeleton(outside_subcomplex(c, vertex)).is_connected()
+    g = skeleton(outside_subcomplex(c, vertex))
+    return len(components(g.n, g.adj)) == 1
 
 
 def relative_betti_by_complexes(c, vertex) -> tuple[int, ...]:

@@ -1,20 +1,51 @@
-"""An exhaustive tier: every pure complex on at most five vertices.
+"""An exhaustive tier: every pure complex on at most five vertices, and
+every antichain on at most four.
 
 The fast paths rest on short combinatorial arguments whose edge cases are
 the small complexes (d = 0 and d = 1, triangles, single facets, simplex
 boundaries).  Rather than sample them, these tests take every family of
 k-subsets of {0, ..., n-1} that uses all n vertices, for n <= 5: 1,817
-complexes, one per family (relabelings included).
+complexes, one per family (relabelings included).  The antichains, the
+families of subsets none inside another, add the non-pure complexes on
+n <= 4 vertices, which pin the skip reasons.
 """
 
 import itertools
+from dataclasses import astuple
 
-from scx.analysis import verify_property
-from scx.banner import classify, classify_tilde_cliques
+import pytest
+
+from scx.analysis import (
+    _outside_facet_components,
+    _relative_homology_matches,
+    analyze,
+    report_from_json,
+    report_json,
+    verify_corpus,
+    verify_property,
+)
+from scx.banner import _adjacency_masks, classify, classify_tilde_cliques
 from scx.complexes import SimplicialComplex
-from scx.manifold import is_pseudomanifold
+from scx.errors import EmptyComplex, ScxError
+from scx.graphs import is_outside_connected, skeleton, vertex_connectivity
+from scx.manifold import (
+    facet_graph,
+    is_homology_manifold,
+    is_pseudomanifold,
+    is_strongly_connected,
+    verify_barnette_antistar,
+)
 
-from oracles import classify_by_labels
+from oracles import (
+    all_pairs_connectivity,
+    barnette_antistar_by_complexes,
+    classify_by_labels,
+    outside_connected_by_complexes,
+    pseudomanifold_by_ridge_counts,
+    relative_betti_by_complexes,
+    relative_homology_matches_by_complexes,
+    strongly_connected_by_pairs,
+)
 
 
 def _every_pure_complex(max_n: int) -> list[SimplicialComplex]:
@@ -27,6 +58,27 @@ def _every_pure_complex(max_n: int) -> list[SimplicialComplex]:
                     if len({v for s in family for v in s}) == n:
                         out.append(SimplicialComplex([[f"x{v}" for v in s] for s in family]))
     return out
+
+
+def _every_antichain(max_n: int) -> list[list[tuple[int, ...]]]:
+    out = []
+    for n in range(1, max_n + 1):
+        subsets = [s for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
+        for r in range(1, len(subsets) + 1):
+            for family in itertools.combinations(subsets, r):
+                if len({v for s in family for v in s}) == n and not any(
+                    set(a) < set(b) for a, b in itertools.permutations(family, 2)
+                ):
+                    out.append(list(family))
+    return out
+
+
+def _outcome(fn, *args):
+    """What a call did: ("value", result) or ("raise", exception type)."""
+    try:
+        return "value", fn(*args)
+    except ScxError as exc:
+        return "raise", type(exc)
 
 
 SMALL = _every_pure_complex(5)
@@ -58,3 +110,83 @@ def test_p38iii_stranded_skip_is_the_least_stranded_clique_size():
         assert not sizes or sizes[0] == 3, c.facets
         skipped += stranded
     assert 0 < skipped < len(balls)
+
+
+def test_ridge_graph_searches_match_pairwise_oracles_on_every_small_complex():
+    """Strong connectivity, pseudomanifolds, antistars and the facet graph."""
+    for c in SMALL:
+        assert is_strongly_connected(c) == strongly_connected_by_pairs(c), c.facets
+        assert is_pseudomanifold(c) == pseudomanifold_by_ridge_counts(c), c.facets
+        assert _outcome(verify_barnette_antistar, c) == _outcome(
+            barnette_antistar_by_complexes, c
+        ), c.facets
+        facets = [set(f) for f in c.facets]
+        ridges = tuple(
+            (a, b)
+            for a, b in itertools.combinations(range(len(facets)), 2)
+            if len(facets[a] & facets[b]) == c.dim
+        )
+        assert facet_graph(c).edges == ridges, c.facets
+
+
+def test_skeleton_searches_match_built_complexes_on_every_small_complex():
+    """Outsides of closed neighborhoods, and vertex connectivity with its
+    certificate, the empty cut of a disconnected skeleton included."""
+    disconnected = 0
+    for c in SMALL:
+        for v in c.vertices:
+            assert _outcome(is_outside_connected, c, v) == _outcome(
+                outside_connected_by_complexes, c, v
+            ), (c.facets, v)
+        g = skeleton(c)
+        res = vertex_connectivity(g)
+        got = (res.value, None, None) if res.cut is None else (res.value, *astuple(res.cut))
+        expected = all_pairs_connectivity(g)
+        assert got == expected, c.facets
+        disconnected += expected[1] == ()
+    assert disconnected > 0
+
+
+def test_outside_facet_components_match_relative_betti_on_every_small_manifold():
+    """L4.4-homological's component count against the full ranks of the pair."""
+    manifolds = [c for c in SMALL if c.dim >= 1 and is_homology_manifold(c)[0]]
+    counts = set()
+    for c in manifolds:
+        adjacency = _adjacency_masks(c)
+        for i, v in enumerate(c.vertices):
+            count = _outside_facet_components(c, adjacency[i] | 1 << i)
+            assert count == relative_betti_by_complexes(c, v)[c.dim], (c.facets, v)
+            counts.add(count)
+        assert _relative_homology_matches(c) == relative_homology_matches_by_complexes(c), c.facets
+    assert counts == {0, 1}
+
+
+def test_every_small_complex_verifies_analyzes_and_round_trips():
+    named = [(f"c{i}", c) for i, c in enumerate(SMALL)]
+    summary = verify_corpus(named)
+    assert len(summary.rows) == 13 * len(SMALL)
+    assert {r.verdict for r in summary.rows} <= {"pass", "skip"}
+    for name, c in named:
+        report = analyze(c, name=name)
+        assert report_from_json(report_json(report)) == report, c.facets
+
+
+ANTICHAINS = _every_antichain(4)
+
+
+def test_every_small_antichain_passes_or_skips():
+    assert len(ANTICHAINS) == 126
+    complexes = [SimplicialComplex([[f"x{v}" for v in s] for s in a]) for a in ANTICHAINS]
+    assert sum(not c.is_pure for c in complexes) == 63
+    summary = verify_corpus((f"a{i}", c) for i, c in enumerate(complexes))
+    assert summary.errors == ()
+    assert {r.verdict for r in summary.rows} <= {"pass", "skip"}
+    for i, c in enumerate(complexes):
+        if c.is_pure:
+            report = analyze(c, name=f"a{i}")
+            assert report_from_json(report_json(report)) == report, c.facets
+
+
+def test_the_empty_family_is_no_complex():
+    with pytest.raises(EmptyComplex):
+        SimplicialComplex([])

@@ -49,6 +49,23 @@ def test_skeleton_counts():
     assert skeleton(simplex_boundary(4)).is_complete()
 
 
+@pytest.mark.parametrize("edges", [[(0, -1), (1, 2)], [(0, 3)]])
+def test_skeleton_graph_rejects_an_endpoint_out_of_range(edges):
+    bad = edges[0]
+    with pytest.raises(ValueError, match=rf"edge \({bad[0]}, {bad[1]}\) has an endpoint outside"):
+        SkeletonGraph(3, edges)
+
+
+def test_skeleton_graph_adjacency_from_masks():
+    g = SkeletonGraph(4, [(2, 0), (0, 1), (1, 2), (0, 1)])
+    assert g.masks == (0b0110, 0b0101, 0b0011, 0)
+    assert g.adj == ((1, 2), (0, 2), (0, 1), ())
+    assert g.adjacent(0, 2) and g.adjacent(2, 0) and not g.adjacent(0, 3)
+    assert g.n_edges == 3 and not g.is_connected()
+    with pytest.raises(ValueError, match="loops"):
+        SkeletonGraph(2, [(1, 1)])
+
+
 def test_neighborhood_includes_self():
     c = cycle(4)
     assert neighborhood(c, "c0") == frozenset({"c0", "c1", "c3"})
@@ -119,8 +136,9 @@ def test_independent_paths_deterministic():
 def test_cut_check_searches_around_the_cut():
     g = skeleton(cycle(5))
     u, v = g.id_of("c0"), g.id_of("c2")
-    assert scx.graphs._component(g, u, {1, 3}) == {0, 4}
-    assert scx.graphs._component(g, u) == set(range(5))
+    full = (1 << 5) - 1
+    assert scx.graphs._reach(g.masks, 1 << u, full - (1 << 1 | 1 << 3)) == 1 << 0 | 1 << 4
+    assert scx.graphs._reach(g.masks, 1 << u, full) == full
     scx.graphs._check_cut(g, (1, 3), u, v)
     with pytest.raises(AssertionError, match="independent validation"):
         scx.graphs._check_cut(g, (1,), u, v)

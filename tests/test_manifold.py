@@ -398,6 +398,13 @@ def test_shelling_budget():
         find_shelling(ring_ball(), budget=3)
 
 
+@pytest.mark.parametrize("budget", [0, -1])
+def test_shelling_rejects_a_budget_below_one(budget):
+    # a budget that allows no expansion is a bad argument, not an undecided search
+    with pytest.raises(ValueError, match=f"at least 1, not {budget}"):
+        find_shelling(cycle(5), budget=budget)
+
+
 def test_shelling_orders_reverify(corpus):
     for name in ("ring-ball", "cross-polytope-2", "simplex-boundary-4", "cone-cycle-4"):
         c = corpus[name]
