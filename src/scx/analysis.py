@@ -13,20 +13,11 @@ import json
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .banner import (
-    BannerClass,
-    _adjacency_masks,
-    _facet_masks,
-    _iter_bits,
-    _link_banner,
-    _link_banner_value,
-    banner_number,
-    classify,
-)
+from .banner import BannerClass, _link_banner, _link_banner_value, banner_number, classify
 from .complexes import SimplicialComplex
 from .errors import EmptyOutside, NotPure, ScxError, UnknownProperty
 from .generators import catalog, display_name
-from .graphs import _reach, is_outside_connected, skeleton, vertex_connectivity
+from .graphs import _adjacency_masks, _reach, is_outside_connected, skeleton, vertex_connectivity
 from .homology import z2_betti, z2_relative_betti
 from .manifold import (
     _ridge_graph,
@@ -317,7 +308,7 @@ def _outside_facet_components(c: SimplicialComplex, near: int) -> int:
     holding = _vertex_facets(c)
     joins = list(_ridge_graph(c))
     rest = 0
-    for a, g in enumerate(_facet_masks(c)):
+    for a, g in enumerate(c._masks):
         out = g & ~near
         if out:
             rest |= 1 << a
@@ -335,7 +326,7 @@ def _relative_homology_matches(c: SimplicialComplex) -> tuple:
     adjacency = _adjacency_masks(c)
     for i, v in enumerate(c.vertices):
         near = adjacency[i] | 1 << i
-        hood = c._induced(set(_iter_bits(near)))
+        hood = c._induced(near)
         betti = z2_betti(hood)
         betti += (0,) * (d + 1 - len(betti))
         if betti[d] != 0 or betti[d - 1] != 0:

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .complexes import Face, Label, SimplicialComplex
+from .complexes import Face, Label, SimplicialComplex, _iter_bits, _mask
 from .errors import (
     EmptyComplex,
     NoBoundary,
@@ -34,6 +34,7 @@ from .errors import (
     NotPure,
     UnknownVertex,
 )
+from .graphs import _adjacency_masks
 
 _TRIANGLE_F_VECTOR = (1, 3, 3)
 
@@ -66,26 +67,6 @@ class TildeCliques:
     plain: tuple[Face, ...]  # cliques of the ball's skeleton
     from_boundary: tuple[Face, ...]  # boundary cliques plus the apex
     stranded: tuple[Face, ...]  # apex cliques not supported by the boundary
-
-
-def _adjacency_masks(c: SimplicialComplex) -> tuple[int, ...]:
-    """Bit j of entry i says that ids i and j span an edge; kept in ``c``'s memo."""
-    return c._cached("adjacency_masks", _build_adjacency_masks)
-
-
-def _build_adjacency_masks(c: SimplicialComplex) -> tuple[int, ...]:
-    masks = [0] * c.n_vertices
-    for a, b in c.faces_ids(2):
-        masks[a] |= 1 << b
-        masks[b] |= 1 << a
-    return tuple(masks)
-
-
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def cliques_ids(c: SimplicialComplex, j: int) -> Iterator[tuple[int, ...]]:
@@ -223,15 +204,6 @@ def banner_or_triangle(c: SimplicialComplex) -> bool:
     return classify(c).banner
 
 
-def _facet_masks(c: SimplicialComplex) -> tuple[int, ...]:
-    """The facets of ``c`` as vertex bitmasks, in ``c._facets`` order; kept in the memo."""
-    return c._cached("facet_masks", _build_facet_masks)
-
-
-def _build_facet_masks(c: SimplicialComplex) -> tuple[int, ...]:
-    return tuple(sum(1 << i for i in f) for f in c._facets)
-
-
 def _link_banner(c: SimplicialComplex, ids: tuple[int, ...]) -> bool:
     """``banner_or_triangle(c.link(face))`` for the non-facet face with sorted ``ids``.
 
@@ -261,9 +233,8 @@ def _residues_banner(c: SimplicialComplex, ids: tuple[int, ...]) -> bool:
       that every (t - y) + x is a residue, so all (m + 1)-subsets of t + x
       are faces.
     """
-    face = sum(1 << i for i in ids)
-    masks = _facet_masks(c)
-    residues = {masks[i] ^ face for i in c._holders(len(ids))[ids]}
+    face = _mask(ids)
+    residues = {c._masks[i] ^ face for i in c._holders(len(ids))[ids]}
     size = next(iter(residues)).bit_count()
     if any(r.bit_count() != size for r in residues):
         return False  # not pure, and so not a triangle either

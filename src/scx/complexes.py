@@ -4,7 +4,11 @@ Vertex labels are non-empty strings without whitespace that do not start
 with ``#``, which opens a comment in the ``.scx`` format.  They are
 interned to dense integer ids in label-sorted order, so id-lexicographic
 and label-lexicographic enumeration agree.  At the API boundary faces travel
-as sorted label tuples; internally they are sorted id tuples.
+as sorted label tuples; internally they are sorted id tuples.  Each facet
+is stored twice, in one order: as a vertex bitmask, bit i for id i
+(``_masks``), the one set form that links, stars, antistars, induced
+subcomplexes, residues and the skeleton are computed on, and as the
+sorted id tuple read off it (``_facets``).
 
 A complex is immutable once built.  The empty complex is
 unrepresentable: every constructor raises ``EmptyComplex`` rather than
@@ -19,11 +23,11 @@ banner status of a face link start from the holders of the face.  Its
 lists are never mutated.
 
 Invariants computed from a complex (its banner class, banner number,
-manifold class, skeleton, Betti numbers, its vertex adjacency and its
-facets as bitmasks, the ridge graph of its facets, the banner status of
-its face links and an index from faces to their cofaces) are cached per
-object in its ``_memo`` dict, so each is computed once however many
-checks ask for it.
+manifold class, Betti numbers, its vertex adjacency, which its skeleton
+wraps, the ridge graph of its facets, the facets holding each vertex,
+the banner status of its face links and an index from faces to their
+cofaces) are cached per object in its ``_memo`` dict, so each is
+computed once however many checks ask for it.
 Cached values are immutable, hold no reference back to the complex and
 die with it; there is no global or content-keyed cache.  Neither memo
 takes a lock: two threads asking for the same value at once may both
@@ -33,23 +37,24 @@ shared between threads.  The banner status of a face link needs no link
 at all: it is read off the facet bitmasks.
 
 ``SimplicialComplex(...)`` is the only entry point that validates its
-input.  Complexes derived from a built one skip that work through one of
-two trusted constructors:
+input; it interns the labels and hands the facets, as bitmasks, to the
+absorb-and-renumber step ``_absorb``.  Complexes derived from a built one
+skip the validation through one of two trusted constructors:
 
 - ``_from_ids`` builds links, stars, antistars, induced subcomplexes and
   boundaries, none of which is cached.  It assumes valid sorted labels
-  and non-empty id sets; it still absorbs nested sets and drops unused
-  labels.
+  and non-zero masks, and runs the same ``_absorb``: nested masks are
+  absorbed and unused labels dropped.
 - ``_join`` builds cones, suspensions and boundary cones (``tilde``).  It
   assumes base facets free of nested sets and apex labels that
   ``_check_fresh`` has already accepted, so it absorbs nothing: it sorts
-  the apexes into the labels and adds each apex id to each base facet.
+  the apexes into the labels and adds each apex bit to each base mask.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import AbstractSet, Callable, Iterable, Sequence, TypeVar
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
     EmptyComplex,
@@ -78,37 +83,50 @@ def _check_labels(labels: Iterable[Label]) -> None:
             )
 
 
-def _normalize_facet(facet: Iterable[Label]) -> tuple[Label, ...]:
+def _normalize_facet(facet: Iterable[Label]) -> list[Label]:
     vertices = [str(v) for v in facet]
     if not vertices:
         raise MalformedFace("empty facet")
     _check_labels(vertices)
     if len(set(vertices)) != len(vertices):
         raise MalformedFace(f"facet {vertices} repeats a vertex")
-    return tuple(sorted(vertices))
+    return vertices
 
 
-def _maximal(sets: set[frozenset]) -> list[frozenset]:
-    """The members of ``sets`` that lie in no other member.
+def _mask(ids: Iterable[int]) -> int:
+    """The vertex bitmask of the ids ``ids``."""
+    return sum(map((1).__lshift__, ids))
 
-    Sets are visited largest first; bit k of ``holders[v]`` says that the
-    k-th kept set contains ``v``, so a candidate lies in a kept set exactly
-    when the masks of its vertices share a bit.  A kept set is never equal
+
+def _iter_bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, ascending; a facet mask gives its sorted id tuple."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _maximal(masks: set[int]) -> list[int]:
+    """The members of ``masks`` that lie in no other member.
+
+    Masks are visited largest first; bit k of ``holders[v]`` says that the
+    k-th kept mask contains ``v``, so a candidate lies in a kept mask exactly
+    when the holders of its vertices share a bit.  A kept mask is never equal
     to a later candidate, since the members are distinct.
     """
-    if len({len(s) for s in sets}) == 1:
-        return list(sets)
-    maximal: list[frozenset] = []
-    holders: dict[object, int] = {}
-    for cand in sorted(sets, key=len, reverse=True):
+    if len({m.bit_count() for m in masks}) == 1:
+        return list(masks)
+    maximal: list[int] = []
+    holders: dict[int, int] = {}
+    for cand in sorted(masks, key=int.bit_count, reverse=True):
         common = -1
-        for v in cand:
+        for v in _iter_bits(cand):
             common &= holders.get(v, 0)
             if not common:
                 break
         if not common:
             bit = 1 << len(maximal)
-            for v in cand:
+            for v in _iter_bits(cand):
                 holders[v] = holders.get(v, 0) | bit
             maximal.append(cand)
     return maximal
@@ -132,7 +150,7 @@ class SimplicialComplex:
         "_labels",
         "_index",
         "_facets",
-        "_facet_sets",
+        "_masks",
         "dim",
         "is_pure",
         "absorbed",
@@ -142,46 +160,35 @@ class SimplicialComplex:
 
     def __init__(self, facets: Iterable[Iterable[Label]]):
         cleaned = [_normalize_facet(f) for f in facets]
-        if not cleaned:
-            raise EmptyComplex("a complex needs at least one facet")
-        # Absorb duplicates and non-maximal entries, counting what was dropped.
-        maximal = _maximal({frozenset(f) for f in cleaned})
-        labels = tuple(sorted(set().union(*maximal)))
-        index = {v: i for i, v in enumerate(labels)}
-        self._fill(
-            labels,
-            index,
-            [tuple(sorted(index[v] for v in f)) for f in maximal],
-            len(cleaned) - len(maximal),
-        )
+        labels = tuple(sorted(set().union(*cleaned)))
+        bit = {v: 1 << i for i, v in enumerate(labels)}
+        self._absorb(labels, [sum(map(bit.__getitem__, f)) for f in cleaned])
 
     @classmethod
-    def _from_ids(
-        cls, labels: tuple[Label, ...], id_sets: Iterable[frozenset[int]]
-    ) -> "SimplicialComplex":
-        """The complex whose facets are ``id_sets``, given as ids into ``labels``.
-
-        A trusted constructor for subcomplexes of a built complex: the
-        labels are already valid and sorted and the sets are non-empty, so
-        only absorption and renumbering remain.  Keeping the used ids in
-        order keeps the labels sorted, so the result equals what the public
-        constructor builds from the same facets.
-        """
-        sets = list(id_sets)
-        if not sets:
-            raise EmptyComplex("a complex needs at least one facet")
-        maximal = _maximal(set(sets))
-        used = sorted(set().union(*maximal))
-        new_id = {old: new for new, old in enumerate(used)}
-        sub = tuple(labels[i] for i in used)
+    def _from_ids(cls, labels: tuple[Label, ...], masks: Iterable[int]) -> "SimplicialComplex":
+        """The complex of the non-zero vertex bitmasks ``masks`` over the valid
+        sorted ``labels``: the trusted constructor of subcomplexes."""
         self = cls.__new__(cls)
-        self._fill(
-            sub,
-            {v: i for i, v in enumerate(sub)},
-            [tuple(sorted(new_id[i] for i in f)) for f in maximal],
-            len(sets) - len(maximal),
-        )
+        self._absorb(labels, list(masks))
         return self
+
+    def _absorb(self, labels: tuple[Label, ...], masks: list[int]) -> None:
+        """Build from the non-zero vertex bitmasks ``masks`` over the sorted
+        ``labels``, absorbing nested masks and dropping unused labels; the
+        used ids keep their order, so the labels stay sorted."""
+        if not masks:
+            raise EmptyComplex("a complex needs at least one facet")
+        maximal = _maximal(set(masks))
+        union = 0
+        for m in maximal:
+            union |= m
+        used = list(_iter_bits(union))
+        if len(used) < len(labels):
+            new_bit = {old: 1 << new for new, old in enumerate(used)}
+            labels = tuple(labels[i] for i in used)
+            maximal = [sum(map(new_bit.__getitem__, _iter_bits(m))) for m in maximal]
+        index = {v: i for i, v in enumerate(labels)}
+        self._fill(labels, index, maximal, len(masks) - len(maximal))
 
     def _join(
         self,
@@ -197,34 +204,35 @@ class SimplicialComplex:
         a base, and that the apexes are distinct valid labels unused here.
         Then nothing is absorbed: ``f + a`` lies in ``g + b`` only when
         ``a == b`` and ``f`` lies in ``g``, and no kept tuple holds an apex.
-        The old ids keep their order among the merged labels, so only the
-        apex id is sorted into each facet.
+        The old ids move to their places among the merged labels, and each
+        apex adds its bit to each moved base mask.
         """
         labels = tuple(sorted(self._labels + tuple(apexes)))
         index = {v: i for i, v in enumerate(labels)}
-        new_id = [index[v] for v in self._labels]
-        tips = [index[a] for a in apexes]
-        facets = [tuple(new_id[i] for i in f) for f in kept]
+        new_bit = [1 << index[v] for v in self._labels]
+        tips = [1 << index[a] for a in apexes]
+        masks = [sum(map(new_bit.__getitem__, f)) for f in kept]
         for f in bases:
-            moved = tuple(new_id[i] for i in f)
-            facets += [tuple(sorted(moved + (a,))) for a in tips]
+            moved = sum(map(new_bit.__getitem__, f))
+            masks += [moved | a for a in tips]
         joined = SimplicialComplex.__new__(SimplicialComplex)
-        joined._fill(labels, index, facets, 0)
+        joined._fill(labels, index, masks, 0)
         return joined
 
     def _fill(
         self,
         labels: tuple[Label, ...],
         index: dict[Label, int],
-        id_facets: list[tuple[int, ...]],
+        masks: list[int],
         absorbed: int,
     ) -> None:
-        id_facets.sort()
+        # facets in id-lexicographic order; distinct masks give distinct tuples
+        facets = sorted((tuple(_iter_bits(m)), m) for m in masks)
         self._labels = labels
         self._index = index
-        self._facets: tuple[tuple[int, ...], ...] = tuple(id_facets)
-        self._facet_sets: tuple[frozenset[int], ...] = tuple(frozenset(f) for f in id_facets)
-        sizes = {len(f) for f in id_facets}
+        self._facets: tuple[tuple[int, ...], ...] = tuple(f for f, _ in facets)
+        self._masks: tuple[int, ...] = tuple(m for _, m in facets)
+        sizes = {len(f) for f in self._facets}
         self.dim = max(sizes) - 1
         self.is_pure = len(sizes) == 1
         self.absorbed = absorbed
@@ -308,14 +316,13 @@ class SimplicialComplex:
         return frozenset(out)
 
     def has_face(self, face: Iterable[Label]) -> bool:
-        wanted = {str(v) for v in face}
-        ids = set()
-        for v in wanted:
-            i = self._index.get(v)
+        mask = 0
+        for v in face:
+            i = self._index.get(str(v))
             if i is None:
                 return False
-            ids.add(i)
-        return any(ids <= fs for fs in self._facet_sets)
+            mask |= 1 << i
+        return any(mask & m == mask for m in self._masks)
 
     def f_vector(self) -> FVector:
         """Face counts by dimension, starting with the empty face: (1, f0, ..., fd)."""
@@ -331,16 +338,16 @@ class SimplicialComplex:
         """
         labels = tuple(sorted(str(v) for v in face))
         try:
-            ids = self._face_ids(labels)
+            ids = self._face_ids(set(labels))
         except UnknownVertex:
             raise NotAFace(f"{labels} is not a face") from None
         if not ids:
             return self
-        idset = set(ids)
-        holders = self._holders(len(idset)).get(tuple(sorted(idset)))
+        holders = self._holders(len(ids)).get(ids)
         if holders is None:
             raise NotAFace(f"{labels} is not a face")
-        residues = [r for r in (self._facet_sets[i] - idset for i in holders) if r]
+        mask = _mask(ids)
+        residues = [r for r in (self._masks[i] ^ mask for i in holders) if r]
         if not residues:
             raise EmptyComplex("link of a facet is empty")
         return SimplicialComplex._from_ids(self._labels, residues)
@@ -351,7 +358,7 @@ class SimplicialComplex:
         if i is None:
             raise UnknownVertex(f"unknown vertex {vertex!r}")
         return SimplicialComplex._from_ids(
-            self._labels, [self._facet_sets[j] for j in self._holders(1)[(i,)]]
+            self._labels, [self._masks[j] for j in self._holders(1)[(i,)]]
         )
 
     def antistar(self, vertex: Label) -> "SimplicialComplex":
@@ -361,8 +368,8 @@ class SimplicialComplex:
             raise UnknownVertex(f"unknown vertex {vertex!r}")
         if self.n_vertices == 1:
             raise EmptyComplex("antistar of the only vertex is empty")
-        pieces = {fs - {i} for fs in self._facet_sets}
-        pieces.discard(frozenset())
+        pieces = {m & ~(1 << i) for m in self._masks}
+        pieces.discard(0)
         return SimplicialComplex._from_ids(self._labels, pieces)
 
     def induced(self, vertex_set: Iterable[Label]) -> "SimplicialComplex":
@@ -373,12 +380,12 @@ class SimplicialComplex:
         for v in wanted:
             if v not in self._index:
                 raise UnknownVertex(f"unknown vertex {v!r}")
-        return self._induced({self._index[v] for v in wanted})
+        return self._induced(_mask(self._index[v] for v in wanted))
 
-    def _induced(self, ids: set[int]) -> "SimplicialComplex":
-        """``induced`` on the non-empty set of vertex ``ids``."""
-        pieces = {fs & ids for fs in self._facet_sets}
-        pieces.discard(frozenset())
+    def _induced(self, near: int) -> "SimplicialComplex":
+        """``induced`` on the non-zero vertex bitmask ``near``."""
+        pieces = {m & near for m in self._masks}
+        pieces.discard(0)
         return SimplicialComplex._from_ids(self._labels, pieces)
 
     # -- cone-like constructions ------------------------------------------
@@ -426,7 +433,7 @@ class SimplicialComplex:
         """
         if not self.is_pure:
             raise NotPure("boundary is defined for pure complexes")
-        rim = [frozenset(r) for r, m in self._holders(self.dim).items() if len(m) == 1]
+        rim = [_mask(r) for r, m in self._holders(self.dim).items() if len(m) == 1]
         if not rim:
             return None
         return SimplicialComplex._from_ids(self._labels, rim)

@@ -1,5 +1,9 @@
 """The 1-skeleton graph and its connectivity machinery.
 
+This module owns the vertex adjacency of a complex (``_adjacency_masks``):
+per vertex, the OR of the facet masks holding it.  ``skeleton(c)`` wraps
+that same tuple, which the clique search and neighborhood checks also read.
+
 Every connectivity question of the package is answered by ``_reach``, a
 frontier search over neighbor bitmasks: the skeleton's connectivity and
 the check of each cut certificate here, the vertices outside a closed
@@ -51,17 +55,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .banner import _adjacency_masks, _iter_bits
-from .complexes import Label, SimplicialComplex
+from .complexes import Label, SimplicialComplex, _iter_bits
 from .errors import EmptyOutside, SameVertex, UnknownVertex
 from .kernels import flow_network, unit_maxflow
 
 
 class SkeletonGraph:
     """Simple undirected graph on dense vertex ids with display labels;
-    bit x of ``masks[w]`` joins w and x, and ``adj[w]`` lists w's neighbors."""
+    bit x of ``masks[w]`` joins w and x."""
 
-    __slots__ = ("n", "labels", "masks", "adj", "_index", "_connectivity")
+    __slots__ = ("n", "labels", "masks", "_index", "_connectivity")
 
     def __init__(
         self,
@@ -69,13 +72,11 @@ class SkeletonGraph:
         edges: Iterable[tuple[int, int]],
         labels: Sequence[str] | None = None,
     ):
-        self.n = n
-        self.labels: tuple[str, ...] = (
-            tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
-        )
-        if len(self.labels) != n:
+        labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
+        if len(labels) != n:
             raise ValueError("label count must match vertex count")
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        if len({str(lab) for lab in labels}) != n:
+            raise ValueError("labels must be distinct")
         masks = [0] * n
         for a, b in edges:
             if not (0 <= a < n and 0 <= b < n):
@@ -84,13 +85,23 @@ class SkeletonGraph:
                 raise ValueError("loops are not allowed")
             masks[a] |= 1 << b
             masks[b] |= 1 << a
-        self.masks: tuple[int, ...] = tuple(masks)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(_iter_bits(m)) for m in masks)
+        self._set(labels, {lab: i for i, lab in enumerate(labels)}, tuple(masks))
+
+    def _set(self, labels: tuple[str, ...], index: dict[str, int], masks: tuple[int, ...]) -> None:
+        self.n = len(labels)
+        self.labels = labels
+        self._index = index
+        self.masks = masks
         self._connectivity: ConnectivityResult | None = None  # vertex_connectivity's memo
 
     @property
+    def adj(self) -> tuple[tuple[int, ...], ...]:
+        """``adj[w]`` lists w's neighbors, ascending."""
+        return tuple(tuple(_iter_bits(m)) for m in self.masks)
+
+    @property
     def n_edges(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
+        return sum(m.bit_count() for m in self.masks) // 2
 
     def id_of(self, label: str) -> int:
         try:
@@ -102,11 +113,25 @@ class SkeletonGraph:
         return self.masks[u] >> v & 1 == 1
 
     def is_complete(self) -> bool:
-        return all(len(a) == self.n - 1 for a in self.adj)
+        return all(m.bit_count() == self.n - 1 for m in self.masks)
 
     def is_connected(self) -> bool:
         full = (1 << self.n) - 1
         return self.n > 0 and _reach(self.masks, 1, full) == full
+
+
+def _adjacency_masks(c: SimplicialComplex) -> tuple[int, ...]:
+    """Bit j of entry i says that ids i and j span an edge, that is, lie in
+    one facet; kept in ``c``'s memo."""
+    return c._cached("adjacency_masks", _build_adjacency_masks)
+
+
+def _build_adjacency_masks(c: SimplicialComplex) -> tuple[int, ...]:
+    masks = [0] * c.n_vertices
+    for f, m in zip(c._facets, c._masks):
+        for v in f:
+            masks[v] |= m
+    return tuple(m ^ (1 << v) for v, m in enumerate(masks))
 
 
 def skeleton(c: SimplicialComplex) -> SkeletonGraph:
@@ -118,15 +143,16 @@ def skeleton(c: SimplicialComplex) -> SkeletonGraph:
 
 
 def _skeleton(c: SimplicialComplex) -> SkeletonGraph:
-    edges = [(e[0], e[1]) for e in c.faces_ids(2)]
-    return SkeletonGraph(c.n_vertices, edges, labels=c.vertices)
+    g = SkeletonGraph.__new__(SkeletonGraph)
+    g._set(c.vertices, c._index, _adjacency_masks(c))
+    return g
 
 
 def neighborhood(c: SimplicialComplex, vertex: Label) -> frozenset[Label]:
     """The vertex together with all its skeleton neighbors."""
     g = skeleton(c)
     i = g.id_of(vertex)
-    return frozenset({g.labels[i]} | {g.labels[j] for j in g.adj[i]})
+    return frozenset(g.labels[j] for j in _iter_bits(g.masks[i] | 1 << i))
 
 
 @dataclass(frozen=True)
@@ -175,8 +201,8 @@ def _split_network(g: SkeletonGraph) -> _SplitNetwork:
     heads = [2 * w + 1 for w in range(g.n)]
     caps = [1] * g.n
     arc_of: dict[tuple[int, int], int] = {}
-    for a in range(g.n):
-        for b in g.adj[a]:
+    for a, mask in enumerate(g.masks):
+        for b in _iter_bits(mask):
             arc_of[a, b] = len(tails)
             tails.append(2 * a + 1)
             heads.append(2 * b)
@@ -232,8 +258,8 @@ def _vertex_connectivity(g: SkeletonGraph) -> ConnectivityResult:
         outside = next(_iter_bits(full ^ reached))
         return ConnectivityResult(0, False, CutSet((), (g.labels[0], g.labels[outside])))
     net = _split_network(g)
-    m = min(range(g.n), key=lambda w: len(g.adj[w]))
-    near = g.adj[m]
+    m = min(range(g.n), key=lambda w: g.masks[w].bit_count())
+    near = tuple(_iter_bits(g.masks[m]))
     known = {
         (x, y): _pair_flow(g, net, x, y)[0]
         for i, x in enumerate(near)
@@ -267,10 +293,10 @@ def _absorbed_bound(g: SkeletonGraph, net: _SplitNetwork, m: int) -> int:
     """min(deg m, least flow from ``m`` to a non-neighbor), as the module
     docstring argues; each flow leaves m's in-node, whose split arc caps it."""
     caps = net.caps.copy()
-    k = len(g.adj[m])
+    k = g.masks[m].bit_count()
     in_side = [0] * g.n  # neighbors in m's side
-    for x in g.adj[m]:
-        for y in g.adj[x]:
+    for x in _iter_bits(g.masks[m]):
+        for y in _iter_bits(g.masks[x]):
             in_side[y] += 1
     rest = [w for w in range(g.n) if w != m and not g.adjacent(m, w)]
     while rest:
@@ -279,7 +305,7 @@ def _absorbed_bound(g: SkeletonGraph, net: _SplitNetwork, m: int) -> int:
         if in_side[w] < k:
             caps[m] = k
             k = unit_maxflow(net.network, caps, 2 * m, 2 * w)[0]
-        for y in g.adj[w]:
+        for y in _iter_bits(g.masks[w]):
             in_side[y] += 1
     return k
 

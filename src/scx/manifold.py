@@ -16,7 +16,7 @@ them, the ridge link test of ``is_homology_manifold`` reads them, and the
 facet ridge graph is built from them once.
 
 ``is_homology_manifold`` visits faces from ridges down to vertices and
-takes the link of a face F as the residues G - F of the facet id sets G
+takes the link of a face F as the residues G - F of the facet bitmasks G
 containing it; no link complex is built and the residues are dropped
 after each face.  Once the links of all larger faces have passed, the
 link of F is a closed GF(2)-homology m-manifold, m = d - |F|, so by
@@ -42,8 +42,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .banner import _iter_bits
-from .complexes import Face, SimplicialComplex
+from .complexes import Face, SimplicialComplex, _iter_bits, _mask
 from .errors import BadSeed, EmptyComplex, NotPseudomanifold, NotPure, SearchBudgetExceeded
 from .graphs import _reach, skeleton
 from .homology import _boundary_rank, sphere_pattern, z2_betti
@@ -137,10 +136,11 @@ def is_normal(c: SimplicialComplex) -> NormalityResult:
     """
     if is_pseudomanifold(c) == "no":
         raise NotPseudomanifold("normality is defined on pseudomanifolds")
-    sets = c._facet_sets  # noqa: SLF001 - intra-package id view
+    masks = c._masks  # noqa: SLF001 - intra-package id view
     for k in range(c.dim):  # faces with link dimension d-k >= 1
         for face, members in sorted(c._holders(k).items()):
-            if not _connected([sets[i].difference(face) for i in members]):
+            f = _mask(face)
+            if not _connected([masks[i] ^ f for i in members]):
                 return NormalityResult(False, c._face_labels(face))
     return NormalityResult(True, None)
 
@@ -160,46 +160,47 @@ def verify_barnette_antistar(c: SimplicialComplex) -> tuple[bool, str | None]:
         raise NotPseudomanifold("antistar connectivity assumes a pseudomanifold")
     if c.n_vertices == 1:
         raise EmptyComplex("antistar of the only vertex is empty")
-    sets = c._facet_sets  # noqa: SLF001 - intra-package id view
-    rim: set[int] = set()  # each v of a facet G whose ridge G - v lies in no other facet
+    masks = c._masks  # noqa: SLF001 - intra-package id view
+    rim = 0  # each v of a facet G whose ridge G - v lies in no other facet
     for ridge, members in c._holders(c.dim).items():
         if len(members) == 1:
-            rim |= sets[members[0]].difference(ridge)
+            rim |= masks[members[0]] ^ _mask(ridge)
     adjacent = _ridge_graph(c)
-    full = (1 << len(sets)) - 1
+    full = (1 << len(masks)) - 1
     for i, (v, holding) in enumerate(zip(c.vertices, _vertex_facets(c))):
         avoiding = full - holding
         if not avoiding:
             continue
-        if i in rim:
+        if rim >> i & 1:
             raise NotPure("facet graph is defined for pure complexes")
         if _reach(adjacent, avoiding & -avoiding, avoiding) != avoiding:
             return False, v
     return True, None
 
 
-def _connected(sets: list[frozenset[int]]) -> bool:
-    """Is the union of the non-empty ``sets`` connected when each set joins its members?"""
-    reach, rest = set(sets[0]), sets[1:]
+def _connected(masks: list[int]) -> bool:
+    """Is the union of the non-zero vertex bitmasks ``masks`` connected when
+    each mask joins its members?"""
+    reach, rest = masks[0], masks[1:]
     while rest:
         apart = []
-        for s in rest:
-            if reach.isdisjoint(s):
-                apart.append(s)
+        for m in rest:
+            if m & reach:
+                reach |= m
             else:
-                reach |= s
+                apart.append(m)
         if len(apart) == len(rest):
             return False
         rest = apart
     return True
 
 
-def _manifold_link_is_sphere(residues: list[frozenset[int]], m: int) -> bool:
+def _manifold_link_is_sphere(residues: list[int], m: int) -> bool:
     """Is this closed GF(2)-homology m-manifold a homology m-sphere?
 
-    ``residues`` are its facets.  Poincare duality over a field gives
-    b_i = b_(m-i) and, when it is connected, b_m = 1; so for even m its
-    Euler characteristic is 2 +- b_(m/2).
+    ``residues`` are its facets, as vertex bitmasks.  Poincare duality
+    over a field gives b_i = b_(m-i) and, when it is connected, b_m = 1;
+    so for even m its Euler characteristic is 2 +- b_(m/2).
     """
     if m == 0:
         return len(residues) == 2
@@ -207,7 +208,7 @@ def _manifold_link_is_sphere(residues: list[frozenset[int]], m: int) -> bool:
         return False
     if m == 1:
         return True
-    facets = [tuple(sorted(r)) for r in residues]
+    facets = [tuple(_iter_bits(r)) for r in residues]
     layers = {m + 1: facets}
 
     def layer(size: int) -> list[tuple[int, ...]]:
@@ -251,14 +252,15 @@ def is_homology_manifold(c: SimplicialComplex) -> tuple[bool, Face | None]:
         raise NotPure("homology manifold check needs a pure complex")
     if not skeleton(c).is_connected():
         return False, None
-    sets = c._facet_sets  # noqa: SLF001 - intra-package id view
+    masks = c._masks  # noqa: SLF001 - intra-package id view
     d = c.dim
     # a ridge link is a 0-sphere exactly when the ridge lies in two facets
     if d and any(len(members) != 2 for members in c._holders(d).values()):
         return False, _first_deviating_face(c)
     for k in range(d - 1, 0, -1):  # facets have empty links: nothing to check
         for face, members in c._holders(k).items():
-            residues = [sets[i].difference(face) for i in members]
+            f = _mask(face)
+            residues = [masks[i] ^ f for i in members]
             if not _manifold_link_is_sphere(residues, d - k):
                 return False, _first_deviating_face(c)
     return True, None

@@ -68,10 +68,11 @@ def brute_min_vertex_cut(g) -> int:
     """Vertex connectivity by exhaustive subset removal (small graphs)."""
     if g.n <= 1:
         return 0
+    adj = g.adj
     for k in range(g.n - 1):
         for cut in itertools.combinations(range(g.n), k):
             removed = frozenset(cut)
-            if g.n - k >= 2 and len(components(g.n, g.adj, removed)) > 1:
+            if g.n - k >= 2 and len(components(g.n, adj, removed)) > 1:
                 return k
     return g.n - 1
 
@@ -79,10 +80,11 @@ def brute_min_vertex_cut(g) -> int:
 def brute_min_separator(g, u, v) -> int:
     """Smallest u-v separator among vertices other than u, v (non-adjacent pair)."""
     others = [w for w in range(g.n) if w not in (u, v)]
+    adj = g.adj
     for k in range(len(others) + 1):
         for cut in itertools.combinations(others, k):
             removed = frozenset(cut)
-            for comp in components(g.n, g.adj, removed):
+            for comp in components(g.n, adj, removed):
                 if u in comp:
                     if v not in comp:
                         return k
@@ -102,8 +104,8 @@ def _pair_min_cut(g, u, v) -> tuple[int, tuple[int, ...]]:
             tails.append(2 * w)
             heads.append(2 * w + 1)
             caps.append(1)
-    for a in range(g.n):
-        for b in g.adj[a]:
+    for a, near in enumerate(g.adj):
+        for b in near:
             tails.append(2 * a + 1)
             heads.append(2 * b)
             caps.append(g.n)
@@ -138,15 +140,16 @@ def all_pairs_connectivity(g):
     """
     if g.n <= 1:
         return 0, None, None
-    if all(len(a) == g.n - 1 for a in g.adj):
+    adj = g.adj
+    if all(len(a) == g.n - 1 for a in adj):
         return g.n - 1, None, None
-    comps = components(g.n, g.adj)
+    comps = components(g.n, adj)
     if len(comps) > 1:
         outside = min(set(range(g.n)) - comps[0])
         return 0, (), (g.labels[0], g.labels[outside])
     best = None
     for u, v in itertools.combinations(range(g.n), 2):
-        if v in g.adj[u]:
+        if v in adj[u]:
             continue
         value, cut = _pair_min_cut(g, u, v)
         if best is None or value < best[0]:
@@ -158,10 +161,11 @@ def all_pairs_connectivity(g):
 def all_simple_paths(g, u, v, cap=200000):
     """Every simple u-v path, as vertex tuples."""
     paths = []
+    adj = g.adj
     stack = [(u, (u,), {u})]
     while stack:
         node, path, seen = stack.pop()
-        for w in g.adj[node]:
+        for w in adj[node]:
             if w == v:
                 paths.append(path + (v,))
                 if len(paths) > cap:
@@ -367,7 +371,7 @@ def tilde_by_labels(c, apex=None):
 
 def built_fields(c) -> tuple:
     """What two constructions of the same complex must store alike."""
-    return c._labels, c._index, c._facets, c.absorbed, c.dim, c.is_pure
+    return c._labels, c._index, c._facets, c._masks, c.absorbed, c.dim, c.is_pure
 
 
 def _built_or_raised(fn, *args):
@@ -442,6 +446,11 @@ def moment_curve_facets(n: int, dim: int) -> set[frozenset[int]]:
         if len(signs) == 1 and 0 not in signs:
             facets.add(frozenset(sub))
     return facets
+
+
+def mask_sets(masks) -> set[frozenset]:
+    """Vertex bitmasks as the frozensets of their set bits."""
+    return {frozenset(i for i in range(m.bit_length()) if m >> i & 1) for m in masks}
 
 
 def maximal_by_pairs(sets) -> set[frozenset]:

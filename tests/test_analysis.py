@@ -15,7 +15,7 @@ from scx.analysis import (
     verify_corpus,
     verify_property,
 )
-from scx.banner import _adjacency_masks, banner_number, classify
+from scx.banner import banner_number, classify
 from scx.complexes import SimplicialComplex, dumps, from_facets, loads
 from scx.errors import EmptyOutside, NotAFace, ScxError, UnknownProperty
 from scx.generators import (
@@ -32,7 +32,7 @@ from scx.generators import (
     simplex_boundary,
     stacked_sphere,
 )
-from scx.graphs import is_outside_connected
+from scx.graphs import _adjacency_masks, is_outside_connected
 from scx.manifold import manifold_class
 
 from oracles import (
@@ -363,7 +363,6 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
             "_banner_number",
             "_vertex_connectivity",
             "_build_adjacency_masks",
-            "_build_facet_masks",
             "_build_ridge_graph",
         ],
         0,
@@ -383,8 +382,7 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
     count(banner, "_classify", lambda x: x is c)
     count(banner, "_banner_number", lambda x: x is c)
     count(graphs, "_vertex_connectivity", lambda g: g is graphs.skeleton(c))
-    count(banner, "_build_adjacency_masks", lambda x: x is c)
-    count(banner, "_build_facet_masks", lambda x: x is c)
+    count(graphs, "_build_adjacency_masks", lambda x: x is c)
     count(manifold, "_build_ridge_graph", lambda x: x is c)
     built = _count_index_levels(monkeypatch)
     summary = verify_corpus([("octahedral-3-sphere", c)])

@@ -24,13 +24,14 @@ from scx.analysis import (
     verify_corpus,
     verify_property,
 )
-from scx.banner import _adjacency_masks, classify, classify_tilde_cliques
-from scx.complexes import SimplicialComplex
+from scx.banner import _link_banner_value, banner_number, classify, classify_tilde_cliques
+from scx.complexes import SimplicialComplex, _maximal
 from scx.errors import EmptyComplex, ScxError
-from scx.graphs import is_outside_connected, skeleton, vertex_connectivity
+from scx.graphs import _adjacency_masks, is_outside_connected, skeleton, vertex_connectivity
 from scx.manifold import (
     facet_graph,
     is_homology_manifold,
+    is_normal,
     is_pseudomanifold,
     is_strongly_connected,
     verify_barnette_antistar,
@@ -39,7 +40,13 @@ from scx.manifold import (
 from oracles import (
     all_pairs_connectivity,
     barnette_antistar_by_complexes,
+    brute_is_flag,
+    built_fields,
     classify_by_labels,
+    homology_manifold_ascending,
+    mask_sets,
+    maximal_by_pairs,
+    normal_by_links,
     outside_connected_by_complexes,
     pseudomanifold_by_ridge_counts,
     relative_betti_by_complexes,
@@ -81,6 +88,19 @@ def _outcome(fn, *args):
         return "raise", type(exc)
 
 
+def _built(fn, *args):
+    """``_outcome`` of a construction, with a built complex read as its stored fields."""
+    kind, value = _outcome(fn, *args)
+    return (kind, built_fields(value)) if kind == "value" else (kind, value)
+
+
+def _faces(c: SimplicialComplex):
+    """Every face of ``c`` as a label tuple, the empty face first."""
+    yield ()
+    for k in range(1, c.dim + 2):
+        yield from sorted(c.faces(k))
+
+
 SMALL = _every_pure_complex(5)
 
 
@@ -88,6 +108,62 @@ def test_classify_matches_label_oracle_on_every_small_complex():
     assert len(SMALL) == 1817
     for c in SMALL:
         assert classify(c) == classify_by_labels(c), c.facets
+
+
+def test_manifold_recognition_and_flagness_match_oracles_on_every_small_complex():
+    """Normality on facet residues against built links, the top-down
+    homology-manifold pass against full Betti vectors, and flagness."""
+    pseudomanifolds = 0
+    for c in SMALL:
+        assert is_homology_manifold(c) == homology_manifold_ascending(c), c.facets
+        assert classify(c).flag == brute_is_flag(c), c.facets
+        if is_pseudomanifold(c) != "no":
+            pseudomanifolds += 1
+            res = is_normal(c)
+            assert (res.normal, res.witness) == normal_by_links(c), c.facets
+    assert pseudomanifolds == 411
+
+
+def test_link_banner_values_match_built_links_on_every_small_face():
+    """On the 20,009 faces with a link, the empty face included, and on the
+    9,521 facets, whose links raise."""
+    faces = 0
+    for c in SMALL:
+        for face in _faces(c):
+            faces += 1
+            via_table = _outcome(_link_banner_value, c, face)
+            direct = _outcome(lambda: banner_number(c.link(face)).value)
+            assert via_table == direct, (c.facets, face)
+    assert faces == 20009 + 9521
+
+
+def test_subcomplexes_match_label_sets_on_every_small_complex():
+    """The link of every face, and the star, antistar and closed neighborhood
+    (``_induced``) of every vertex, against the public constructor on the
+    label sets they stand for, absorption counts and errors included."""
+    for c in SMALL:
+        facets = [frozenset(f) for f in c.facets]
+        for face in _faces(c):
+            f = frozenset(face)
+            residues = [g - f for g in facets if f <= g and g != f]
+            assert _built(c.link, face) == _built(SimplicialComplex, residues), (c.facets, face)
+        for v in c.vertices:
+            star = [g for g in facets if v in g]
+            assert _built(c.star, v) == _built(SimplicialComplex, star), (c.facets, v)
+            pieces = {g - {v} for g in facets} - {frozenset()}
+            assert _built(c.antistar, v) == _built(SimplicialComplex, pieces), (c.facets, v)
+            hood = frozenset().union(*star)
+            near = sum(1 << c.vertices.index(u) for u in hood)
+            pieces = {g & hood for g in facets} - {frozenset()}
+            assert _built(c._induced, near) == _built(SimplicialComplex, pieces), (c.facets, v)
+
+
+def test_skeleton_edges_are_the_edge_faces_on_every_small_complex():
+    for c in SMALL:
+        g = skeleton(c)
+        edges = {frozenset((a, b)) for a, near in enumerate(g.adj) for b in near}
+        assert edges == {frozenset(e) for e in c.faces_ids(2)}, c.facets
+        assert g.n_edges == len(c.faces_ids(2)), c.facets
 
 
 def test_p38iii_stranded_skip_is_the_least_stranded_clique_size():
@@ -185,6 +261,29 @@ def test_every_small_antichain_passes_or_skips():
         if c.is_pure:
             report = analyze(c, name=f"a{i}")
             assert report_from_json(report_json(report)) == report, c.facets
+
+
+def test_every_small_antichain_absorbs_its_closure_through_both_constructors():
+    """Each antichain with all its non-empty subsets added comes back as
+    itself, from label lists and from bitmasks, with unused labels dropped."""
+    labels = tuple(f"x{v}" for v in range(4))
+    for a in ANTICHAINS:
+        closure = {
+            frozenset(s)
+            for f in a
+            for k in range(1, len(f) + 1)
+            for s in itertools.combinations(f, k)
+        }
+        kept = maximal_by_pairs(closure)
+        assert kept == {frozenset(f) for f in a}, a
+        masks = [sum(1 << v for v in s) for s in closure]
+        assert mask_sets(_maximal(set(masks))) == kept, a
+        public = SimplicialComplex([[labels[v] for v in s] for s in closure])
+        assert {frozenset(int(v[1:]) for v in f) for f in public.facets} == kept, a
+        assert public.absorbed == len(closure) - len(a), a
+        assert built_fields(SimplicialComplex._from_ids(labels, masks)) == built_fields(public), a
+        shifted = SimplicialComplex._from_ids(("w",) + labels, [m << 1 for m in masks])
+        assert built_fields(shifted) == built_fields(public), a
 
 
 def test_the_empty_family_is_no_complex():

@@ -36,17 +36,11 @@ from scx.analysis import (
     verify_corpus,
     verify_property,
 )
-from scx.banner import (
-    _adjacency_masks,
-    _link_banner,
-    _link_banner_value,
-    banner_number,
-    classify,
-)
+from scx.banner import _link_banner, _link_banner_value, banner_number, classify
 from scx.complexes import SimplicialComplex, _maximal, from_facets
 from scx.errors import ScxError
 from scx.generators import stacked_sphere
-from scx.graphs import is_outside_connected, skeleton, vertex_connectivity
+from scx.graphs import _adjacency_masks, is_outside_connected, skeleton, vertex_connectivity
 from scx.manifold import (
     is_homology_manifold,
     is_normal,
@@ -62,6 +56,7 @@ from oracles import (
     classify_by_labels,
     homology_manifold_ascending,
     join_route_outcomes,
+    mask_sets,
     maximal_by_pairs,
     normal_by_links,
     outside_connected_by_complexes,
@@ -143,7 +138,7 @@ def test_from_ids_matches_public_constructor(facets, data):
     c = _build(facets)
     ids = st.sets(st.integers(0, c.n_vertices - 1), min_size=1, max_size=4)
     pieces = data.draw(st.lists(ids, min_size=1, max_size=8))
-    trusted = SimplicialComplex._from_ids(c.vertices, [frozenset(p) for p in pieces])
+    trusted = SimplicialComplex._from_ids(c.vertices, [sum(1 << i for i in p) for p in pieces])
     public = from_facets([[c.vertices[i] for i in p] for p in pieces])
     assert trusted == public
     assert trusted.vertices == public.vertices
@@ -164,9 +159,9 @@ def test_joins_match_label_routes(facets):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_FACETS)
 def test_id_paths_match_oracles(facets):
-    sets = {frozenset(f) for f in facets}
-    assert set(_maximal(sets)) == maximal_by_pairs(sets)
     c = _build(facets)
+    masks = {sum(1 << c.vertices.index(v) for v in f) for f in facets}
+    assert mask_sets(_maximal(masks)) == maximal_by_pairs(mask_sets(masks))
     for face in _faces(c):
         kind, lk = _outcome(c.link, face)
         if kind == "value" and lk.is_pure:

@@ -56,6 +56,23 @@ def test_skeleton_graph_rejects_an_endpoint_out_of_range(edges):
         SkeletonGraph(3, edges)
 
 
+@pytest.mark.parametrize("labels", [("a", "a", "b"), ("1", 1, "b")])
+def test_skeleton_graph_rejects_repeated_labels(labels):
+    # a repeated label would let a cut certificate name an endpoint's label
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        SkeletonGraph(3, [(0, 1), (1, 2)], labels=labels)
+
+
+def test_skeleton_of_a_complex_shares_its_adjacency():
+    c = cross_polytope_boundary(2)
+    g = skeleton(c)
+    assert g.masks is scx.graphs._adjacency_masks(c)
+    assert g.labels is c.vertices
+    rebuilt = SkeletonGraph(c.n_vertices, c.faces_ids(2), labels=c.vertices)
+    assert (g.n, g.masks, g.adj) == (rebuilt.n, rebuilt.masks, rebuilt.adj)
+    assert [g.id_of(v) for v in c.vertices] == list(range(c.n_vertices))
+
+
 def test_skeleton_graph_adjacency_from_masks():
     g = SkeletonGraph(4, [(2, 0), (0, 1), (1, 2), (0, 1)])
     assert g.masks == (0b0110, 0b0101, 0b0011, 0)
@@ -301,8 +318,9 @@ def test_connectivity_flow_count_on_subdivided_octahedron(monkeypatch):
     g = skeleton(_barycentric(cross_polytope_boundary(2)))
     calls = _counted_flows(monkeypatch)
     res = vertex_connectivity(g)
-    m = min(range(g.n), key=lambda w: len(g.adj[w]))
-    assert (g.n, len(g.adj[m])) == (26, 4)
+    adj = g.adj
+    m = min(range(g.n), key=lambda w: len(adj[w]))
+    assert (g.n, len(adj[m])) == (26, 4)
     assert sum(source == 2 * m for source, _ in calls) == 16
     assert len(calls) == 19  # and two neighbor pairs and one certificate flow
     assert res.value == 4
@@ -340,8 +358,9 @@ def test_absorbing_matches_all_pairs_reference_on_two_blobs():
         g, hub, s = _two_blobs(3000 + seed)
         expected = all_pairs_connectivity(g)
         assert _certificate(g) == expected, seed
-        m = min(range(g.n), key=lambda w: len(g.adj[w]))
-        if m == hub and expected[0] == s < len(g.adj[m]):
+        adj = g.adj
+        m = min(range(g.n), key=lambda w: len(adj[w]))
+        if m == hub and expected[0] == s < len(adj[m]):
             below_degree += 1
     assert below_degree >= 100, below_degree
 
