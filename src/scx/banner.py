@@ -301,6 +301,14 @@ def _banner_number(c: SimplicialComplex) -> BannerNumber:
     return BannerNumber(None, 0, prev_fail)
 
 
+def _level_holds(c: SimplicialComplex, j: int) -> bool:
+    """Is the link of every j-vertex face banner or a triangle, by the link table?
+
+    For j = ``banner_number(c).value`` every answer is already in the table.
+    """
+    return all(_link_banner(c, ids) for ids in (c.faces_ids(j) if j else [()]))
+
+
 def _link_banner_value(c: SimplicialComplex, face: Iterable[Label]) -> int | None:
     """``banner_number(c.link(face)).value``, read off ``c``'s link table.
 

@@ -119,14 +119,15 @@ def _maximal(masks: set[int]) -> list[int]:
     maximal: list[int] = []
     holders: dict[int, int] = {}
     for cand in sorted(masks, key=int.bit_count, reverse=True):
+        bits = tuple(_iter_bits(cand))
         common = -1
-        for v in _iter_bits(cand):
+        for v in bits:
             common &= holders.get(v, 0)
             if not common:
                 break
         if not common:
             bit = 1 << len(maximal)
-            for v in _iter_bits(cand):
+            for v in bits:
                 holders[v] = holders.get(v, 0) | bit
             maximal.append(cand)
     return maximal

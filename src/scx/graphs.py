@@ -72,10 +72,10 @@ class SkeletonGraph:
         edges: Iterable[tuple[int, int]],
         labels: Sequence[str] | None = None,
     ):
-        labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
+        labels = tuple(map(str, labels if labels is not None else range(n)))
         if len(labels) != n:
             raise ValueError("label count must match vertex count")
-        if len({str(lab) for lab in labels}) != n:
+        if len(set(labels)) != n:
             raise ValueError("labels must be distinct")
         masks = [0] * n
         for a, b in edges:

@@ -13,6 +13,7 @@ genuinely separate routes:
 - banner classes by label tuples probed with ``has_face``,
 - banner status of face links on built link complexes, classified on
   label tuples, with the triangle told by brute-force face counts,
+- the L5.2 inequality by the exact banner number of every built face link,
 - maximal sets by pairwise strict-subset tests,
 - strong connectivity by pairwise facet intersections,
 - normality by the skeleton connectivity of every built face link,
@@ -37,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from scx.kernels import flow_network, unit_maxflow
-from scx.banner import BannerClass, BannerWitness, cliques
+from scx.banner import BannerClass, BannerWitness, banner_number, cliques
 from scx.complexes import SimplicialComplex
 from scx.errors import EmptyOutside, NoBoundary, NotPseudomanifold, NotPure, ScxError
 from scx.graphs import neighborhood, skeleton
@@ -542,6 +543,23 @@ def link_banner_by_complexes(c, ids: tuple[int, ...]) -> bool:
     if lk.dim == 1 and brute_f_vector(lk) == (1, 3, 3):
         return True
     return lk.is_pure and classify_by_labels(lk).banner
+
+
+def link_values_bounded_by_links(c) -> tuple:
+    """The L5.2 conclusion by the exact banner number of every built face link.
+
+    Each face of at most b vertices has its link built and that link's
+    banner number computed from level 0 up, the per-face route that the
+    library's one scan of the level-b link table replaced.
+    """
+    value = banner_number(c).value
+    for size in range(1, value + 1):
+        for face in sorted(c.faces(size)):
+            sub = banner_number(c.link(face)).value
+            if sub is None or sub > value - size:
+                payload = {"face": list(face), "link_value": sub, "value": value}
+                return "fail", f"link of {face} breaks the banner-number inequality", payload
+    return "pass", f"inequality holds below level {value}"
 
 
 def outside_subcomplex(c, vertex):

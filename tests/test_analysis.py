@@ -427,6 +427,28 @@ def test_l52_failure_row(monkeypatch):
     assert res.payload == {"face": ["v0"], "link_value": 1, "value": 1}
 
 
+def test_l52_level_b_miss_reaches_the_exact_loop(monkeypatch):
+    from scx import banner
+
+    c = cyclic_polytope_boundary(7, 4)
+    assert banner_number(c).value == 3
+    rejected = c._face_ids(("t1", "t2", "t3"))
+    table_entry = banner._link_banner
+
+    def rejecting(cx, ids):
+        return False if cx is c and ids == rejected else table_entry(cx, ids)
+
+    monkeypatch.setattr(banner, "_link_banner", rejecting)
+    res = verify_property("L5.2", c)
+    assert (res.verdict, res.detail) == (
+        "fail",
+        "link of ('t1',) breaks the banner-number inequality",
+    )
+    # t1 t2 t3 sits at level 2, the top one, of the link of t1, and the
+    # lower levels of that link fail untampered
+    assert res.payload == {"face": ["t1"], "link_value": None, "value": 3}
+
+
 def test_p37_failure_row_on_a_strongly_banner_input(monkeypatch):
     from dataclasses import replace
 
@@ -657,6 +679,18 @@ def test_cli_gen_analyze_pipeline(tmp_path, capsys):
     assert cli.main(["analyze", str(out), "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["flag"] is True and data["connectivity"] == 4
+
+
+def test_python_m_scx_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(analysis.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "scx", "--help"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: scx ")
+    probe = "import sys, scx; print('scx.__main__' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.stdout == "False\n", done.stderr
 
 
 def test_cli_gen_list(capsys):

@@ -44,6 +44,7 @@ from oracles import (
     built_fields,
     classify_by_labels,
     homology_manifold_ascending,
+    link_values_bounded_by_links,
     mask_sets,
     maximal_by_pairs,
     normal_by_links,
@@ -135,6 +136,21 @@ def test_link_banner_values_match_built_links_on_every_small_face():
             direct = _outcome(lambda: banner_number(c.link(face)).value)
             assert via_table == direct, (c.facets, face)
     assert faces == 20009 + 9521
+
+
+def test_l52_rows_match_exact_link_values_on_every_small_complex():
+    """The level-b scan's pass against the banner number of every built link
+    of a face of at most b vertices; a complex without a banner number skips."""
+    checked = 0
+    for c in SMALL:
+        res = verify_property("L5.2", c)
+        if banner_number(c).value is None:
+            assert res.verdict == "skip", c.facets
+            continue
+        checked += 1
+        row = (res.verdict, res.detail) + ((res.payload,) if res.payload else ())
+        assert row == link_values_bounded_by_links(c), c.facets
+    assert checked > 0
 
 
 def test_subcomplexes_match_label_sets_on_every_small_complex():

@@ -63,6 +63,14 @@ def test_skeleton_graph_rejects_repeated_labels(labels):
         SkeletonGraph(3, [(0, 1), (1, 2)], labels=labels)
 
 
+def test_skeleton_graph_keeps_labels_as_strings():
+    g = SkeletonGraph(3, [(0, 1), (1, 2)], labels=(10, 11, 12))
+    assert g.labels == ("10", "11", "12")
+    assert [g.id_of(v) for v in (10, "11", 12)] == [0, 1, 2]
+    assert vertex_connectivity(g).cut.vertices == ("11",)
+    assert independent_paths(g, 10, 12).paths == (("10", "11", "12"),)
+
+
 def test_skeleton_of_a_complex_shares_its_adjacency():
     c = cross_polytope_boundary(2)
     g = skeleton(c)
