@@ -378,15 +378,19 @@ def _link_values_bounded(c: SimplicialComplex) -> tuple:
 
 
 def _links_inherit(c: SimplicialComplex) -> tuple:
-    # Strongly banner implies banner, so one side is checked per vertex.  The
-    # link table answers banner-or-triangle, and with c banner and d >= 2 the
-    # link of no vertex v is a triangle abc: only for d = 2 is it a graph, and
-    # then v, a, b, c span a simplex boundary if abc is a face and abc is a
-    # critical non-spanning clique if not.
-    strongly = classify(c).strongly_banner
+    """P3.7: the link of every vertex of a banner (strongly banner) complex
+    of dimension d >= 2 is banner (strongly banner).
+
+    The link table answers both sides.  It answers banner-or-triangle, and
+    with c banner the link of no vertex v is a triangle abc: only for d = 2
+    is it a graph, and then v, a, b, c span a simplex boundary if abc is a
+    face and abc is a critical non-spanning clique if not.  For c strongly
+    banner, let K be a d-clique of the skeleton of lk v.  Then K + v is a
+    (d+1)-clique of c, so it is a facet, so K is a facet of lk v.  Hence
+    lk v is strongly banner exactly when it is banner.
+    """
     for i, v in enumerate(c.vertices):
-        ok = classify(c.link((v,))).strongly_banner if strongly else _link_banner(c, (i,))
-        if not ok:
+        if not _link_banner(c, (i,)):
             return "fail", f"link of {v} loses the property", {"vertex": v}
     return "pass", "links inherit banner (and strongly banner) status"
 

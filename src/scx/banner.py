@@ -26,14 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .complexes import Face, Label, SimplicialComplex, _iter_bits, _mask
-from .errors import (
-    EmptyComplex,
-    NoBoundary,
-    NotAClique,
-    NotAFace,
-    NotPure,
-    UnknownVertex,
-)
+from .errors import NoBoundary, NotAClique, NotPure
 from .graphs import _adjacency_masks
 
 _TRIANGLE_F_VECTOR = (1, 3, 3)
@@ -57,7 +50,7 @@ class BannerClass:
 @dataclass(frozen=True)
 class BannerNumber:
     value: int | None  # None when no admissible level exists
-    passed_faces: int  # how many links were checked at the accepted level
+    passed_faces: int  # the number of faces at the accepted level
     failing_face: Face | None  # a witness one level below (or at d-1 if undefined)
 
 
@@ -210,7 +203,10 @@ def _link_banner(c: SimplicialComplex, ids: tuple[int, ...]) -> bool:
     Answers are kept in a table in ``c``'s memo, indexed by face.  Apart
     from the empty face, whose link is ``c`` itself, no link is built: the
     link is read off the residues ``G - F`` of the facets ``G`` containing
-    the face ``F``, as bitmasks (``_residues_banner``).
+    the face ``F``, as bitmasks (``_residues_banner``).  The table is how
+    every passing check learns about a face link: the banner number, its
+    level-b certificate for L5.2, the banner numbers of face links
+    (``_link_banner_value``) and P3.7 all scan it (``_first_failure``).
     """
     table = c._memo.setdefault("link_banner", {})
     ok = table.get(ids)
@@ -288,17 +284,20 @@ def _banner_number(c: SimplicialComplex) -> BannerNumber:
     # ids are in label order, so sorted id tuples are in label order too
     prev_fail: Face | None = None
     for j in range(0, max(c.dim, 1)):
-        failed: Face | None = None
-        checked = 0
-        for ids in sorted(c.faces_ids(j)) if j else [()]:
-            checked += 1
-            if not _link_banner(c, ids):
-                failed = c._face_labels(ids)
-                break
+        level = sorted(c.faces_ids(j)) if j else [()]
+        failed = _first_failure(c, level)
         if failed is None:
-            return BannerNumber(j, checked, prev_fail)
-        prev_fail = failed
+            return BannerNumber(j, len(level), prev_fail)
+        prev_fail = c._face_labels(failed)
     return BannerNumber(None, 0, prev_fail)
+
+
+def _first_failure(
+    c: SimplicialComplex, family: Iterable[tuple[int, ...]]
+) -> tuple[int, ...] | None:
+    """The first face of ``family`` whose link the link table finds neither
+    banner nor a triangle, or None when there is none."""
+    return next((ids for ids in family if not _link_banner(c, ids)), None)
 
 
 def _level_holds(c: SimplicialComplex, j: int) -> bool:
@@ -306,57 +305,30 @@ def _level_holds(c: SimplicialComplex, j: int) -> bool:
 
     For j = ``banner_number(c).value`` every answer is already in the table.
     """
-    return all(_link_banner(c, ids) for ids in (c.faces_ids(j) if j else [()]))
+    return _first_failure(c, c.faces_ids(j) if j else [()]) is None
 
 
 def _link_banner_value(c: SimplicialComplex, face: Iterable[Label]) -> int | None:
     """``banner_number(c.link(face)).value``, read off ``c``'s link table.
 
-    The j-vertex faces of the link of F are the sets G with F u G a face
-    of ``c``, and the link of G in the link of F is the link of F u G in
-    ``c``, so no link of a link is built: level j asks the table about the
-    (|F| + j)-faces containing F (``_cofaces``).  Raises like
-    ``c.link(face)`` and, for a link that is not pure, like
-    ``banner_number``.
+    The link of F has the residues G - F of the facets G holding F as its
+    facets, so its j-vertex faces are the j-subsets G' of the residues,
+    and the link of G' in the link of F is the link of F u G' in ``c``: no
+    link of a link is built, and level j asks the table about those
+    (|F| + j)-faces F u G', in order.  Raises like ``c.link(face)`` and,
+    for a link that is not pure, like ``banner_number``.
     """
-    face = tuple(sorted({str(v) for v in face}))
-    try:
-        ids = c._face_ids(face)
-    except UnknownVertex:
-        raise NotAFace(f"{face} is not a face") from None
-    holders = c._holders(len(ids)).get(ids)
-    if holders is None:
-        raise NotAFace(f"{face} is not a face")
-    sizes = {len(c._facets[i]) - len(ids) for i in holders}
-    if 0 in sizes:
-        raise EmptyComplex("link of a facet is empty")
+    ids, residues = c._residues(face)
+    sizes = {r.bit_count() for r in residues}
     if len(sizes) != 1:
         raise NotPure("banner number needs a pure complex")
     (size,) = sizes
+    bits = [tuple(_iter_bits(r)) for r in residues]
     for j in range(0, max(size - 1, 1)):
-        if all(_link_banner(c, g) for g in _cofaces(c, ids, len(ids) + j)):
+        cofaces = {tuple(sorted(ids + g)) for r in bits for g in itertools.combinations(r, j)}
+        if _first_failure(c, sorted(cofaces)) is None:
             return j
     return None
-
-
-def _cofaces(c: SimplicialComplex, ids: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
-    """The k-vertex faces containing the face ``ids``, sorted.
-
-    An index from each s-subset of a k-face to the k-faces holding it is
-    built once per (k, s) and kept in ``c``'s memo, so a coface is listed
-    once per (k, s) rather than once per facet above each face below it.
-    """
-    if k == len(ids):
-        return [ids]
-    indexes = c._memo.setdefault("cofaces", {})
-    index = indexes.get((k, len(ids)))
-    if index is None:
-        index = {}
-        for g in sorted(c.faces_ids(k)):
-            for sub in itertools.combinations(g, len(ids)):
-                index.setdefault(sub, []).append(g)
-        indexes[k, len(ids)] = index  # stored whole, so no thread sees it half built
-    return index[ids]
 
 
 def classify_tilde_cliques(ball: SimplicialComplex, j: int) -> TildeCliques:

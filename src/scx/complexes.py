@@ -24,10 +24,9 @@ lists are never mutated.
 
 Invariants computed from a complex (its banner class, banner number,
 manifold class, Betti numbers, its vertex adjacency, which its skeleton
-wraps, the ridge graph of its facets, the facets holding each vertex,
-the banner status of its face links and an index from faces to their
-cofaces) are cached per object in its ``_memo`` dict, so each is
-computed once however many checks ask for it.
+wraps, the ridge graph of its facets, the facets holding each vertex and
+the banner status of its face links) are cached per object in its
+``_memo`` dict, so each is computed once however many checks ask for it.
 Cached values are immutable, hold no reference back to the complex and
 die with it; there is no global or content-keyed cache.  Neither memo
 takes a lock: two threads asking for the same value at once may both
@@ -337,21 +336,29 @@ class SimplicialComplex:
         The link of the empty face is the complex itself; the link of a
         facet would be empty and raises ``EmptyComplex``.
         """
-        labels = tuple(sorted(str(v) for v in face))
+        ids, residues = self._residues(face)
+        return SimplicialComplex._from_ids(self._labels, residues) if ids else self
+
+    def _residues(self, face: Iterable[Label]) -> tuple[tuple[int, ...], list[int]]:
+        """The sorted ids of the label face F and the masks G - F of the
+        facets G holding it: the facets of the link of F.
+
+        Raises ``NotAFace`` when F is no face and ``EmptyComplex`` when F
+        is a facet, so that its one residue is empty.
+        """
+        labels = tuple(sorted({str(v) for v in face}))
         try:
-            ids = self._face_ids(set(labels))
+            ids = self._face_ids(labels)
         except UnknownVertex:
             raise NotAFace(f"{labels} is not a face") from None
-        if not ids:
-            return self
         holders = self._holders(len(ids)).get(ids)
         if holders is None:
             raise NotAFace(f"{labels} is not a face")
         mask = _mask(ids)
-        residues = [r for r in (self._masks[i] ^ mask for i in holders) if r]
-        if not residues:
+        residues = [self._masks[i] ^ mask for i in holders]
+        if residues == [0]:
             raise EmptyComplex("link of a facet is empty")
-        return SimplicialComplex._from_ids(self._labels, residues)
+        return ids, residues
 
     def star(self, vertex: Label) -> "SimplicialComplex":
         """The cone over ``link(vertex)`` with apex ``vertex``."""

@@ -32,9 +32,9 @@ and then separates m from one of its non-neighbors.  Each non-adjacent
 pair of neighbors takes one flow.  The non-neighbors join m's side A
 one at a time, starting from k = deg(m) and A = N(m); the next is the
 one with the most neighbors in A, lowest id first.  If it has fewer
-than k of them, one flow from m to it, capped at k, may lower k;
-otherwise it needs no flow.  The final k is K, the least of deg(m) and
-the uncapped flows from m to all its non-neighbors.  It is not below K,
+than k of them, one flow from m to it may lower k; otherwise it needs
+no flow.  The final k is K, the least of deg(m) and the flows from m to
+all its non-neighbors, none of which exceeds deg(m).  It is not below K,
 as no flow is.  Nor is it above: if a separator of s < deg(m) vertices,
 m not among them, cuts a part W off from m, the first vertex of W to be
 taken has its neighbors in A inside the separator, so unless k <= s
@@ -291,8 +291,7 @@ def _vertex_connectivity(g: SkeletonGraph) -> ConnectivityResult:
 
 def _absorbed_bound(g: SkeletonGraph, net: _SplitNetwork, m: int) -> int:
     """min(deg m, least flow from ``m`` to a non-neighbor), as the module
-    docstring argues; each flow leaves m's in-node, whose split arc caps it."""
-    caps = net.caps.copy()
+    docstring argues."""
     k = g.masks[m].bit_count()
     in_side = [0] * g.n  # neighbors in m's side
     for x in _iter_bits(g.masks[m]):
@@ -303,8 +302,7 @@ def _absorbed_bound(g: SkeletonGraph, net: _SplitNetwork, m: int) -> int:
         w = max(rest, key=in_side.__getitem__)
         rest.remove(w)
         if in_side[w] < k:
-            caps[m] = k
-            k = unit_maxflow(net.network, caps, 2 * m, 2 * w)[0]
+            k = min(k, _pair_flow(g, net, m, w)[0])
         for y in _iter_bits(g.masks[w]):
             in_side[y] += 1
     return k

@@ -303,9 +303,12 @@ class ShellingOrder:
 
 
 def _step_ok(chosen: list[frozenset], cand: frozenset, d: int) -> bool:
-    """Is cand's intersection with the union of chosen pure of dimension d-1?"""
+    """Is cand's intersection with the union of chosen pure of dimension d-1?
+
+    An empty meet lies in every ridge; for d = 0 it is the ridge, the empty
+    face, so every order of points is a shelling.
+    """
     meets = {cand & f for f in chosen}
-    meets.discard(frozenset())
     ridges = [m for m in meets if len(m) == d]
     if not ridges:
         return False

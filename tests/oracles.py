@@ -14,6 +14,7 @@ genuinely separate routes:
 - banner status of face links on built link complexes, classified on
   label tuples, with the triangle told by brute-force face counts,
 - the L5.2 inequality by the exact banner number of every built face link,
+- P3.7 by classifying every built vertex link on label tuples,
 - maximal sets by pairwise strict-subset tests,
 - strong connectivity by pairwise facet intersections,
 - normality by the skeleton connectivity of every built face link,
@@ -560,6 +561,21 @@ def link_values_bounded_by_links(c) -> tuple:
                 payload = {"face": list(face), "link_value": sub, "value": value}
                 return "fail", f"link of {face} breaks the banner-number inequality", payload
     return "pass", f"inequality holds below level {value}"
+
+
+def links_inherit_by_links(c) -> tuple:
+    """The P3.7 conclusion on every built vertex link, classified on label tuples.
+
+    A banner input needs banner links and a strongly banner input strongly
+    banner ones, the two-sided route that the library's one scan of the
+    vertex link table replaced.
+    """
+    strongly = classify_by_labels(c).strongly_banner
+    for v in c.vertices:
+        cls = classify_by_labels(c.link((v,)))
+        if not (cls.strongly_banner if strongly else cls.banner):
+            return "fail", f"link of {v} loses the property", {"vertex": v}
+    return "pass", "links inherit banner (and strongly banner) status"
 
 
 def outside_subcomplex(c, vertex):

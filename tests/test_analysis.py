@@ -450,23 +450,19 @@ def test_l52_level_b_miss_reaches_the_exact_loop(monkeypatch):
 
 
 def test_p37_failure_row_on_a_strongly_banner_input(monkeypatch):
-    from dataclasses import replace
-
     c = cross_polytope_boundary(3)
     assert classify(c).strongly_banner
     v = c.vertices[1]
-    link = c.link((v,))
-    real = analysis.classify
+    table_entry = analysis._link_banner
 
-    def demoting(cx):
-        cls = real(cx)
-        return replace(cls, strongly_banner=False) if cx == link else cls
+    def rejecting(cx, ids):
+        return False if cx is c and ids == (1,) else table_entry(cx, ids)
 
-    def unread(cx, ids):
-        raise AssertionError("a strongly banner input is checked on its built links")
+    def unbuilt(cx, face):
+        raise AssertionError("a strongly banner input builds no link")
 
-    monkeypatch.setattr(analysis, "classify", demoting)
-    monkeypatch.setattr(analysis, "_link_banner", unread)
+    monkeypatch.setattr(analysis, "_link_banner", rejecting)
+    monkeypatch.setattr(SimplicialComplex, "link", unbuilt)
     res = verify_property("P3.7", c)
     assert (res.verdict, res.detail) == ("fail", f"link of {v} loses the property")
     assert res.payload == {"vertex": v}
@@ -494,12 +490,12 @@ def test_p37_failure_row_on_a_banner_input_reads_the_link_table(monkeypatch):
     assert res.payload == {"vertex": v}
 
 
-def test_only_p37_on_strongly_banner_inputs_and_witnesses_build_links(monkeypatch):
+def test_only_witnesses_build_links(monkeypatch):
     callers = []
     real = SimplicialComplex.link
 
     def traced(cx, face):
-        callers.append((sys._getframe(1).f_code.co_name, cx))
+        callers.append(sys._getframe(1).f_code.co_name)
         return real(cx, face)
 
     monkeypatch.setattr(SimplicialComplex, "link", traced)
@@ -507,8 +503,7 @@ def test_only_p37_on_strongly_banner_inputs_and_witnesses_build_links(monkeypatc
     for spec, c in catalog():  # fresh complexes, as the memo would answer the old ones
         if c.is_pure:
             analyze(c, display_name(spec))
-    assert {name for name, _ in callers} == {"_links_inherit", "_first_deviating_face"}
-    assert all(classify(cx).strongly_banner for name, cx in callers if name == "_links_inherit")
+    assert set(callers) == {"_first_deviating_face"}
 
 
 def _neighborhood_subjects(corpus):
@@ -817,6 +812,13 @@ def test_cli_shelling_no_shelling(tmp_path, capsys):
     path = tmp_path / "two.scx"
     path.write_text("a b c\nx y z\n")
     assert cli.main(["shelling", str(path)]) == 1
+
+
+def test_cli_shelling_of_two_points(tmp_path, capsys):
+    path = tmp_path / "s0.scx"
+    path.write_text("a\nb\n")
+    assert cli.main(["shelling", str(path)]) == 0
+    assert capsys.readouterr().out.split() == ["a", "b"]
 
 
 @pytest.mark.parametrize("budget", ["-1", "0"])

@@ -27,6 +27,7 @@ from scx.analysis import (
 from scx.banner import _link_banner_value, banner_number, classify, classify_tilde_cliques
 from scx.complexes import SimplicialComplex, _maximal
 from scx.errors import EmptyComplex, ScxError
+from scx.generators import catalog
 from scx.graphs import _adjacency_masks, is_outside_connected, skeleton, vertex_connectivity
 from scx.manifold import (
     facet_graph,
@@ -45,6 +46,7 @@ from oracles import (
     classify_by_labels,
     homology_manifold_ascending,
     link_values_bounded_by_links,
+    links_inherit_by_links,
     mask_sets,
     maximal_by_pairs,
     normal_by_links,
@@ -151,6 +153,25 @@ def test_l52_rows_match_exact_link_values_on_every_small_complex():
         row = (res.verdict, res.detail) + ((res.payload,) if res.payload else ())
         assert row == link_values_bounded_by_links(c), c.facets
     assert checked > 0
+
+
+def test_p37_rows_match_built_vertex_links():
+    """P3.7's one scan of the vertex link table against classifying every
+    built vertex link, on the small complexes and on the pure catalog
+    entries with their cones and suspensions."""
+    pure = [c for _, c in catalog() if c.is_pure]
+    subjects = SMALL + pure + [c.cone() for c in pure] + [c.suspension() for c in pure]
+    checked = small = 0
+    for i, c in enumerate(subjects):
+        res = verify_property("P3.7", c)
+        if res.verdict == "skip":
+            assert c.dim < 2 or not classify_by_labels(c).banner, c.facets
+            continue
+        checked += 1
+        small += i < len(SMALL)
+        row = (res.verdict, res.detail) + ((res.payload,) if res.payload else ())
+        assert row == links_inherit_by_links(c), c.facets
+    assert small == 119 and checked > small
 
 
 def test_subcomplexes_match_label_sets_on_every_small_complex():

@@ -11,6 +11,7 @@ meant to change, from the repository root:
 
 import contextlib
 import io
+import os
 import tempfile
 from pathlib import Path
 
@@ -31,7 +32,9 @@ def _run_cli(argv) -> tuple[str, int]:
 def analyze_outputs(workdir) -> dict[str, str]:
     """CLI reports of the pure catalog entries, each read back from a file."""
     outputs = {}
-    with contextlib.chdir(workdir):
+    home = os.getcwd()
+    os.chdir(workdir)  # contextlib.chdir needs Python 3.11
+    try:
         for spec, c in catalog():
             if not c.is_pure:
                 continue
@@ -40,6 +43,8 @@ def analyze_outputs(workdir) -> dict[str, str]:
             text, code = _run_cli(["analyze", f"{name}.scx", "--json"])
             assert code == 0, name
             outputs[name] = text
+    finally:
+        os.chdir(home)
     return outputs
 
 

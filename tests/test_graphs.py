@@ -329,7 +329,8 @@ def test_connectivity_flow_count_on_subdivided_octahedron(monkeypatch):
     adj = g.adj
     m = min(range(g.n), key=lambda w: len(adj[w]))
     assert (g.n, len(adj[m])) == (26, 4)
-    assert sum(source == 2 * m for source, _ in calls) == 16
+    # the absorbed flows leave m's out-node, which here no other flow does
+    assert sum(source == 2 * m + 1 for source, _ in calls) == 16
     assert len(calls) == 19  # and two neighbor pairs and one certificate flow
     assert res.value == 4
     assert res.cut.vertices == ("m0-m1-m2", "m1", "m1-m2-p0", "m2")

@@ -369,6 +369,20 @@ def test_boundary_sphere_shelling():
 def test_disjoint_triangles_have_no_shelling():
     c = from_facets([["a", "b", "c"], ["x", "y", "z"]])
     assert find_shelling(c) is None
+    # nor do two disjoint edges, unlike two points
+    edges = from_facets([["a", "b"], ["x", "y"]])
+    assert find_shelling(edges) is None
+    assert not verify_shelling(edges, edges.facets)
+
+
+def test_points_shell_in_every_order():
+    # each point meets the earlier ones in the empty face, a (-1)-sphere
+    for points in (["a", "b"], ["a", "b", "c"]):
+        c = from_facets([[p] for p in points])
+        order = find_shelling(c)
+        assert order is not None and len(order.facets) == len(points)
+        for perm in itertools.permutations(c.facets):
+            assert verify_shelling(c, perm)
 
 
 def test_ring_ball_shelling_seeded_by_central_star():
