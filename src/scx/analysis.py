@@ -27,6 +27,8 @@ from .generators import catalog, display_name
 from .graphs import _adjacency_masks, _reach, is_outside_connected, skeleton, vertex_connectivity
 from .homology import z2_betti, z2_relative_betti
 from .manifold import (
+    _homology_manifold,
+    _normality,
     _ridge_graph,
     _vertex_facets,
     is_pseudomanifold,
@@ -63,8 +65,8 @@ class AnalysisReport:
 
 def analyze(c: SimplicialComplex, name: str = "complex") -> AnalysisReport:
     """Compute every invariant; the connectivity bound comparison is
-    recorded unconditionally but only counts as checked when the complex
-    is a closed normal pseudomanifold."""
+    recorded unconditionally but only counts as checked when every
+    hypothesis of T1.1 holds."""
     if not c.is_pure:
         raise NotPure("analysis reports are defined for pure complexes")
     mc = manifold_class(c)
@@ -110,7 +112,7 @@ def analyze(c: SimplicialComplex, name: str = "complex") -> AnalysisReport:
         connectivity=conn.value,
         connectivity_certificate=certificate,
         bound=bound,
-        bound_checked=CLOSED_NORMAL[0](c),
+        bound_checked=_unmet(_STATEMENTS["T1.1"][0], c) is None,
         bound_satisfied=(conn.value >= bound) if bound is not None else None,
     )
 
@@ -215,7 +217,7 @@ CLOSED: Hypothesis = (
     "not a closed pseudomanifold",  # L2.1 gives this reason on non-pure input too
 )
 CLOSED_NORMAL: Hypothesis = (
-    lambda c: is_pseudomanifold(c) == "closed" and manifold_class(c).normal is True,
+    lambda c: is_pseudomanifold(c) == "closed" and _normality(c).normal,
     "not a closed normal pseudomanifold",
 )
 WITH_BOUNDARY: Hypothesis = (
@@ -225,7 +227,7 @@ WITH_BOUNDARY: Hypothesis = (
 BANNER: Hypothesis = (lambda c: classify(c).banner, "not banner")
 FLAG: Hypothesis = (lambda c: classify(c).flag, "not flag")
 HOMOLOGY_MANIFOLD: Hypothesis = (
-    lambda c: manifold_class(c).homology_manifold,
+    lambda c: _homology_manifold(c)[0],
     "not a homology manifold",
 )
 BANNER_NUMBER: Hypothesis = (
@@ -433,73 +435,74 @@ def _boundary_cone_transfers(c: SimplicialComplex) -> tuple:
     return "pass", "boundary cone preserves the property conjunction"
 
 
+def _unmet(hypotheses: list[Hypothesis], c: SimplicialComplex) -> str | None:
+    """The skip reason of the first hypothesis that ``c`` fails, or None."""
+    return next((reason for holds, reason in hypotheses if not holds(c)), None)
+
+
 def _check(pid: str, hypotheses: list[Hypothesis], conclusion: Conclusion) -> Check:
     def check(c: SimplicialComplex) -> PropertyCheckResult:
-        for holds, reason in hypotheses:
-            if not holds(c):
-                return PropertyCheckResult(pid, "skip", reason)
+        reason = _unmet(hypotheses, c)
+        if reason is not None:
+            return PropertyCheckResult(pid, "skip", reason)
         return PropertyCheckResult(pid, *conclusion(c))
 
     return check
 
 
+# each statement's hypotheses and conclusion; ``analyze`` reads T1.1's
+# hypotheses too, for ``bound_checked``
+_STATEMENTS: dict[str, tuple[list[Hypothesis], Conclusion]] = {
+    "T1.1": (
+        [PURE, CLOSED_NORMAL, dim_at_least(1, "the 0-sphere has no banner number")],
+        _bound_holds,
+    ),
+    "T4.1": ([PURE, CLOSED_NORMAL, BANNER], _kappa_at_least_2d),
+    "L2.1": ([CLOSED], _antistars_connected),
+    "L4.2": ([PURE, CLOSED, BANNER], _no_neighborhood_containment),
+    "L4.3": ([PURE, CLOSED, BANNER], _skeleton_not_complete),
+    "L4.4": ([PURE, CLOSED, BANNER], _outsides_connected),
+    "L4.4-homological": (
+        [
+            PURE,
+            dim_at_least(1, "non-neighborhoods are empty in dimension 0"),
+            BANNER,
+            HOMOLOGY_MANIFOLD,
+        ],
+        _relative_homology_matches,
+    ),
+    "L5.2": ([PURE, BANNER_NUMBER], _link_values_bounded),
+    "P3.7": (
+        [
+            PURE,
+            dim_at_least(2, "links of a 1-dimensional complex are bare vertex pairs"),
+            BANNER,
+        ],
+        _links_inherit,
+    ),
+    "P3.8i": (
+        [PURE, dim_at_least(1, "cone equivalence starts at dimension 1")],
+        _preserves_triple("cone"),
+    ),
+    "P3.8ii": (
+        [PURE, dim_at_least(1, "suspension equivalence starts at dimension 1")],
+        _preserves_triple("suspension"),
+    ),
+    "P3.8iii": (
+        [
+            PURE,
+            dim_at_least(1, "a 0-dimensional complex has no boundary to cone over"),
+            dim_at_least(2, "a 1-dimensional boundary is bare points, which are never banner"),
+            WITH_BOUNDARY,
+        ],
+        _boundary_cone_transfers,
+    ),
+    "A3.2-special-case": ([PURE, CLOSED, FLAG], _kappa_at_least_2d),
+}
+
 _CHECKS: dict[str, Check] = {
     pid: _check(pid, hypotheses, conclusion)
-    for pid, hypotheses, conclusion in [
-        (
-            "T1.1",
-            [PURE, CLOSED_NORMAL, dim_at_least(1, "the 0-sphere has no banner number")],
-            _bound_holds,
-        ),
-        ("T4.1", [PURE, CLOSED_NORMAL, BANNER], _kappa_at_least_2d),
-        ("L2.1", [CLOSED], _antistars_connected),
-        ("L4.2", [PURE, CLOSED, BANNER], _no_neighborhood_containment),
-        ("L4.3", [PURE, CLOSED, BANNER], _skeleton_not_complete),
-        ("L4.4", [PURE, CLOSED, BANNER], _outsides_connected),
-        (
-            "L4.4-homological",
-            [
-                PURE,
-                dim_at_least(1, "non-neighborhoods are empty in dimension 0"),
-                BANNER,
-                HOMOLOGY_MANIFOLD,
-            ],
-            _relative_homology_matches,
-        ),
-        ("L5.2", [PURE, BANNER_NUMBER], _link_values_bounded),
-        (
-            "P3.7",
-            [
-                PURE,
-                dim_at_least(2, "links of a 1-dimensional complex are bare vertex pairs"),
-                BANNER,
-            ],
-            _links_inherit,
-        ),
-        (
-            "P3.8i",
-            [PURE, dim_at_least(1, "cone equivalence starts at dimension 1")],
-            _preserves_triple("cone"),
-        ),
-        (
-            "P3.8ii",
-            [PURE, dim_at_least(1, "suspension equivalence starts at dimension 1")],
-            _preserves_triple("suspension"),
-        ),
-        (
-            "P3.8iii",
-            [
-                PURE,
-                dim_at_least(1, "a 0-dimensional complex has no boundary to cone over"),
-                dim_at_least(
-                    2, "a 1-dimensional boundary is bare points, which are never banner"
-                ),
-                WITH_BOUNDARY,
-            ],
-            _boundary_cone_transfers,
-        ),
-        ("A3.2-special-case", [PURE, CLOSED, FLAG], _kappa_at_least_2d),
-    ]
+    for pid, (hypotheses, conclusion) in _STATEMENTS.items()
 }
 
 PROPERTY_IDS = tuple(_CHECKS)

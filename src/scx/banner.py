@@ -28,6 +28,7 @@ from typing import Iterable, Iterator
 from .complexes import Face, Label, SimplicialComplex, _iter_bits, _mask
 from .errors import NoBoundary, NotAClique, NotPure
 from .graphs import _adjacency_masks
+from .manifold import _normality, is_pseudomanifold
 
 _TRIANGLE_F_VECTOR = (1, 3, 3)
 
@@ -206,7 +207,9 @@ def _link_banner(c: SimplicialComplex, ids: tuple[int, ...]) -> bool:
     the face ``F``, as bitmasks (``_residues_banner``).  The table is how
     every passing check learns about a face link: the banner number, its
     level-b certificate for L5.2, the banner numbers of face links
-    (``_link_banner_value``) and P3.7 all scan it (``_first_failure``).
+    (``_link_banner_value``) and P3.7 all scan it (``_first_failure``),
+    except at level d-1 of a closed normal pseudomanifold, which holds by
+    rule (``_holds_by_rule``).
     """
     table = c._memo.setdefault("link_banner", {})
     ok = table.get(ids)
@@ -270,10 +273,19 @@ def banner_number(c: SimplicialComplex) -> BannerNumber:
 
     The empty face counts at level 0, so value 0 means the complex itself
     qualifies.  When no level up to d-1 works the value is None and the
-    failing face documents the last failure.  On a closed normal
-    pseudomanifold this happens only in dimension 0: for d >= 1 the links
-    of its (d-1)-vertex faces are cycles, while the 0-sphere, whose one
-    level is the complex itself, is neither banner nor a triangle.
+    failing face documents the last failure.
+
+    On a closed normal pseudomanifold of dimension d >= 1, level d-1 holds
+    by rule and is not scanned (``_holds_by_rule``).  The link of a
+    (d-1)-vertex face F is 1-dimensional, and each of its vertices v lies
+    in exactly two of its edges, one for each facet holding the ridge
+    F + v.  Normality makes the link connected, so it is one cycle: a
+    triangle, or flag and therefore banner.  For d = 1, level 0 is the
+    complex itself, which is one cycle for the same reasons.  So the value
+    is None there only in dimension 0: the 0-sphere, whose one level is
+    the complex itself, is neither banner nor a triangle.  Normality is
+    read through ``manifold._normality``, so no homology-manifold pass is
+    forced.
     """
     if not c.is_pure:
         raise NotPure("banner number needs a pure complex")
@@ -284,8 +296,10 @@ def _banner_number(c: SimplicialComplex) -> BannerNumber:
     # ids are in label order, so sorted id tuples are in label order too
     prev_fail: Face | None = None
     for j in range(0, max(c.dim, 1)):
-        level = sorted(c.faces_ids(j)) if j else [()]
-        failed = _first_failure(c, level)
+        level = c.faces_ids(j) if j else [()]
+        if _holds_by_rule(c, j):
+            return BannerNumber(j, len(level), prev_fail)
+        failed = _first_failure(c, sorted(level))
         if failed is None:
             return BannerNumber(j, len(level), prev_fail)
         prev_fail = c._face_labels(failed)
@@ -300,12 +314,20 @@ def _first_failure(
     return next((ids for ids in family if not _link_banner(c, ids)), None)
 
 
+def _holds_by_rule(c: SimplicialComplex, j: int) -> bool:
+    """Is j = d - 1 >= 0 on a closed normal pseudomanifold, whose (d-1)-vertex
+    faces all have cycles as links (see ``banner_number``)?"""
+    return j == c.dim - 1 >= 0 and is_pseudomanifold(c) == "closed" and _normality(c).normal
+
+
 def _level_holds(c: SimplicialComplex, j: int) -> bool:
     """Is the link of every j-vertex face banner or a triangle, by the link table?
 
-    For j = ``banner_number(c).value`` every answer is already in the table.
+    Level d-1 of a closed normal pseudomanifold holds by the rule of
+    ``banner_number`` and is not scanned.  For j = ``banner_number(c).value``
+    every other answer is already in the table.
     """
-    return _first_failure(c, c.faces_ids(j) if j else [()]) is None
+    return _holds_by_rule(c, j) or _first_failure(c, c.faces_ids(j) if j else [()]) is None
 
 
 def _link_banner_value(c: SimplicialComplex, face: Iterable[Label]) -> int | None:

@@ -2,12 +2,22 @@
 
 The checks here follow the chain: homology manifold => normal
 pseudomanifold => pseudomanifold.  ``is_normal`` and
-``is_homology_manifold`` each check their property on their own, but
-``manifold_class`` reads normality off a passing homology-manifold check
-and runs ``is_normal`` only on pseudomanifolds that fail it; the tests
-compare the two routes on the test corpora.  ``is_normal`` builds no
-link either: the link of a face F is connected exactly when the residues
-G - F of the facets G containing F, each joining its vertices, are.
+``is_homology_manifold`` each check their property on their own.  Each
+verdict is kept under its own key of the complex's memo, so that a
+caller pays only for the invariant it asks about: ``"pseudomanifold"``
+(``is_pseudomanifold``), ``"normal"`` (``_normality``),
+``"homology_manifold"`` with its witness (``_homology_manifold``) and
+``"homology_sphere"`` (``is_homology_sphere``).  The CLOSED_NORMAL
+hypothesis reads the first two, HOMOLOGY_MANIFOLD the third, and the
+banner number's level d - 1 rule the first two.  ``_normality`` reads
+normality off a passing homology-manifold verdict when that verdict is
+already in the memo, and runs ``is_normal`` otherwise; the tests compare
+the two routes.  ``manifold_class`` is the bundle that ``analyze`` and
+the API read; it asks for the homology-manifold verdict first and builds
+the rest from the same keys, so no invariant is computed twice.
+``is_normal`` builds no link: the link of a face F is connected exactly
+when the residues G - F of the facets G containing F, each joining its
+vertices, are.
 
 The facets containing each ridge are the ridge level of the complex's
 face index (``SimplicialComplex._holders``), as the facets containing
@@ -266,8 +276,35 @@ def is_homology_manifold(c: SimplicialComplex) -> tuple[bool, Face | None]:
     return True, None
 
 
+def _homology_manifold(c: SimplicialComplex) -> tuple[bool, Face | None]:
+    """``is_homology_manifold(c)``, kept in ``c``'s memo."""
+    return c._cached("homology_manifold", is_homology_manifold)
+
+
+def _normality(c: SimplicialComplex) -> NormalityResult:
+    """``is_normal(c)`` on a pseudomanifold, kept in ``c``'s memo.
+
+    A connected homology manifold is normal: each link of dimension at
+    least 1 has reduced Betti number 0 in degree 0, so it is connected.  So
+    a passing homology-manifold verdict already in the memo answers, and
+    ``is_normal`` runs otherwise; normality never forces that verdict.
+    """
+    return c._cached("normal", _build_normality)
+
+
+def _build_normality(c: SimplicialComplex) -> NormalityResult:
+    if c._memo.get("homology_manifold", (False,))[0]:
+        return NormalityResult(True, None)
+    return is_normal(c)
+
+
 def is_homology_sphere(c: SimplicialComplex) -> bool:
-    return manifold_class(c).homology_sphere
+    """A homology manifold with the GF(2) Betti numbers of a sphere; kept in ``c``'s memo."""
+    return c._cached("homology_sphere", _is_homology_sphere)
+
+
+def _is_homology_sphere(c: SimplicialComplex) -> bool:
+    return _homology_manifold(c)[0] and z2_betti(c) == sphere_pattern(c.dim, c.dim + 1)
 
 
 def manifold_class(c: SimplicialComplex) -> ManifoldClass:
@@ -276,21 +313,21 @@ def manifold_class(c: SimplicialComplex) -> ManifoldClass:
 
 
 def _manifold_class(c: SimplicialComplex) -> ManifoldClass:
+    """The bundle, read off the memo keys of its parts; the homology-manifold
+    verdict comes first, so that normality is read off it when it passes."""
     witnesses: dict[str, Face] = {}
     pm = is_pseudomanifold(c)
     strongly = pm != "no" or is_strongly_connected(c)
-    hm, hw = is_homology_manifold(c)
+    hm, hw = _homology_manifold(c)
     normal: bool | None = None
     if pm != "no":
-        # A connected homology manifold is normal: each link of dimension
-        # at least 1 has reduced Betti number 0 in degree 0, so it is connected.
-        res = NormalityResult(True, None) if hm else is_normal(c)
+        res = _normality(c)
         normal = res.normal
         if res.witness is not None:
             witnesses["normal"] = res.witness
     if hw is not None:
         witnesses["homology_manifold"] = hw
-    hs = hm and z2_betti(c) == sphere_pattern(c.dim, c.dim + 1)
+    hs = is_homology_sphere(c)
     return ManifoldClass(pm, strongly, normal, hm, hs, MappingProxyType(witnesses))
 
 

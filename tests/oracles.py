@@ -13,6 +13,7 @@ genuinely separate routes:
 - banner classes by label tuples probed with ``has_face``,
 - banner status of face links on built link complexes, classified on
   label tuples, with the triangle told by brute-force face counts,
+- banner numbers by scanning every level in full on built face links,
 - the L5.2 inequality by the exact banner number of every built face link,
 - P3.7 by classifying every built vertex link on label tuples,
 - maximal sets by pairwise strict-subset tests,
@@ -39,7 +40,14 @@ from fractions import Fraction
 import numpy as np
 
 from scx.kernels import flow_network, unit_maxflow
-from scx.banner import BannerClass, BannerWitness, banner_number, cliques
+from scx.banner import (
+    BannerClass,
+    BannerNumber,
+    BannerWitness,
+    banner_number,
+    banner_or_triangle,
+    cliques,
+)
 from scx.complexes import SimplicialComplex
 from scx.errors import EmptyOutside, NoBoundary, NotPseudomanifold, NotPure, ScxError
 from scx.graphs import neighborhood, skeleton
@@ -544,6 +552,25 @@ def link_banner_by_complexes(c, ids: tuple[int, ...]) -> bool:
     if lk.dim == 1 and brute_f_vector(lk) == (1, 3, 3):
         return True
     return lk.is_pure and classify_by_labels(lk).banner
+
+
+def banner_number_by_links(c) -> BannerNumber:
+    """``banner_number`` by a full scan of each level on built face links.
+
+    Level j is the j-vertex faces in label order, the empty face (whose link
+    is ``c``) at level 0; every face up to the first failure has its link
+    built and classified, the route the library's link table replaced.
+    Level d - 1 is scanned too, where the library accepts a closed normal
+    pseudomanifold by rule.
+    """
+    prev_fail = None
+    for j in range(max(c.dim, 1)):
+        level = sorted(c.faces(j)) if j else [()]
+        failed = next((f for f in level if not banner_or_triangle(c.link(f))), None)
+        if failed is None:
+            return BannerNumber(j, len(level), prev_fail)
+        prev_fail = failed
+    return BannerNumber(None, 0, prev_fail)
 
 
 def link_values_bounded_by_links(c) -> tuple:

@@ -33,7 +33,7 @@ from scx.generators import (
     stacked_sphere,
 )
 from scx.graphs import _adjacency_masks, is_outside_connected
-from scx.manifold import manifold_class
+from scx.manifold import is_pseudomanifold, manifold_class
 
 from oracles import (
     outside_connected_by_complexes,
@@ -67,6 +67,24 @@ def test_analyze_ring_sphere():
     assert r.banner_number == 2
     assert r.bound == 4 and r.connectivity == 5
     assert r.bound_checked and r.bound_satisfied
+
+
+def test_analyze_zero_sphere_leaves_the_bound_unchecked(tmp_path, capsys):
+    # T1.1 skips the 0-sphere, so its report must not call the bound checked
+    r = analyze(from_facets([["a"], ["b"]]))
+    assert (r.banner_number, r.bound, r.bound_satisfied) == (None, None, None)
+    assert r.bound_checked is False
+    path = tmp_path / "s0.scx"
+    path.write_text("a\nb\n")
+    assert cli.main(["analyze", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["bound_checked"] is False
+
+
+def test_bound_checked_is_t11_not_skipping_on_the_catalog():
+    for spec, c in catalog():
+        if c.is_pure:
+            skipped = verify_property("T1.1", c).verdict == "skip"
+            assert analyze(c).bound_checked is not skipped, display_name(spec)
 
 
 def test_analyze_triangle_report_values():
@@ -353,45 +371,56 @@ def _count_index_levels(monkeypatch) -> list:
 
 
 def test_verify_corpus_computes_each_invariant_once(monkeypatch):
+    """Each invariant is computed at most once per complex, and each
+    hypothesis computes only the invariant it names: no manifold bundle,
+    and the homology-manifold pass only where a check reaches
+    HOMOLOGY_MANIFOLD, which a non-banner input never does."""
     from scx import banner, graphs, manifold
 
-    c = cross_polytope_boundary(3)
-    counts = dict.fromkeys(
-        [
-            "_manifold_class",
-            "_classify",
-            "_banner_number",
-            "_vertex_connectivity",
-            "_build_adjacency_masks",
-            "_build_ridge_graph",
-        ],
-        0,
-    )
+    banner_input = cross_polytope_boundary(3)
+    other = cyclic_polytope_boundary(7, 4)  # closed and normal, not banner
+    names = [
+        (manifold, "_manifold_class"),
+        (manifold, "_build_normality"),
+        (manifold, "is_homology_manifold"),
+        (manifold, "_is_homology_sphere"),
+        (banner, "_classify"),
+        (banner, "_banner_number"),
+        (graphs, "_vertex_connectivity"),
+        (graphs, "_build_adjacency_masks"),
+        (manifold, "_build_ridge_graph"),
+    ]
+    counts = {(c, name): 0 for c in (banner_input, other) for _, name in names}
 
-    def count(module, name, is_subject):
+    def count(module, name):
         body = getattr(module, name)
 
         def counted(x):
-            if is_subject(x):
-                counts[name] += 1
+            for c in (banner_input, other):
+                if x is (graphs.skeleton(c) if name == "_vertex_connectivity" else c):
+                    counts[c, name] += 1
             return body(x)
 
         monkeypatch.setattr(module, name, counted)
 
-    count(manifold, "_manifold_class", lambda x: x is c)
-    count(banner, "_classify", lambda x: x is c)
-    count(banner, "_banner_number", lambda x: x is c)
-    count(graphs, "_vertex_connectivity", lambda g: g is graphs.skeleton(c))
-    count(graphs, "_build_adjacency_masks", lambda x: x is c)
-    count(manifold, "_build_ridge_graph", lambda x: x is c)
+    for module, name in names:
+        count(module, name)
     built = _count_index_levels(monkeypatch)
-    summary = verify_corpus([("octahedral-3-sphere", c)])
-    verdicts = {r.property_id: r.verdict for r in summary.rows}
-    assert verdicts["T1.1"] == verdicts["T4.1"] == verdicts["L5.2"] == "pass"
-    assert counts == dict.fromkeys(counts, 1)
+    summary = verify_corpus([("octahedral-3-sphere", banner_input), ("cyclic", other)])
+    rows = {(r.name, r.property_id): (r.verdict, r.detail) for r in summary.rows}
+    for name in ("octahedral-3-sphere", "cyclic"):
+        assert rows[name, "T1.1"][0] == rows[name, "L5.2"][0] == "pass"
+    assert rows["octahedral-3-sphere", "L4.4-homological"][0] == "pass"
+    assert rows["cyclic", "L4.4-homological"] == ("skip", "not banner")
+    once = dict.fromkeys([name for _, name in names], 1)
+    once["_manifold_class"] = once["_is_homology_sphere"] = 0
+    assert {name: counts[banner_input, name] for name in once} == once
+    once["is_homology_manifold"] = 0
+    assert {name: counts[other, name] for name in once} == once
     # built holds each facet tuple, so no id is reused within the run
     assert len({(id(f), k) for f, k in built}) == len(built)  # each level at most once
-    assert c.dim in [k for f, k in built if f is c._facets]  # the shared ridge level
+    for c in (banner_input, other):
+        assert c.dim in [k for f, k in built if f is c._facets]  # the shared ridge level
 
 
 def test_balls_with_boundary_make_one_ridge_pass(monkeypatch):
@@ -430,9 +459,11 @@ def test_l52_failure_row(monkeypatch):
 def test_l52_level_b_miss_reaches_the_exact_loop(monkeypatch):
     from scx import banner
 
-    c = cyclic_polytope_boundary(7, 4)
-    assert banner_number(c).value == 3
-    rejected = c._face_ids(("t1", "t2", "t3"))
+    # a ball, so level b = d - 1 is scanned rather than accepted by rule
+    c = simplex_boundary(3).cone()  # the corpus entry "cone-simplex-boundary-3"
+    assert is_pseudomanifold(c) == "with_boundary"
+    assert (c.dim, banner_number(c).value) == (3, 2)
+    rejected = c._face_ids(("_apex0", "v1"))
     table_entry = banner._link_banner
 
     def rejecting(cx, ids):
@@ -442,11 +473,11 @@ def test_l52_level_b_miss_reaches_the_exact_loop(monkeypatch):
     res = verify_property("L5.2", c)
     assert (res.verdict, res.detail) == (
         "fail",
-        "link of ('t1',) breaks the banner-number inequality",
+        "link of ('_apex0',) breaks the banner-number inequality",
     )
-    # t1 t2 t3 sits at level 2, the top one, of the link of t1, and the
-    # lower levels of that link fail untampered
-    assert res.payload == {"face": ["t1"], "link_value": None, "value": 3}
+    # _apex0 v1 sits at level 1, the top one, of the link of _apex0 (the
+    # boundary of a tetrahedron), and level 0 of that link fails untampered
+    assert res.payload == {"face": ["_apex0"], "link_value": None, "value": 2}
 
 
 def test_p37_failure_row_on_a_strongly_banner_input(monkeypatch):

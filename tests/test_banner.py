@@ -5,6 +5,8 @@ from hypothesis import given, settings
 
 from scx.analysis import verify_property
 from scx.banner import (
+    BannerNumber,
+    _level_holds,
     _link_banner,
     banner_number,
     banner_or_triangle,
@@ -29,6 +31,7 @@ from scx.generators import (
     simplex_boundary,
     stacked_sphere,
 )
+from scx.manifold import NormalityResult, is_normal, is_pseudomanifold
 
 from oracles import brute_is_flag, classify_by_labels, link_banner_by_complexes
 from test_fuzz import _FACETS
@@ -313,10 +316,37 @@ def test_banner_number_and_l52_build_no_link(monkeypatch):
         return link(self, face)
 
     monkeypatch.setattr(SimplicialComplex, "link", counted)
-    assert banner_number(c).value == 3
+    assert banner_number(c) == BannerNumber(3, 34, ("t0", "t1"))
     assert verify_property("L5.2", c).verdict == "pass"
     assert calls == []
-    assert len(c._memo["link_banner"]) == 37  # banner_number's entries only
+    # levels 0, 1 and 2 each stop at their first failing face; level 3 = d - 1
+    # of this closed normal pseudomanifold holds by rule, so none of its 34
+    # faces is asked (37 entries before the rule)
+    assert len(c._memo["link_banner"]) == 3
+
+
+def _pinched_octahedron():
+    # the octahedron on +-1, +-2, +-3 with one vertex x stacked on the face
+    # p1 p2 p3 and the same x stacked on the opposite face m1 m2 m3
+    octahedron = [
+        [f"{a}1", f"{b}2", f"{c}3"] for a in "pm" for b in "pm" for c in "pm"
+    ]
+    facets = [f for f in octahedron if f[0][0] != f[1][0] or f[1][0] != f[2][0]]
+    for s in "pm":
+        facets += [["x", f"{s}{i}", f"{s}{j}"] for i, j in ((1, 2), (2, 3), (1, 3))]
+    return from_facets(facets)
+
+
+def test_banner_number_scans_level_d_minus_1_of_a_closed_pseudomanifold_that_is_not_normal():
+    """Level d - 1 is accepted by rule only on a normal complex: here the
+    link of x is two triangles, neither banner nor a triangle."""
+    c = _pinched_octahedron()
+    assert (c.dim, is_pseudomanifold(c)) == (2, "closed")
+    assert is_normal(c) == NormalityResult(False, ("x",))
+    assert classify(c.link(("x",))).witness.kind == "simplex_boundary"
+    assert banner_number(c) == BannerNumber(None, 0, ("x",))
+    assert not _level_holds(c, 1)
+    assert banner_number(c.link(("m1",))).value == 0  # other vertex links are 5-cycles
 
 
 def test_stacked_spheres_are_barnette_tight():

@@ -11,7 +11,9 @@ n <= 4 vertices, which pin the skip reasons.
 """
 
 import itertools
+import runpy
 from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 
@@ -25,22 +27,29 @@ from scx.analysis import (
     verify_property,
 )
 from scx.banner import _link_banner_value, banner_number, classify, classify_tilde_cliques
-from scx.complexes import SimplicialComplex, _maximal
+from scx.complexes import SimplicialComplex, _maximal, loads
 from scx.errors import EmptyComplex, ScxError
 from scx.generators import catalog
 from scx.graphs import _adjacency_masks, is_outside_connected, skeleton, vertex_connectivity
+from scx.homology import sphere_pattern
 from scx.manifold import (
+    _homology_manifold,
+    _normality,
     facet_graph,
     is_homology_manifold,
+    is_homology_sphere,
     is_normal,
     is_pseudomanifold,
     is_strongly_connected,
+    manifold_class,
     verify_barnette_antistar,
 )
 
 from oracles import (
     all_pairs_connectivity,
+    banner_number_by_links,
     barnette_antistar_by_complexes,
+    betti_by_dense_rank,
     brute_is_flag,
     built_fields,
     classify_by_labels,
@@ -56,6 +65,7 @@ from oracles import (
     relative_homology_matches_by_complexes,
     strongly_connected_by_pairs,
 )
+from test_banner import _pinched_octahedron
 
 
 def _every_pure_complex(max_n: int) -> list[SimplicialComplex]:
@@ -113,18 +123,107 @@ def test_classify_matches_label_oracle_on_every_small_complex():
         assert classify(c) == classify_by_labels(c), c.facets
 
 
+def _fresh(c: SimplicialComplex) -> SimplicialComplex:
+    """A copy of ``c`` with an empty memo."""
+    return SimplicialComplex._from_ids(c.vertices, c._masks)
+
+
+def _verdicts_match(c: SimplicialComplex, hm: tuple, normal: tuple | None, sphere: bool):
+    """The separately cached manifold verdicts of fresh copies of ``c``
+    against the oracle values ``hm``, ``normal`` (None off pseudomanifolds)
+    and ``sphere``, read in both orders; returns the banner number.
+
+    In the order of ``verify`` normality comes first, from ``is_normal``,
+    and neither it nor the banner number's level d - 1 rule runs the
+    homology-manifold pass.  In the order of ``analyze`` the bundle comes
+    first, and normality is read off its homology-manifold verdict.
+    """
+    first = _fresh(c)
+    if normal is not None:
+        res = _normality(first)
+        assert (res.normal, res.witness) == normal, c.facets
+    value = banner_number(first)
+    assert "homology_manifold" not in first._memo, c.facets
+    second = _fresh(c)
+    mc = manifold_class(second)
+    assert _homology_manifold(second) == hm, c.facets
+    assert (mc.homology_manifold, mc.witnesses.get("homology_manifold")) == hm, c.facets
+    if normal is not None:
+        res = _normality(second)
+        bundled = (mc.normal, mc.witnesses.get("normal"))
+        assert (res.normal, res.witness) == bundled == normal, c.facets
+    assert is_homology_sphere(second) == mc.homology_sphere == sphere, c.facets
+    return value
+
+
 def test_manifold_recognition_and_flagness_match_oracles_on_every_small_complex():
     """Normality on facet residues against built links, the top-down
-    homology-manifold pass against full Betti vectors, and flagness."""
-    pseudomanifolds = 0
+    homology-manifold pass against full Betti vectors, and flagness; the
+    verdicts also as cached apart and bundled (``_verdicts_match``), and the
+    banner number, with its level d - 1 rule for closed normal
+    pseudomanifolds, against a full scan of every level on built links."""
+    pseudomanifolds = ruled = 0
     for c in SMALL:
-        assert is_homology_manifold(c) == homology_manifold_ascending(c), c.facets
+        hm = homology_manifold_ascending(c)
+        assert is_homology_manifold(c) == hm, c.facets
         assert classify(c).flag == brute_is_flag(c), c.facets
+        normal = None
         if is_pseudomanifold(c) != "no":
             pseudomanifolds += 1
+            normal = normal_by_links(c)
             res = is_normal(c)
-            assert (res.normal, res.witness) == normal_by_links(c), c.facets
-    assert pseudomanifolds == 411
+            assert (res.normal, res.witness) == normal, c.facets
+        sphere = hm[0] and betti_by_dense_rank(c) == sphere_pattern(c.dim, c.dim + 1)
+        assert _verdicts_match(c, hm, normal, sphere) == banner_number_by_links(c), c.facets
+        ruled += c.dim >= 1 and is_pseudomanifold(c) == "closed" and normal == (True, None)
+    assert pseudomanifolds == 411 and ruled > 0
+
+
+def _seeded_spheres() -> list[tuple[str, SimplicialComplex]]:
+    """The distinct ``spheres`` and ``highdim`` inputs of seeds 1-4 in
+    ``perfbench/inputs.py``, each with its cone and suspension.  Four
+    ``highdim`` inputs, such as ``cross-4``, take no seed, so they come once."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    build = runpy.run_path(str(path))["build"]
+    out, seen = [], set()
+    for workload in ("spheres", "highdim"):
+        for seed in (1, 2, 3, 4):
+            for inp in build(workload, seed):
+                if inp.text in seen:
+                    continue
+                seen.add(inp.text)
+                c = loads(inp.text)
+                name = f"{workload}-{seed}-{inp.name}"
+                out += [(name, c), (f"{name}-cone", c.cone())]
+                out.append((f"{name}-suspension", c.suspension()))
+    return out
+
+
+def test_manifold_verdicts_and_banner_numbers_match_oracles_on_seeded_spheres():
+    """Every input is a PL sphere, and so is its suspension: both are normal
+    homology spheres.  The cone is a normal ball, and its first vertex in
+    label order with a deviating link is the first base vertex, whose link
+    is a cone too, since the apex ``_apex0`` sorts before the ``v`` labels."""
+    subjects = _seeded_spheres()
+    assert len(subjects) == 3 * (4 * 7 + 4 + 4 * 3)
+    for name, c in subjects:
+        cone = name.endswith("-cone")
+        hm = (False, (c.vertices[1],)) if cone else (True, None)
+        assert c.vertices[0] == "_apex0" or not cone, name
+        assert _verdicts_match(c, hm, (True, None), not cone) == banner_number_by_links(c), name
+
+
+def test_banner_numbers_match_full_scans_on_a_pinched_sphere():
+    """No small complex is a closed pseudomanifold that is not normal, so the
+    pinched octahedron stands in for them, with its cone and suspension.
+    None is normal, and the banner number of each is undefined: level d - 1
+    fails at x, or at the apex edge _apex0 x, whose link is two triangles."""
+    pinched = _pinched_octahedron()
+    for c in (pinched, pinched.cone(), pinched.suspension()):
+        expected = banner_number_by_links(c)
+        assert banner_number(_fresh(c)) == expected, c.facets
+        assert not is_normal(c).normal and expected.value is None, c.facets
+        assert expected.failing_face == (("x",) if c is pinched else ("_apex0", "x"))
 
 
 def test_link_banner_values_match_built_links_on_every_small_face():
@@ -279,9 +378,11 @@ def test_every_small_complex_verifies_analyzes_and_round_trips():
     summary = verify_corpus(named)
     assert len(summary.rows) == 13 * len(SMALL)
     assert {r.verdict for r in summary.rows} <= {"pass", "skip"}
+    t11 = {r.name: r.verdict for r in summary.rows if r.property_id == "T1.1"}
     for name, c in named:
         report = analyze(c, name=name)
         assert report_from_json(report_json(report)) == report, c.facets
+        assert report.bound_checked is (t11[name] != "skip"), c.facets
 
 
 ANTICHAINS = _every_antichain(4)
