@@ -204,12 +204,11 @@ def _link_banner(c: SimplicialComplex, ids: tuple[int, ...]) -> bool:
     Answers are kept in a table in ``c``'s memo, indexed by face.  Apart
     from the empty face, whose link is ``c`` itself, no link is built: the
     link is read off the residues ``G - F`` of the facets ``G`` containing
-    the face ``F``, as bitmasks (``_residues_banner``).  The table is how
-    every passing check learns about a face link: the banner number, its
-    level-b certificate for L5.2, the banner numbers of face links
-    (``_link_banner_value``) and P3.7 all scan it (``_first_failure``),
-    except at level d-1 of a closed normal pseudomanifold, which holds by
-    rule (``_holds_by_rule``).
+    the face ``F``, as bitmasks (``_residues_banner``).  The table has two
+    readers: ``_banner_number``, whose scan of level b is also L5.2's
+    certificate, asks it level by level (``_first_failure``), except at
+    level d-1 of a closed normal pseudomanifold, which holds by rule
+    (``_holds_by_rule``); and P3.7 asks it about every vertex.
     """
     table = c._memo.setdefault("link_banner", {})
     ok = table.get(ids)
@@ -318,39 +317,6 @@ def _holds_by_rule(c: SimplicialComplex, j: int) -> bool:
     """Is j = d - 1 >= 0 on a closed normal pseudomanifold, whose (d-1)-vertex
     faces all have cycles as links (see ``banner_number``)?"""
     return j == c.dim - 1 >= 0 and is_pseudomanifold(c) == "closed" and _normality(c).normal
-
-
-def _level_holds(c: SimplicialComplex, j: int) -> bool:
-    """Is the link of every j-vertex face banner or a triangle, by the link table?
-
-    Level d-1 of a closed normal pseudomanifold holds by the rule of
-    ``banner_number`` and is not scanned.  For j = ``banner_number(c).value``
-    every other answer is already in the table.
-    """
-    return _holds_by_rule(c, j) or _first_failure(c, c.faces_ids(j) if j else [()]) is None
-
-
-def _link_banner_value(c: SimplicialComplex, face: Iterable[Label]) -> int | None:
-    """``banner_number(c.link(face)).value``, read off ``c``'s link table.
-
-    The link of F has the residues G - F of the facets G holding F as its
-    facets, so its j-vertex faces are the j-subsets G' of the residues,
-    and the link of G' in the link of F is the link of F u G' in ``c``: no
-    link of a link is built, and level j asks the table about those
-    (|F| + j)-faces F u G', in order.  Raises like ``c.link(face)`` and,
-    for a link that is not pure, like ``banner_number``.
-    """
-    ids, residues = c._residues(face)
-    sizes = {r.bit_count() for r in residues}
-    if len(sizes) != 1:
-        raise NotPure("banner number needs a pure complex")
-    (size,) = sizes
-    bits = [tuple(_iter_bits(r)) for r in residues]
-    for j in range(0, max(size - 1, 1)):
-        cofaces = {tuple(sorted(ids + g)) for r in bits for g in itertools.combinations(r, j)}
-        if _first_failure(c, sorted(cofaces)) is None:
-            return j
-    return None
 
 
 def classify_tilde_cliques(ball: SimplicialComplex, j: int) -> TildeCliques:

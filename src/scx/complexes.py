@@ -336,16 +336,6 @@ class SimplicialComplex:
         The link of the empty face is the complex itself; the link of a
         facet would be empty and raises ``EmptyComplex``.
         """
-        ids, residues = self._residues(face)
-        return SimplicialComplex._from_ids(self._labels, residues) if ids else self
-
-    def _residues(self, face: Iterable[Label]) -> tuple[tuple[int, ...], list[int]]:
-        """The sorted ids of the label face F and the masks G - F of the
-        facets G holding it: the facets of the link of F.
-
-        Raises ``NotAFace`` when F is no face and ``EmptyComplex`` when F
-        is a facet, so that its one residue is empty.
-        """
         labels = tuple(sorted({str(v) for v in face}))
         try:
             ids = self._face_ids(labels)
@@ -358,7 +348,7 @@ class SimplicialComplex:
         residues = [self._masks[i] ^ mask for i in holders]
         if residues == [0]:
             raise EmptyComplex("link of a facet is empty")
-        return ids, residues
+        return SimplicialComplex._from_ids(self._labels, residues) if ids else self
 
     def star(self, vertex: Label) -> "SimplicialComplex":
         """The cone over ``link(vertex)`` with apex ``vertex``."""

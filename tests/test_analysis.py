@@ -15,7 +15,7 @@ from scx.analysis import (
     verify_corpus,
     verify_property,
 )
-from scx.banner import banner_number, classify
+from scx.banner import classify
 from scx.complexes import SimplicialComplex, dumps, from_facets, loads
 from scx.errors import EmptyOutside, NotAFace, ScxError, UnknownProperty
 from scx.generators import (
@@ -33,7 +33,7 @@ from scx.generators import (
     stacked_sphere,
 )
 from scx.graphs import _adjacency_masks, is_outside_connected
-from scx.manifold import is_pseudomanifold, manifold_class
+from scx.manifold import manifold_class
 
 from oracles import (
     outside_connected_by_complexes,
@@ -318,14 +318,14 @@ def test_verify_corpus_clean(corpus):
 
 
 def test_verify_corpus_isolates_a_raising_check(monkeypatch):
-    check = analysis._CHECKS["L4.3"]
+    hypotheses, conclusion = analysis._STATEMENTS["L4.3"]
 
     def raising(c):
         if c.n_vertices == 5:
             raise NotAFace("boom")
-        return check(c)
+        return conclusion(c)
 
-    monkeypatch.setitem(analysis._CHECKS, "L4.3", raising)
+    monkeypatch.setitem(analysis._STATEMENTS, "L4.3", (hypotheses, raising))
     named = [("c4", cycle(4)), ("c5", cycle(5)), ("c6", cycle(6))]
     summary = verify_corpus(named)
     assert len(summary.rows) == 3 * len(PROPERTY_IDS)
@@ -343,7 +343,8 @@ def test_cli_verify_reports_error_rows(monkeypatch, tmp_path, capsys):
     def raising(c):
         raise NotAFace("boom")
 
-    monkeypatch.setitem(analysis._CHECKS, "L4.3", raising)
+    hypotheses = analysis._STATEMENTS["L4.3"][0]
+    monkeypatch.setitem(analysis._STATEMENTS, "L4.3", (hypotheses, raising))
     path = tmp_path / "c6.scx"
     path.write_text(dumps(cycle(6)))
     assert cli.main(["verify", str(path)]) == 2
@@ -434,50 +435,6 @@ def test_balls_with_boundary_make_one_ridge_pass(monkeypatch):
         fresh = from_facets(ball.facets)
         assert fresh.boundary() == ball.boundary()
         assert list(fresh._face_cache) == [fresh.dim]  # boundary() reads the index
-
-
-def test_l52_failure_row(monkeypatch):
-    from scx import banner
-
-    c = from_facets([["v0", "v4", "v5", "v6"], ["v1", "v2", "v3", "v6"], ["v2", "v3", "v4", "v5"]])
-    assert banner_number(c).value == 1  # kept in the memo before the table is tampered with
-    table_entry = banner._link_banner
-
-    def rejecting(cx, ids):
-        return False if cx is c and ids == (0,) else table_entry(cx, ids)
-
-    monkeypatch.setattr(banner, "_link_banner", rejecting)
-    res = verify_property("L5.2", c)
-    assert (res.verdict, res.detail) == (
-        "fail",
-        "link of ('v0',) breaks the banner-number inequality",
-    )
-    # the link of v0 is one triangle: level 0 is rejected, its three edges pass
-    assert res.payload == {"face": ["v0"], "link_value": 1, "value": 1}
-
-
-def test_l52_level_b_miss_reaches_the_exact_loop(monkeypatch):
-    from scx import banner
-
-    # a ball, so level b = d - 1 is scanned rather than accepted by rule
-    c = simplex_boundary(3).cone()  # the corpus entry "cone-simplex-boundary-3"
-    assert is_pseudomanifold(c) == "with_boundary"
-    assert (c.dim, banner_number(c).value) == (3, 2)
-    rejected = c._face_ids(("_apex0", "v1"))
-    table_entry = banner._link_banner
-
-    def rejecting(cx, ids):
-        return False if cx is c and ids == rejected else table_entry(cx, ids)
-
-    monkeypatch.setattr(banner, "_link_banner", rejecting)
-    res = verify_property("L5.2", c)
-    assert (res.verdict, res.detail) == (
-        "fail",
-        "link of ('_apex0',) breaks the banner-number inequality",
-    )
-    # _apex0 v1 sits at level 1, the top one, of the link of _apex0 (the
-    # boundary of a tetrahedron), and level 0 of that link fails untampered
-    assert res.payload == {"face": ["_apex0"], "link_value": None, "value": 2}
 
 
 def test_p37_failure_row_on_a_strongly_banner_input(monkeypatch):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from scx.analysis import verify_property
 from scx.banner import (
     BannerNumber,
-    _level_holds,
     _link_banner,
     banner_number,
     banner_or_triangle,
@@ -325,6 +324,31 @@ def test_banner_number_and_l52_build_no_link(monkeypatch):
     assert len(c._memo["link_banner"]) == 3
 
 
+def test_l52_reads_the_banner_number_and_asks_the_link_table_nothing(monkeypatch):
+    """On a ball level b = 2 < d = 3 is scanned, not accepted by rule, and
+    that scan is L5.2's certificate: the check asks the table no question."""
+    from scx import banner
+
+    c = simplex_boundary(3).cone()  # the corpus entry "cone-simplex-boundary-3"
+    assert is_pseudomanifold(c) == "with_boundary"
+    assert (c.dim, banner_number(c).value) == (3, 2)
+    calls = []
+    table_entry = banner._link_banner
+
+    def counted(cx, ids):
+        calls.append(ids)
+        return table_entry(cx, ids)
+
+    monkeypatch.setattr(banner, "_link_banner", counted)
+    res = verify_property("L5.2", c)
+    assert (res.verdict, res.detail, res.payload) == (
+        "pass",
+        "inequality holds below level 2",
+        None,
+    )
+    assert calls == []
+
+
 def _pinched_octahedron():
     # the octahedron on +-1, +-2, +-3 with one vertex x stacked on the face
     # p1 p2 p3 and the same x stacked on the opposite face m1 m2 m3
@@ -345,7 +369,6 @@ def test_banner_number_scans_level_d_minus_1_of_a_closed_pseudomanifold_that_is_
     assert is_normal(c) == NormalityResult(False, ("x",))
     assert classify(c.link(("x",))).witness.kind == "simplex_boundary"
     assert banner_number(c) == BannerNumber(None, 0, ("x",))
-    assert not _level_holds(c, 1)
     assert banner_number(c.link(("m1",))).value == 0  # other vertex links are 5-cycles
 
 

@@ -36,7 +36,7 @@ from scx.analysis import (
     verify_corpus,
     verify_property,
 )
-from scx.banner import _link_banner, _link_banner_value, banner_number, classify
+from scx.banner import _link_banner, classify
 from scx.complexes import SimplicialComplex, _maximal, from_facets
 from scx.errors import ScxError
 from scx.generators import stacked_sphere
@@ -125,11 +125,6 @@ def test_random_complex_pipeline(facets):
     for row in rows:
         alone = verify_corpus([("fuzz", _build(facets))], properties=[row.property_id])
         assert alone.rows == (row,)
-
-    for face in _faces(c):
-        via_table = _outcome(_link_banner_value, c, face)
-        direct = _outcome(lambda: banner_number(c.link(face)).value)
-        assert via_table == direct, face
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -267,6 +267,26 @@ def _special_graphs():
     yield "two edges", SkeletonGraph(4, [(0, 1), (2, 3)])
     yield "isolated vertices", SkeletonGraph(3, [])
     yield "triangle and isolated vertex", SkeletonGraph(4, [(1, 2), (2, 3), (1, 3)])
+    yield "later absorbed flow is larger", _absorbed_flows_rise()
+
+
+def _absorbed_flows_rise():
+    """A graph where a later absorbed vertex needs a larger flow than an
+    earlier one, so ``_absorbed_bound`` must keep the least flow.
+
+    m (degree 4) sees the clique abcd.  The clique u u2 u3 u4 hangs off abc,
+    so abc separates m from u, which is absorbed first with flow 3.  The
+    clique x1 x2 x3 w is joined by the matching a-x1, b-x2, c-x3, d-w, so x1
+    comes later with flow 4.  Kappa is 3, with the cut abc for the pair m u.
+    """
+    labels = ("m", "a", "b", "c", "d", "u", "u2", "u3", "u4", "x1", "x2", "x3", "w")
+    at = {v: i for i, v in enumerate(labels)}
+    edges = [("m", v) for v in "abcd"]
+    for clique in ("abcd", ("u", "u2", "u3", "u4"), ("x1", "x2", "x3", "w")):
+        edges += itertools.combinations(clique, 2)
+    edges += [(u, v) for u in ("u", "u2", "u3", "u4") for v in "abc"]
+    edges += [("a", "x1"), ("b", "x2"), ("c", "x3"), ("d", "w")]
+    return SkeletonGraph(len(labels), [(at[a], at[b]) for a, b in edges], labels=labels)
 
 
 def test_connectivity_certificate_matches_all_pairs_reference():
