@@ -331,7 +331,7 @@ REGISTRY = {
 
 def build(name: str, params: tuple = ()) -> SimplicialComplex:
     if name not in REGISTRY:
-        raise ScxError(f"unknown generator {name!r}; see REGISTRY for choices")
+        raise ScxError(f"unknown generator {name!r}; known: {', '.join(sorted(REGISTRY))}")
     builder, arity = REGISTRY[name]
     if len(params) != arity:
         raise ScxError(f"generator {name!r} takes {arity} integer parameter(s)")

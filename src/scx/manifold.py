@@ -25,15 +25,22 @@ any smaller face are its lower levels.  The pseudomanifold test counts
 them, the ridge link test of ``is_homology_manifold`` reads them, and the
 facet ridge graph is built from them once.
 
-``is_homology_manifold`` visits faces from ridges down to vertices and
-takes the link of a face F as the residues G - F of the facet bitmasks G
-containing it; no link complex is built and the residues are dropped
-after each face.  Once the links of all larger faces have passed, the
-link of F is a closed GF(2)-homology m-manifold, m = d - |F|, so by
-Poincare duality over a field it is a homology sphere exactly when it is
-connected, its Betti numbers below degree ceil(m/2) vanish and, for even
-m, its Euler characteristic is 2.  Only when some link fails are the
-links built and fully ranked, faces ascending, for the witness.
+``is_homology_manifold`` first tries one greedy shelling of a complex of
+dimension d >= 1 whose ridges each lie in two facets.  A shelling makes
+a pure complex a wedge of d-spheres (Bjorner, Trans. AMS 260, 1980), and
+the face links of a shellable complex shell too (Bjorner & Wachs, Trans.
+AMS 348, 1996).  Each ridge of such a link, of dimension m, lies in two
+of its facets, so over GF(2) its b_m, the number of spheres in the
+wedge, is 1.  So the complex is a homology manifold with the Betti
+numbers of a d-sphere, and no rank is taken (it is even a PL sphere:
+Danaraj & Klee, Duke Math. J. 41, 1974).  When the pass stalls, the
+links are built and ranked, faces ascending, for the first that deviates.
+
+A facet F may follow the facets S of a shelling exactly when its
+restriction face R = {y : F - y lies in a facet of S}, the OR of F - G
+over its ridge neighbours G in S, is non-empty and lies in no facet of
+S: then each meet F & G, G in S, misses some y in R, so lies in the
+ridge F - y.  Both shelling functions and the greedy pass use this test.
 
 Strong connectivity, including that of each vertex antistar in
 ``verify_barnette_antistar``, is one ``graphs._reach`` search on the
@@ -55,7 +62,7 @@ from typing import Iterable, Mapping, Sequence
 from .complexes import Face, SimplicialComplex, _iter_bits, _mask
 from .errors import BadSeed, EmptyComplex, NotPseudomanifold, NotPure, SearchBudgetExceeded
 from .graphs import _reach, skeleton
-from .homology import _boundary_rank, sphere_pattern, z2_betti
+from .homology import sphere_pattern, z2_betti
 
 
 @dataclass(frozen=True)
@@ -205,75 +212,35 @@ def _connected(masks: list[int]) -> bool:
     return True
 
 
-def _manifold_link_is_sphere(residues: list[int], m: int) -> bool:
-    """Is this closed GF(2)-homology m-manifold a homology m-sphere?
-
-    ``residues`` are its facets, as vertex bitmasks.  Poincare duality
-    over a field gives b_i = b_(m-i) and, when it is connected, b_m = 1;
-    so for even m its Euler characteristic is 2 +- b_(m/2).
-    """
-    if m == 0:
-        return len(residues) == 2
-    if not _connected(residues):
-        return False
-    if m == 1:
-        return True
-    facets = [tuple(_iter_bits(r)) for r in residues]
-    layers = {m + 1: facets}
-
-    def layer(size: int) -> list[tuple[int, ...]]:
-        if size not in layers:
-            layers[size] = list({sub for f in facets for sub in itertools.combinations(f, size)})
-        return layers[size]
-
-    rank_below = len(layer(1)) - 1  # edges onto the vertices of a connected complex
-    for i in range(1, (m + 1) // 2):  # dimension i holds the faces of size i + 1
-        index = {f: col for col, f in enumerate(layer(i + 1))}
-        rank_above = _boundary_rank(layer(i + 2), index)
-        if len(index) - rank_below - rank_above:
-            return False
-        rank_below = rank_above
-    if m % 2:
-        return True
-    # each of its ridges lies in two facets, so the top two layers add
-    # F - (m + 1) F / 2 to the alternating sum, F being the facet count
-    chi = sum((-1) ** (size - 1) * len(layer(size)) for size in range(1, m))
-    return 2 * chi - (m - 1) * len(facets) == 4
-
-
-def _first_deviating_face(c: SimplicialComplex) -> Face:
-    """The first face, by size and then label order, whose link lacks sphere homology."""
+def _first_deviating_face(c: SimplicialComplex) -> Face | None:
+    """The first face, by size and then label order, whose link lacks sphere
+    homology; None when every link has it."""
     d = c.dim
     for k in range(1, d + 1):
         for face in sorted(c.faces(k)):
             if z2_betti(c.link(face)) != sphere_pattern(d - k, d - k + 1):
                 return face
-    raise AssertionError("every face link has the homology of a sphere")
+    return None
 
 
 def is_homology_manifold(c: SimplicialComplex) -> tuple[bool, Face | None]:
     """Do all face links carry the GF(2) homology of matching spheres?
 
     Requires a pure connected complex; the witness is the first face, by
-    size and then label order, whose link deviates.  The pass runs top
-    down, as the module docstring describes.
+    size and then label order, whose link deviates.  A complex that the
+    greedy shelling certifies keeps the Betti numbers of a sphere in its
+    memo; see the module docstring.
     """
     if not c.is_pure:
         raise NotPure("homology manifold check needs a pure complex")
     if not skeleton(c).is_connected():
         return False, None
-    masks = c._masks  # noqa: SLF001 - intra-package id view
     d = c.dim
-    # a ridge link is a 0-sphere exactly when the ridge lies in two facets
-    if d and any(len(members) != 2 for members in c._holders(d).values()):
-        return False, _first_deviating_face(c)
-    for k in range(d - 1, 0, -1):  # facets have empty links: nothing to check
-        for face, members in c._holders(k).items():
-            f = _mask(face)
-            residues = [masks[i] ^ f for i in members]
-            if not _manifold_link_is_sphere(residues, d - k):
-                return False, _first_deviating_face(c)
-    return True, None
+    if d and all(len(members) == 2 for members in c._holders(d).values()) and _greedy_shelling(c):
+        c._memo["z2_betti"] = sphere_pattern(d, d + 1)
+        return True, None
+    face = _first_deviating_face(c)
+    return face is None, face
 
 
 def _homology_manifold(c: SimplicialComplex) -> tuple[bool, Face | None]:
@@ -339,28 +306,55 @@ class ShellingOrder:
     facets: tuple[Face, ...]
 
 
-def _step_ok(chosen: list[frozenset], cand: frozenset, d: int) -> bool:
-    """Is cand's intersection with the union of chosen pure of dimension d-1?
+def _restriction(c: SimplicialComplex, i: int, chosen: int) -> int:
+    """The restriction face of facet ``i`` after the facets ``chosen``, as a vertex bitmask."""
+    masks = c._masks  # noqa: SLF001 - intra-package id view
+    r = 0
+    for j in _iter_bits(_ridge_graph(c)[i] & chosen):
+        r |= masks[i] & ~masks[j]
+    return r
 
-    An empty meet lies in every ridge; for d = 0 it is the ridge, the empty
-    face, so every order of points is a shelling.
-    """
-    meets = {cand & f for f in chosen}
-    ridges = [m for m in meets if len(m) == d]
-    if not ridges:
-        return False
-    return all(any(m <= r for r in ridges) for m in meets)
+
+def _may_follow(c: SimplicialComplex, r: int, chosen: int) -> bool:
+    """May a facet with restriction face ``r`` follow the facet set ``chosen``?
+    For d = 0 r is the point itself, so points shell in every order."""
+    holding, vertex_facets = -1, _vertex_facets(c)
+    for y in _iter_bits(r):
+        holding &= vertex_facets[y]
+    return r != 0 and not holding & chosen
+
+
+def _greedy_shelling(c: SimplicialComplex) -> bool:
+    """Does one greedy pass shell ``c``?  It starts at facet 0 and then
+    takes the lowest-index facet of the ridge frontier that may follow;
+    each frontier facet's restriction face grows as its neighbours join."""
+    masks = c._masks  # noqa: SLF001 - intra-package id view
+    adjacent = _ridge_graph(c)
+    full = (1 << len(masks)) - 1
+    restriction = [0] * len(masks)
+    chosen = frontier = i = 0
+    while True:
+        chosen |= 1 << i
+        if chosen == full:
+            return True
+        for j in _iter_bits(adjacent[i] & ~chosen):
+            restriction[j] |= masks[j] & ~masks[i]
+        frontier = (frontier | adjacent[i]) & ~chosen
+        i = next((j for j in _iter_bits(frontier) if _may_follow(c, restriction[j], chosen)), None)
+        if i is None:
+            return False
 
 
 def verify_shelling(c: SimplicialComplex, order: Sequence[Face]) -> bool:
     """Re-check the shelling condition from scratch."""
-    sets = [frozenset(f) for f in order]
-    if sorted(tuple(sorted(f)) for f in order) != sorted(c.facets):
+    keys = [tuple(sorted(f)) for f in order]
+    if sorted(keys) != sorted(c.facets):
         return False
-    d = c.dim
-    for k in range(1, len(sets)):
-        if not _step_ok(sets[:k], sets[k], d):
+    index, chosen = {f: i for i, f in enumerate(c.facets)}, 0
+    for k, i in enumerate(index[key] for key in keys):
+        if k and not _may_follow(c, _restriction(c, i, chosen), chosen):
             return False
+        chosen |= 1 << i
     return True
 
 
@@ -384,62 +378,67 @@ def find_shelling(
         raise ValueError(f"search budget must be at least 1, not {budget}")
     if not c.is_pure:
         raise NotPure("shellings are defined for pure complexes")
-    d = c.dim
-    all_facets = [frozenset(f) for f in c.facets]
-    facet_keys = {frozenset(f): tuple(f) for f in c.facets}
+    index = {frozenset(f): i for i, f in enumerate(c.facets)}
+    adjacent = _ridge_graph(c)
+    full = (1 << len(index)) - 1
 
-    chosen: list[frozenset] = []
-    seed_pool: set[frozenset] = set()
+    order: list[int] = []
+    chosen = seed_pool = 0  # facet bitmasks
     if seed is not None:
         seed_sets = [frozenset(tuple(sorted(str(v) for v in f))) for f in seed]
-        unknown = [s for s in seed_sets if s not in facet_keys]
+        unknown = [s for s in seed_sets if s not in index]
         if unknown:
             raise BadSeed(f"seed entries are not facets: {sorted(unknown[0])}")
         if ordered:
             for k, s in enumerate(seed_sets):
-                if s in chosen or (k > 0 and not _step_ok(chosen, s, d)):
+                i = index[s]
+                r = _restriction(c, i, chosen)
+                if chosen >> i & 1 or (k > 0 and not _may_follow(c, r, chosen)):
                     raise BadSeed(f"seed breaks the shelling condition at step {k + 1}")
-                chosen.append(s)
+                order.append(i)
+                chosen |= 1 << i
         else:
-            seed_pool = set(seed_sets)
+            seed_pool = sum(1 << index[s] for s in set(seed_sets))
 
-    remaining = [f for f in all_facets if f not in chosen]
     nodes = 0
-    dead: set[frozenset] = set()  # chosen-sets that cannot be completed
+    dead: set[int] = set()  # chosen sets that cannot be completed
 
-    def candidates(pool: list[frozenset]) -> list[frozenset]:
-        if seed_pool and any(f in seed_pool for f in pool):
-            pool = [f for f in pool if f in seed_pool]
+    def candidates() -> list[int]:
+        pool = full & ~chosen
+        if pool & seed_pool:
+            pool &= seed_pool
         if not chosen:
-            return sorted(pool, key=lambda f: facet_keys[f])
-        scored = []
-        for f in pool:
-            if _step_ok(chosen, f, d):
-                shared = sum(1 for g in chosen if len(f & g) == d)
-                scored.append((-shared, facet_keys[f], f))
-        return [f for _, _, f in sorted(scored)]
+            return list(_iter_bits(pool))
+        scored = [
+            (-(adjacent[i] & chosen).bit_count(), i)
+            for i in _iter_bits(pool)
+            if _may_follow(c, _restriction(c, i, chosen), chosen)
+        ]
+        return [i for _, i in sorted(scored)]
 
-    def search(pool: list[frozenset]) -> bool:
-        nonlocal nodes
-        if not pool:
+    def search() -> bool:
+        nonlocal nodes, chosen
+        if chosen == full:
             return True
-        state = frozenset(chosen)
-        if state in dead:
+        if chosen in dead:
             return False
-        for f in candidates(pool):
+        for i in candidates():
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(f"no decision within {budget} expansions")
-            chosen.append(f)
-            if search([g for g in pool if g is not f]):
+            order.append(i)
+            chosen |= 1 << i
+            if search():
                 return True
-            chosen.pop()
-        dead.add(state)
+            order.pop()
+            chosen ^= 1 << i
+        dead.add(chosen)
         return False
 
-    if not search(remaining):
+    if not search():
         return None
-    order = tuple(facet_keys[f] for f in chosen)
-    if not verify_shelling(c, order):
+    facets = c.facets
+    shelling = tuple(facets[i] for i in order)
+    if not verify_shelling(c, shelling):
         raise AssertionError("search produced an order that fails revalidation")
-    return ShellingOrder(order)
+    return ShellingOrder(shelling)

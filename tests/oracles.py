@@ -18,6 +18,7 @@ genuinely separate routes:
 - P3.7 by classifying every built vertex link on label tuples,
 - maximal sets by pairwise strict-subset tests,
 - strong connectivity by pairwise facet intersections,
+- shelling steps by the meets of the candidate with every chosen facet,
 - normality by the skeleton connectivity of every built face link,
 - homology manifolds by the full Betti vector of every face link, faces
   visited from vertices up, ranks by dense elimination,
@@ -486,6 +487,19 @@ def strongly_connected_by_pairs(c) -> bool:
                 seen.add(b)
                 stack.append(b)
     return len(seen) == len(facets)
+
+
+def shelling_step_by_meets(chosen: list[frozenset], cand: frozenset, d: int) -> bool:
+    """Is cand's intersection with the union of chosen pure of dimension d-1?
+
+    An empty meet lies in every ridge; for d = 0 it is the ridge, the empty
+    face, so every order of points is a shelling.
+    """
+    meets = {cand & f for f in chosen}
+    ridges = [m for m in meets if len(m) == d]
+    if not ridges:
+        return False
+    return all(any(m <= r for r in ridges) for m in meets)
 
 
 def classify_by_labels(c) -> BannerClass:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from scx import analysis, cli
+from scx import analysis, cli, generators, homology, kernels
 from scx.analysis import (
     PROPERTY_IDS,
     analyze,
@@ -479,6 +479,10 @@ def test_p37_failure_row_on_a_banner_input_reads_the_link_table(monkeypatch):
 
 
 def test_only_witnesses_build_links(monkeypatch):
+    """Links are built only by the ascending scan of the homology-manifold
+    check: for a witness, or for the verdict of a complex that the greedy
+    shelling does not certify, such as torus-7, all of whose links are
+    built and ranked."""
     callers = []
     real = SimplicialComplex.link
 
@@ -492,6 +496,20 @@ def test_only_witnesses_build_links(monkeypatch):
         if c.is_pure:
             analyze(c, display_name(spec))
     assert set(callers) == {"_first_deviating_face"}
+
+
+def test_analyze_of_a_shelled_sphere_takes_no_rank(monkeypatch):
+    # the greedy shelling certifies the homology manifold and its Betti numbers
+    calls = []
+
+    def counted(rows, ncols):
+        calls.append(len(rows))
+        return kernels.gf2_rank(rows, ncols)
+
+    monkeypatch.setattr(homology, "gf2_rank", counted)
+    report = analyze(cross_polytope_boundary(4), "cross-4")
+    assert report.homology_sphere and report.betti == (0, 0, 0, 0, 1)
+    assert calls == []
 
 
 def _neighborhood_subjects(corpus):
@@ -684,6 +702,15 @@ def test_cli_gen_list(capsys):
 def test_cli_gen_stdout(capsys):
     assert cli.main(["gen", "cycle", "4"]) == 0
     assert capsys.readouterr().out.count("\n") == 4
+
+
+def test_cli_gen_unknown_name_lists_the_known_ones(capsys):
+    assert cli.main(["gen", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    known = ", ".join(sorted(generators.REGISTRY))
+    assert captured.err == f"error: unknown generator 'nope'; known: {known}\n"
+    assert "cross-polytope, cycle, cyclic-polytope" in known
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ n <= 4 vertices, which pin the skip reasons.
 """
 
 import itertools
+import random
 import runpy
 from dataclasses import astuple
 from pathlib import Path
@@ -31,10 +32,12 @@ from scx.complexes import SimplicialComplex, _maximal, loads
 from scx.errors import EmptyComplex, ScxError
 from scx.generators import catalog
 from scx.graphs import _adjacency_masks, is_outside_connected, skeleton, vertex_connectivity
-from scx.homology import sphere_pattern
+from scx.homology import sphere_pattern, z2_betti
 from scx.manifold import (
     _homology_manifold,
+    _may_follow,
     _normality,
+    _restriction,
     facet_graph,
     is_homology_manifold,
     is_homology_sphere,
@@ -63,6 +66,7 @@ from oracles import (
     pseudomanifold_by_ridge_counts,
     relative_betti_by_complexes,
     relative_homology_matches_by_complexes,
+    shelling_step_by_meets,
     strongly_connected_by_pairs,
 )
 from test_banner import _pinched_octahedron
@@ -128,10 +132,12 @@ def _fresh(c: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex._from_ids(c.vertices, c._masks)
 
 
-def _verdicts_match(c: SimplicialComplex, hm: tuple, normal: tuple | None, sphere: bool):
+def _verdicts_match(c: SimplicialComplex, hm: tuple, normal: tuple | None, betti: tuple):
     """The separately cached manifold verdicts of fresh copies of ``c``
     against the oracle values ``hm``, ``normal`` (None off pseudomanifolds)
-    and ``sphere``, read in both orders; returns the banner number.
+    and the reduced Betti numbers ``betti``, read in both orders; returns
+    the banner number.  The Betti numbers are read after the bundle, which
+    keeps a sphere's when the greedy shelling certifies one.
 
     In the order of ``verify`` normality comes first, from ``is_normal``,
     and neither it nor the banner number's level d - 1 rule runs the
@@ -147,18 +153,20 @@ def _verdicts_match(c: SimplicialComplex, hm: tuple, normal: tuple | None, spher
     second = _fresh(c)
     mc = manifold_class(second)
     assert _homology_manifold(second) == hm, c.facets
+    assert z2_betti(second) == betti, c.facets
     assert (mc.homology_manifold, mc.witnesses.get("homology_manifold")) == hm, c.facets
     if normal is not None:
         res = _normality(second)
         bundled = (mc.normal, mc.witnesses.get("normal"))
         assert (res.normal, res.witness) == bundled == normal, c.facets
+    sphere = hm[0] and betti == sphere_pattern(c.dim, c.dim + 1)
     assert is_homology_sphere(second) == mc.homology_sphere == sphere, c.facets
     return value
 
 
 def test_manifold_recognition_and_flagness_match_oracles_on_every_small_complex():
-    """Normality on facet residues against built links, the top-down
-    homology-manifold pass against full Betti vectors, and flagness; the
+    """Normality on facet residues against built links, the greedy
+    shelling and ranked links against full Betti vectors, and flagness; the
     verdicts also as cached apart and bundled (``_verdicts_match``), and the
     banner number, with its level d - 1 rule for closed normal
     pseudomanifolds, against a full scan of every level on built links."""
@@ -173,10 +181,34 @@ def test_manifold_recognition_and_flagness_match_oracles_on_every_small_complex(
             normal = normal_by_links(c)
             res = is_normal(c)
             assert (res.normal, res.witness) == normal, c.facets
-        sphere = hm[0] and betti_by_dense_rank(c) == sphere_pattern(c.dim, c.dim + 1)
-        assert _verdicts_match(c, hm, normal, sphere) == banner_number_by_links(c), c.facets
+        betti = betti_by_dense_rank(c)
+        assert _verdicts_match(c, hm, normal, betti) == banner_number_by_links(c), c.facets
         ruled += c.dim >= 1 and is_pseudomanifold(c) == "closed" and normal == (True, None)
     assert pseudomanifolds == 411 and ruled > 0
+
+
+def test_shelling_step_matches_facet_meets_on_random_orders_of_every_small_complex():
+    """The bitmask step test of ``find_shelling``, ``verify_shelling`` and
+    the greedy certificate against the meets of the candidate with every
+    chosen facet, at each step of four random orders of each small complex
+    of dimension at least 1."""
+    rng = random.Random(23)
+    steps = {True: 0, False: 0}
+    for c in SMALL:
+        if c.dim < 1:
+            continue
+        sets = [frozenset(f) for f in c.facets]
+        for _ in range(4):
+            order = rng.sample(range(len(sets)), len(sets))
+            chosen = 0
+            for k, i in enumerate(order):
+                if k:
+                    ok = _may_follow(c, _restriction(c, i, chosen), chosen)
+                    before = [sets[j] for j in order[:k]]
+                    assert ok == shelling_step_by_meets(before, sets[i], c.dim), c.facets
+                    steps[ok] += 1
+                chosen |= 1 << i
+    assert min(steps.values()) > 1000
 
 
 def _seeded_spheres() -> list[tuple[str, SimplicialComplex]]:
@@ -201,16 +233,18 @@ def _seeded_spheres() -> list[tuple[str, SimplicialComplex]]:
 
 def test_manifold_verdicts_and_banner_numbers_match_oracles_on_seeded_spheres():
     """Every input is a PL sphere, and so is its suspension: both are normal
-    homology spheres.  The cone is a normal ball, and its first vertex in
-    label order with a deviating link is the first base vertex, whose link
-    is a cone too, since the apex ``_apex0`` sorts before the ``v`` labels."""
+    homology spheres.  The cone is a normal ball with the reduced Betti
+    numbers of a point, and its first vertex in label order with a
+    deviating link is the first base vertex, whose link is a cone too,
+    since the apex ``_apex0`` sorts before the ``v`` labels."""
     subjects = _seeded_spheres()
     assert len(subjects) == 3 * (4 * 7 + 4 + 4 * 3)
     for name, c in subjects:
         cone = name.endswith("-cone")
         hm = (False, (c.vertices[1],)) if cone else (True, None)
         assert c.vertices[0] == "_apex0" or not cone, name
-        assert _verdicts_match(c, hm, (True, None), not cone) == banner_number_by_links(c), name
+        betti = (0,) * (c.dim + 1) if cone else sphere_pattern(c.dim, c.dim + 1)
+        assert _verdicts_match(c, hm, (True, None), betti) == banner_number_by_links(c), name
 
 
 def test_banner_numbers_match_full_scans_on_a_pinched_sphere():

@@ -10,7 +10,7 @@ run inside ``verify_corpus``, next to the other checks on the same
 object, agrees with the same check run alone on a fresh copy.  The
 id-based classification, absorption and strong-connectivity search
 agree with the label-based and pairwise oracles of ``oracles.py``, and
-so do the top-down homology-manifold pass, normality on facet residues
+so do the homology-manifold verdict, normality on facet residues
 and the antistar check, on every complex and every pure face link.  Under
 the hypotheses of P3.7 the link table's verdict on a vertex is the
 banner status of its built link.  Outside connectivity, the

@@ -324,24 +324,17 @@ def test_homology_manifold_matches_ascending_oracle(corpus):
     assert {(ok, d) for ok in (True, False) for d in range(5)} <= verdicts
 
 
-def test_homology_manifold_fails_first_on_a_three_dimensional_link(monkeypatch):
+def test_homology_manifold_fails_first_on_a_three_dimensional_link():
     s2s1 = _s2_times_s1()
     assert len(s2s1.facets) == 48 and is_pseudomanifold(s2s1) == "closed"
     assert z2_betti(s2s1) == (0, 1, 1, 1)
+    # neither shells, so both verdicts come from the ranked links
+    suspension = s2s1.suspension()
+    assert not manifold._greedy_shelling(s2s1)
+    assert not manifold._greedy_shelling(suspension)
     assert is_homology_manifold(s2s1) == (True, None)
-    tested = []
-    real = manifold._manifold_link_is_sphere
-
-    def recorded(residues, m):
-        ok = real(residues, m)
-        tested.append((m, ok))
-        return ok
-
-    monkeypatch.setattr(manifold, "_manifold_link_is_sphere", recorded)
     # an apex link is S^2 x S^1, whose b_1 = 1 the rank path must see
-    assert is_homology_manifold(s2s1.suspension()) == (False, ("_apex0",))
-    assert tested[-1] == (3, False)
-    assert all(ok for _, ok in tested[:-1])
+    assert is_homology_manifold(suspension) == (False, ("_apex0",))
 
 
 def test_stacked_spheres_closed(corpus):
@@ -430,6 +423,31 @@ def test_shelling_orders_reverify(corpus):
         if len(facets) > 2:
             swapped = [facets[-1]] + facets[1:-1] + [facets[0]]
             verify_shelling(c, swapped)  # just must not crash
+
+
+def _order(text):
+    return tuple(tuple(facet.split()) for facet in text.split(", "))
+
+
+def test_shelling_orders_are_pinned(corpus):
+    # most ridges shared with the chosen facets first, then facet label order
+    ball = ring_ball()
+    assert find_shelling(ball, ball.star("y").facets).facets == _order(
+        "a1 a2 a3 y, a1 a2 b1 y, a1 a3 b3 y, a1 b1 b3 y, a2 a3 b2 y, a2 b1 b2 y, "
+        "a3 b2 b3 y, b1 b2 b3 y, a1 a2 b1 x2, a2 b1 b2 x2, a1 a3 b3 x1, a1 b1 b3 x1, "
+        "a1 b1 x1 x2, a1 d1 x1 x2, a2 a3 b2 x3, a2 b2 x2 x3, a3 b2 b3 x3, a3 b3 x1 x3, "
+        "a2 d2 x2 x3, a3 d3 x1 x3, b1 c1 x1 x2, c1 d1 x1 x2, b2 c2 x2 x3, c2 d2 x2 x3, "
+        "b3 c3 x1 x3, c3 d3 x1 x3"
+    )
+    pinned = {
+        "cross-polytope-2": (
+            "m0 m1 m2, m0 m1 p2, m0 m2 p1, m0 p1 p2, m1 m2 p0, m1 p0 p2, m2 p0 p1, p0 p1 p2"
+        ),
+        "simplex-boundary-4": "v0 v1 v2 v3, v0 v1 v2 v4, v0 v1 v3 v4, v0 v2 v3 v4, v1 v2 v3 v4",
+        "cone-cycle-4": "_apex0 c0 c1, _apex0 c0 c3, _apex0 c1 c2, _apex0 c2 c3",
+    }
+    for name, text in pinned.items():
+        assert find_shelling(corpus[name]).facets == _order(text), name
 
 
 def test_verify_shelling_rejects_wrong_facets():
