@@ -6,15 +6,18 @@ pseudomanifold => pseudomanifold.  ``is_normal`` and
 verdict is kept under its own key of the complex's memo, so that a
 caller pays only for the invariant it asks about: ``"pseudomanifold"``
 (``is_pseudomanifold``), ``"normal"`` (``_normality``),
-``"homology_manifold"`` with its witness (``_homology_manifold``) and
-``"homology_sphere"`` (``is_homology_sphere``).  The CLOSED_NORMAL
-hypothesis reads the first two, HOMOLOGY_MANIFOLD the third, and the
-banner number's level d - 1 rule the first two.  ``_normality`` reads
-normality off a passing homology-manifold verdict when that verdict is
-already in the memo, and runs ``is_normal`` otherwise; the tests compare
-the two routes.  ``manifold_class`` is the bundle that ``analyze`` and
-the API read; it asks for the homology-manifold verdict first and builds
-the rest from the same keys, so no invariant is computed twice.
+``"homology_manifold"`` with its witness (``_homology_manifold``),
+``"homology_sphere"`` (``is_homology_sphere``) and the greedy shelling
+order (``"shelled"``, ``_shelled``).  The CLOSED_NORMAL hypothesis reads
+the first two, HOMOLOGY_MANIFOLD the third, and the banner number's level
+d - 1 rule the first two.  ``_normality`` reads normality off a passing
+homology-manifold verdict when that verdict is already in the memo, or
+off the greedy shelling of a closed pseudomanifold, which both it and
+the homology-manifold check read; it runs ``is_normal`` only when the
+pass stalls, and never runs the rank scan.  The tests compare the routes.
+``manifold_class`` is the bundle that ``analyze`` and the API read; it
+asks for the homology-manifold verdict first and builds the rest from the
+same keys, so no invariant is computed twice.
 ``is_normal`` builds no link: the link of a face F is connected exactly
 when the residues G - F of the facets G containing F, each joining its
 vertices, are.
@@ -33,14 +36,19 @@ AMS 348, 1996).  Each ridge of such a link, of dimension m, lies in two
 of its facets, so over GF(2) its b_m, the number of spheres in the
 wedge, is 1.  So the complex is a homology manifold with the Betti
 numbers of a d-sphere, and no rank is taken (it is even a PL sphere:
-Danaraj & Klee, Duke Math. J. 41, 1974).  When the pass stalls, the
-links are built and ranked, faces ascending, for the first that deviates.
+Danaraj & Klee, Duke Math. J. 41, 1974), so it is normal too.  When the
+pass stalls, the links are built and ranked, faces ascending, for the
+first that deviates.  The pass's order is kept in the memo as a
+certificate that ``verify_shelling`` re-checks.
 
 A facet F may follow the facets S of a shelling exactly when its
 restriction face R = {y : F - y lies in a facet of S}, the OR of F - G
 over its ridge neighbours G in S, is non-empty and lies in no facet of
 S: then each meet F & G, G in S, misses some y in R, so lies in the
-ridge F - y.  Both shelling functions and the greedy pass use this test.
+ridge F - y.  Both shelling functions and the greedy pass use this test,
+``_may_follow``.  With R fixed, the facets of S that hold R only grow
+with S, so a facet that fails keeps failing until R grows; the greedy
+pass re-tests only such facets.
 
 Strong connectivity, including that of each vertex antistar in
 ``verify_barnette_antistar``, is one ``graphs._reach`` search on the
@@ -235,9 +243,7 @@ def is_homology_manifold(c: SimplicialComplex) -> tuple[bool, Face | None]:
         raise NotPure("homology manifold check needs a pure complex")
     if not skeleton(c).is_connected():
         return False, None
-    d = c.dim
-    if d and all(len(members) == 2 for members in c._holders(d).values()) and _greedy_shelling(c):
-        c._memo["z2_betti"] = sphere_pattern(d, d + 1)
+    if _shelled(c) is not None:
         return True, None
     face = _first_deviating_face(c)
     return face is None, face
@@ -254,13 +260,16 @@ def _normality(c: SimplicialComplex) -> NormalityResult:
     A connected homology manifold is normal: each link of dimension at
     least 1 has reduced Betti number 0 in degree 0, so it is connected.  So
     a passing homology-manifold verdict already in the memo answers, and
-    ``is_normal`` runs otherwise; normality never forces that verdict.
+    so does the greedy shelling of a closed pseudomanifold of dimension at
+    least 1, which makes it a PL sphere (``_shelled``).  ``is_normal`` runs
+    only when the pass stalls, and gives the witness; normality never runs
+    the rank scan of the homology-manifold check.
     """
     return c._cached("normal", _build_normality)
 
 
 def _build_normality(c: SimplicialComplex) -> NormalityResult:
-    if c._memo.get("homology_manifold", (False,))[0]:
+    if c._memo.get("homology_manifold", (False,))[0] or _shelled(c) is not None:
         return NormalityResult(True, None)
     return is_normal(c)
 
@@ -315,44 +324,80 @@ def _restriction(c: SimplicialComplex, i: int, chosen: int) -> int:
     return r
 
 
-def _may_follow(c: SimplicialComplex, r: int, chosen: int) -> bool:
+def _may_follow(r: int, chosen: int, vertex_facets: Sequence[int]) -> bool:
     """May a facet with restriction face ``r`` follow the facet set ``chosen``?
-    For d = 0 r is the point itself, so points shell in every order."""
-    holding, vertex_facets = -1, _vertex_facets(c)
-    for y in _iter_bits(r):
-        holding &= vertex_facets[y]
-    return r != 0 and not holding & chosen
+    ``vertex_facets`` is ``_vertex_facets`` of the complex.  For d = 0 r is
+    the point itself, so points shell in every order."""
+    if not r:
+        return False
+    while r and chosen:
+        low = r & -r
+        chosen &= vertex_facets[low.bit_length() - 1]
+        r ^= low
+    return not chosen
 
 
-def _greedy_shelling(c: SimplicialComplex) -> bool:
-    """Does one greedy pass shell ``c``?  It starts at facet 0 and then
-    takes the lowest-index facet of the ridge frontier that may follow;
-    each frontier facet's restriction face grows as its neighbours join."""
+def _shelled(c: SimplicialComplex) -> tuple[int, ...] | None:
+    """``_greedy_shelling(c)``, kept in ``c``'s memo."""
+    return c._cached("shelled", _greedy_shelling)
+
+
+def _greedy_shelling(c: SimplicialComplex) -> tuple[int, ...] | None:
+    """One greedy shelling of ``c``, as facet indices, or None.
+
+    Only a complex of dimension d >= 1 whose ridges each lie in two facets
+    is tried.  The pass starts at facet 0 and then takes the lowest-index
+    facet of the ridge frontier that may follow; None when none may.  A
+    facet that fails the step test keeps failing until its restriction face
+    grows, since ``chosen`` only grows.  So only the unchosen neighbours of
+    the facet just chosen are re-tested, ``ready`` keeps the frontier
+    facets that passed when last tested, and its lowest is re-tested when
+    picked.  On success the Betti numbers of a d-sphere go into the memo.
+    """
+    d = c.dim
+    if not d or any(len(members) != 2 for members in c._holders(d).values()):
+        return None
     masks = c._masks  # noqa: SLF001 - intra-package id view
-    adjacent = _ridge_graph(c)
-    full = (1 << len(masks)) - 1
+    adjacent, vertex_facets = _ridge_graph(c), _vertex_facets(c)
     restriction = [0] * len(masks)
-    chosen = frontier = i = 0
-    while True:
-        chosen |= 1 << i
-        if chosen == full:
-            return True
-        for j in _iter_bits(adjacent[i] & ~chosen):
+    order = [0]
+    chosen, ready, i = 1, 0, 0
+    for _ in range(len(masks) - 1):
+        grown = adjacent[i] & ~chosen
+        while grown:
+            low = grown & -grown
+            grown ^= low
+            j = low.bit_length() - 1
             restriction[j] |= masks[j] & ~masks[i]
-        frontier = (frontier | adjacent[i]) & ~chosen
-        i = next((j for j in _iter_bits(frontier) if _may_follow(c, restriction[j], chosen)), None)
-        if i is None:
-            return False
+            if _may_follow(restriction[j], chosen, vertex_facets):
+                ready |= low
+            else:
+                ready &= ~low
+        while ready:
+            low = ready & -ready
+            ready ^= low
+            i = low.bit_length() - 1
+            if _may_follow(restriction[i], chosen, vertex_facets):
+                break
+        else:
+            return None
+        chosen |= low
+        order.append(i)
+    c._memo["z2_betti"] = sphere_pattern(d, d + 1)
+    return tuple(order)
 
 
 def verify_shelling(c: SimplicialComplex, order: Sequence[Face]) -> bool:
     """Re-check the shelling condition from scratch."""
+    if not c.is_pure:
+        raise NotPure("shellings are defined for pure complexes")
     keys = [tuple(sorted(f)) for f in order]
     if sorted(keys) != sorted(c.facets):
         return False
     index, chosen = {f: i for i, f in enumerate(c.facets)}, 0
+    vertex_facets = _vertex_facets(c)
     for k, i in enumerate(index[key] for key in keys):
-        if k and not _may_follow(c, _restriction(c, i, chosen), chosen):
+        if k and not _may_follow(_restriction(c, i, chosen), chosen, vertex_facets):
             return False
         chosen |= 1 << i
     return True
@@ -379,7 +424,7 @@ def find_shelling(
     if not c.is_pure:
         raise NotPure("shellings are defined for pure complexes")
     index = {frozenset(f): i for i, f in enumerate(c.facets)}
-    adjacent = _ridge_graph(c)
+    adjacent, vertex_facets = _ridge_graph(c), _vertex_facets(c)
     full = (1 << len(index)) - 1
 
     order: list[int] = []
@@ -393,7 +438,7 @@ def find_shelling(
             for k, s in enumerate(seed_sets):
                 i = index[s]
                 r = _restriction(c, i, chosen)
-                if chosen >> i & 1 or (k > 0 and not _may_follow(c, r, chosen)):
+                if chosen >> i & 1 or (k > 0 and not _may_follow(r, chosen, vertex_facets)):
                     raise BadSeed(f"seed breaks the shelling condition at step {k + 1}")
                 order.append(i)
                 chosen |= 1 << i
@@ -412,7 +457,7 @@ def find_shelling(
         scored = [
             (-(adjacent[i] & chosen).bit_count(), i)
             for i in _iter_bits(pool)
-            if _may_follow(c, _restriction(c, i, chosen), chosen)
+            if _may_follow(_restriction(c, i, chosen), chosen, vertex_facets)
         ]
         return [i for _, i in sorted(scored)]
 

@@ -19,6 +19,7 @@ genuinely separate routes:
 - maximal sets by pairwise strict-subset tests,
 - strong connectivity by pairwise facet intersections,
 - shelling steps by the meets of the candidate with every chosen facet,
+- the greedy shelling by rescanning the whole frontier at every step,
 - normality by the skeleton connectivity of every built face link,
 - homology manifolds by the full Betti vector of every face link, faces
   visited from vertices up, ranks by dense elimination,
@@ -49,11 +50,11 @@ from scx.banner import (
     banner_or_triangle,
     cliques,
 )
-from scx.complexes import SimplicialComplex
+from scx.complexes import SimplicialComplex, _iter_bits
 from scx.errors import EmptyOutside, NoBoundary, NotPseudomanifold, NotPure, ScxError
 from scx.graphs import neighborhood, skeleton
 from scx.homology import z2_betti, z2_relative_betti
-from scx.manifold import is_pseudomanifold
+from scx.manifold import _may_follow, _ridge_graph, _vertex_facets, is_pseudomanifold
 
 
 def components(n, adj, removed=frozenset()):
@@ -500,6 +501,28 @@ def shelling_step_by_meets(chosen: list[frozenset], cand: frozenset, d: int) -> 
     if not ridges:
         return False
     return all(any(m <= r for r in ridges) for m in meets)
+
+
+def greedy_shelling_by_rescan(c) -> tuple[int, ...] | None:
+    """The order of ``manifold._greedy_shelling`` by rescanning the whole
+    ridge frontier at every step: facet 0 first, then the lowest-index
+    frontier facet that passes the step test; None when none does."""
+    masks = c._masks
+    adjacent, vertex_facets = _ridge_graph(c), _vertex_facets(c)
+    full = (1 << len(masks)) - 1
+    restriction = [0] * len(masks)
+    order, chosen, frontier, i = [0], 0, 0, 0
+    while True:
+        chosen |= 1 << i
+        if chosen == full:
+            return tuple(order)
+        for j in _iter_bits(adjacent[i] & ~chosen):
+            restriction[j] |= masks[j] & ~masks[i]
+        frontier = (frontier | adjacent[i]) & ~chosen
+        i = next((j for j in _iter_bits(frontier) if _may_follow(restriction[j], chosen, vertex_facets)), None)
+        if i is None:
+            return None
+        order.append(i)
 
 
 def classify_by_labels(c) -> BannerClass:

@@ -31,6 +31,7 @@ from scx.generators import (
     simplex,
     simplex_boundary,
     stacked_sphere,
+    torus_7,
 )
 from scx.graphs import _adjacency_masks, is_outside_connected
 from scx.manifold import manifold_class
@@ -374,15 +375,22 @@ def _count_index_levels(monkeypatch) -> list:
 def test_verify_corpus_computes_each_invariant_once(monkeypatch):
     """Each invariant is computed at most once per complex, and each
     hypothesis computes only the invariant it names: no manifold bundle,
-    and the homology-manifold pass only where a check reaches
-    HOMOLOGY_MANIFOLD, which a non-banner input never does."""
+    and the homology-manifold check only where a check reaches
+    HOMOLOGY_MANIFOLD, which a non-banner input never does.  Normality
+    comes from the greedy shelling, which L4.4-homological's check then
+    reads too; ``is_normal`` runs only where the pass stalls, as on the
+    torus."""
     from scx import banner, graphs, manifold
 
     banner_input = cross_polytope_boundary(3)
     other = cyclic_polytope_boundary(7, 4)  # closed and normal, not banner
+    torus = torus_7()  # closed and normal, not banner, and does not shell
+    subjects = (banner_input, other, torus)
     names = [
         (manifold, "_manifold_class"),
         (manifold, "_build_normality"),
+        (manifold, "is_normal"),
+        (manifold, "_greedy_shelling"),
         (manifold, "is_homology_manifold"),
         (manifold, "_is_homology_sphere"),
         (banner, "_classify"),
@@ -391,13 +399,13 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
         (graphs, "_build_adjacency_masks"),
         (manifold, "_build_ridge_graph"),
     ]
-    counts = {(c, name): 0 for c in (banner_input, other) for _, name in names}
+    counts = {(c, name): 0 for c in subjects for _, name in names}
 
     def count(module, name):
         body = getattr(module, name)
 
         def counted(x):
-            for c in (banner_input, other):
+            for c in subjects:
                 if x is (graphs.skeleton(c) if name == "_vertex_connectivity" else c):
                     counts[c, name] += 1
             return body(x)
@@ -407,20 +415,24 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
     for module, name in names:
         count(module, name)
     built = _count_index_levels(monkeypatch)
-    summary = verify_corpus([("octahedral-3-sphere", banner_input), ("cyclic", other)])
+    summary = verify_corpus([("octahedral-3-sphere", banner_input), ("cyclic", other), ("torus", torus)])
     rows = {(r.name, r.property_id): (r.verdict, r.detail) for r in summary.rows}
-    for name in ("octahedral-3-sphere", "cyclic"):
+    for name in ("octahedral-3-sphere", "cyclic", "torus"):
         assert rows[name, "T1.1"][0] == rows[name, "L5.2"][0] == "pass"
     assert rows["octahedral-3-sphere", "L4.4-homological"][0] == "pass"
-    assert rows["cyclic", "L4.4-homological"] == ("skip", "not banner")
+    assert rows["cyclic", "L4.4-homological"] == rows["torus", "L4.4-homological"] == ("skip", "not banner")
     once = dict.fromkeys([name for _, name in names], 1)
-    once["_manifold_class"] = once["_is_homology_sphere"] = 0
+    once["_manifold_class"] = once["_is_homology_sphere"] = once["is_normal"] = 0
     assert {name: counts[banner_input, name] for name in once} == once
     once["is_homology_manifold"] = 0
     assert {name: counts[other, name] for name in once} == once
+    once["is_normal"] = 1
+    assert {name: counts[torus, name] for name in once} == once
+    assert banner_input._memo["shelled"] is not None and other._memo["shelled"] is not None
+    assert torus._memo["shelled"] is None
     # built holds each facet tuple, so no id is reused within the run
     assert len({(id(f), k) for f, k in built}) == len(built)  # each level at most once
-    for c in (banner_input, other):
+    for c in subjects:
         assert c.dim in [k for f, k in built if f is c._facets]  # the shared ridge level
 
 

@@ -35,9 +35,12 @@ from scx.graphs import _adjacency_masks, is_outside_connected, skeleton, vertex_
 from scx.homology import sphere_pattern, z2_betti
 from scx.manifold import (
     _homology_manifold,
+    _greedy_shelling,
     _may_follow,
     _normality,
     _restriction,
+    _shelled,
+    _vertex_facets,
     facet_graph,
     is_homology_manifold,
     is_homology_sphere,
@@ -46,6 +49,7 @@ from scx.manifold import (
     is_strongly_connected,
     manifold_class,
     verify_barnette_antistar,
+    verify_shelling,
 )
 
 from oracles import (
@@ -56,6 +60,7 @@ from oracles import (
     brute_is_flag,
     built_fields,
     classify_by_labels,
+    greedy_shelling_by_rescan,
     homology_manifold_ascending,
     link_values_bounded_by_links,
     links_inherit_by_links,
@@ -139,15 +144,17 @@ def _verdicts_match(c: SimplicialComplex, hm: tuple, normal: tuple | None, betti
     the banner number.  The Betti numbers are read after the bundle, which
     keeps a sphere's when the greedy shelling certifies one.
 
-    In the order of ``verify`` normality comes first, from ``is_normal``,
-    and neither it nor the banner number's level d - 1 rule runs the
-    homology-manifold pass.  In the order of ``analyze`` the bundle comes
+    In the order of ``verify`` normality comes first: from the greedy
+    shelling when it certifies ``c``, else from ``is_normal``.  Neither it
+    nor the banner number's level d - 1 rule runs the rank scan of the
+    homology-manifold check.  In the order of ``analyze`` the bundle comes
     first, and normality is read off its homology-manifold verdict.
     """
     first = _fresh(c)
     if normal is not None:
         res = _normality(first)
         assert (res.normal, res.witness) == normal, c.facets
+        assert first._memo["shelled"] is None or normal == (True, None), c.facets
     value = banner_number(first)
     assert "homology_manifold" not in first._memo, c.facets
     second = _fresh(c)
@@ -203,7 +210,7 @@ def test_shelling_step_matches_facet_meets_on_random_orders_of_every_small_compl
             chosen = 0
             for k, i in enumerate(order):
                 if k:
-                    ok = _may_follow(c, _restriction(c, i, chosen), chosen)
+                    ok = _may_follow(_restriction(c, i, chosen), chosen, _vertex_facets(c))
                     before = [sets[j] for j in order[:k]]
                     assert ok == shelling_step_by_meets(before, sets[i], c.dim), c.facets
                     steps[ok] += 1
@@ -236,7 +243,8 @@ def test_manifold_verdicts_and_banner_numbers_match_oracles_on_seeded_spheres():
     homology spheres.  The cone is a normal ball with the reduced Betti
     numbers of a point, and its first vertex in label order with a
     deviating link is the first base vertex, whose link is a cone too,
-    since the apex ``_apex0`` sorts before the ``v`` labels."""
+    since the apex ``_apex0`` sorts before the ``v`` labels.  Normality is
+    also checked against built links."""
     subjects = _seeded_spheres()
     assert len(subjects) == 3 * (4 * 7 + 4 + 4 * 3)
     for name, c in subjects:
@@ -244,20 +252,58 @@ def test_manifold_verdicts_and_banner_numbers_match_oracles_on_seeded_spheres():
         hm = (False, (c.vertices[1],)) if cone else (True, None)
         assert c.vertices[0] == "_apex0" or not cone, name
         betti = (0,) * (c.dim + 1) if cone else sphere_pattern(c.dim, c.dim + 1)
-        assert _verdicts_match(c, hm, (True, None), betti) == banner_number_by_links(c), name
+        assert _verdicts_match(c, hm, normal_by_links(c), betti) == banner_number_by_links(c), name
+
+
+def _closed_ridges(c: SimplicialComplex) -> bool:
+    """Is ``c`` of dimension at least 1 with each ridge in two facets?"""
+    return c.dim >= 1 and all(len(members) == 2 for members in c._holders(c.dim).values())
+
+
+def test_greedy_shelling_orders_match_a_full_rescan():
+    """The greedy pass re-tests only the facets whose restriction face grew,
+    and the lowest of those that passed when it is picked.  Its order equals
+    that of a rescan of the whole frontier at every step, and passes
+    ``verify_shelling``, on every small complex of dimension at least 1
+    whose ridges each lie in two facets, and on the seeded spheres and
+    their suspensions.  Every other small complex, and every cone, is not
+    tried."""
+    subjects = [c for c in SMALL if _closed_ridges(c)]
+    assert all(_greedy_shelling(c) is None for c in SMALL if not _closed_ridges(c))
+    for name, c in _seeded_spheres():
+        if name.endswith("-cone"):
+            assert _greedy_shelling(c) is None, name
+        else:
+            subjects.append(c)
+    shelled = 0
+    for c in subjects:
+        order = _shelled(_fresh(c))
+        assert order == greedy_shelling_by_rescan(c), c.facets
+        if order is not None:
+            shelled += 1
+            facets = c.facets
+            assert verify_shelling(c, [facets[i] for i in order]), facets
+    assert shelled == len(subjects) > 88
 
 
 def test_banner_numbers_match_full_scans_on_a_pinched_sphere():
     """No small complex is a closed pseudomanifold that is not normal, so the
     pinched octahedron stands in for them, with its cone and suspension.
     None is normal, and the banner number of each is undefined: level d - 1
-    fails at x, or at the apex edge _apex0 x, whose link is two triangles."""
+    fails at x, or at the apex edge _apex0 x, whose link is two triangles.
+    The octahedron and its suspension are closed, so the greedy shelling
+    runs for normality, stalls, and ``is_normal`` gives the witness."""
     pinched = _pinched_octahedron()
     for c in (pinched, pinched.cone(), pinched.suspension()):
         expected = banner_number_by_links(c)
         assert banner_number(_fresh(c)) == expected, c.facets
         assert not is_normal(c).normal and expected.value is None, c.facets
         assert expected.failing_face == (("x",) if c is pinched else ("_apex0", "x"))
+        first = _fresh(c)
+        res = _normality(first)
+        assert (res.normal, res.witness) == normal_by_links(c), c.facets
+        assert first._memo["shelled"] is None, c.facets
+    assert normal_by_links(pinched) == (False, ("x",))
 
 
 def _catalog_subjects() -> list[SimplicialComplex]:

@@ -330,8 +330,8 @@ def test_homology_manifold_fails_first_on_a_three_dimensional_link():
     assert z2_betti(s2s1) == (0, 1, 1, 1)
     # neither shells, so both verdicts come from the ranked links
     suspension = s2s1.suspension()
-    assert not manifold._greedy_shelling(s2s1)
-    assert not manifold._greedy_shelling(suspension)
+    assert manifold._greedy_shelling(s2s1) is None
+    assert manifold._greedy_shelling(suspension) is None
     assert is_homology_manifold(s2s1) == (True, None)
     # an apex link is S^2 x S^1, whose b_1 = 1 the rank path must see
     assert is_homology_manifold(suspension) == (False, ("_apex0",))
@@ -448,6 +448,15 @@ def test_shelling_orders_are_pinned(corpus):
     }
     for name, text in pinned.items():
         assert find_shelling(corpus[name]).facets == _order(text), name
+
+
+def test_verify_shelling_requires_a_pure_complex():
+    c = from_facets([["a", "b", "c"], ["c", "d"]])
+    for order in (c.facets, c.facets[::-1]):
+        with pytest.raises(NotPure):
+            verify_shelling(c, order)
+    with pytest.raises(NotPure):
+        find_shelling(c)
 
 
 def test_verify_shelling_rejects_wrong_facets():
