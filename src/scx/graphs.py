@@ -12,15 +12,19 @@ bitmasks, so no subcomplex is built), strong connectivity and vertex
 antistars on the facet ridge graph (``manifold``), and the facet
 components of L4.4-homological (``analysis``).
 
-Vertex connectivity and independent path families come out of one
-unit-vertex-capacity flow network per graph.  Every vertex w is split
-into an in-node 2w and an out-node 2w+1 joined by a capacity-1 arc, and
-every edge a-b becomes the arcs 2a+1 -> 2b and 2b+1 -> 2a of capacity n,
-so that minimum cuts consist of split arcs only.  A u-v flow runs from
-the out-node of u to the in-node of v, so the split arcs of u and v
-never carry flow.  Augmenting paths are found by BFS with
-ascending-neighbor order, so path families and cut certificates are
-deterministic.
+Vertex connectivity and independent path families come out of
+``kernels.unit_maxflow``, run on the skeleton's adjacency bitmasks
+(``g.masks``) themselves.  Its flow network is the vertex split of
+Even: every vertex w has an in-node and an out-node joined by an arc of
+capacity 1, and every edge a-b gives uncapacitated arcs out(a) -> in(b)
+and out(b) -> in(a), so that minimum cuts consist of split arcs only.
+The network is never built.  Each augmenting search grows alternating
+in-node and out-node layers as bitmasks with four moves: out(x) -> in(y)
+along every edge, OR-ing neighbor masks; in(w) -> out(w) when w carries
+no path; out(w) -> in(w) when it does; and in(y) -> out(pred y) back
+along a path.  A u-v flow runs from out(u) to in(v), and the direct edge
+u-v is left out.  Paths are recovered through the lowest-id node of each
+layer, so path families and cut certificates are deterministic.
 
 Flow plan of ``vertex_connectivity`` (Esfahanian & Hakimi, Networks 14,
 1984, with the grown source side of Even, SIAM J. Comput. 4, 1975, and
@@ -43,11 +47,10 @@ m to each absorbed vertex; the argument does not need that edge, which
 only raises later flows.)  The certificate then comes from a scan of
 the non-adjacent pairs in lexicographic order that stops at the first
 pair whose flow equals kappa, skipping neighbor pairs already known to
-need more; that pair's cut is read off the source side that the flow's
-last search labeled.  The residual arcs of the split network are built
-once per call (``flow_network``) and every pair's flow starts from the
-shared capacity vector; an adjacent pair gets a copy with its two
-direct arcs set to 0.
+need more.  That pair's cut holds the vertices other than u and v whose
+in-node, but not out-node, the flow's last search reached.  The nodes
+that a residual search reaches from the source are the same for every
+maximum flow, so the cut does not depend on which paths the flow found.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from typing import Iterable, Sequence
 
 from .complexes import Label, SimplicialComplex, _iter_bits
 from .errors import EmptyOutside, SameVertex, UnknownVertex
-from .kernels import flow_network, unit_maxflow
+from .kernels import unit_maxflow
 
 
 class SkeletonGraph:
@@ -177,57 +180,11 @@ class PathFamily:
         return len(self.paths)
 
 
-# -- flow plumbing -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _SplitNetwork:
-    """The vertex-split flow network of a whole graph, shared by all pairs.
-
-    Arc w < n is the split arc 2w -> 2w+1; the edge arcs follow, and
-    ``arc_of`` maps each edge (a, b) to the index of its arc
-    2a+1 -> 2b, in arc order.  ``network`` is the kernel's residual
-    structure and ``caps`` the capacity of each arc.
-    """
-
-    network: tuple[list[list[int]], list[int]]
-    caps: list[int]
-    arc_of: dict[tuple[int, int], int]
-
-
-def _split_network(g: SkeletonGraph) -> _SplitNetwork:
-    big = g.n  # effectively infinite for unit vertex capacities
-    tails = [2 * w for w in range(g.n)]
-    heads = [2 * w + 1 for w in range(g.n)]
-    caps = [1] * g.n
-    arc_of: dict[tuple[int, int], int] = {}
-    for a, mask in enumerate(g.masks):
-        for b in _iter_bits(mask):
-            arc_of[a, b] = len(tails)
-            tails.append(2 * a + 1)
-            heads.append(2 * b)
-            caps.append(big)
-    return _SplitNetwork(flow_network(2 * g.n, tails, heads), caps, arc_of)
-
-
-def _pair_flow(g: SkeletonGraph, net: _SplitNetwork, u: int, v: int):
-    """Maximum flow of internally disjoint u-v paths as ``(value, flows, reach)``.
-
-    A direct edge u-v is left out (its arcs get capacity 0); callers
-    account for it.
-    """
-    caps = net.caps
-    if g.adjacent(u, v):
-        caps = caps.copy()
-        caps[net.arc_of[u, v]] = caps[net.arc_of[v, u]] = 0
-    return unit_maxflow(net.network, caps, 2 * u + 1, 2 * v)
-
-
 def local_connectivity(g: SkeletonGraph, u: int, v: int) -> int:
     """Maximum number of independent u-v paths."""
     if u == v:
         raise SameVertex("need two distinct vertices")
-    value = _pair_flow(g, _split_network(g), u, v)[0]
+    value = unit_maxflow(g.masks, u, v)[0]
     return value + (1 if g.adjacent(u, v) else 0)
 
 
@@ -257,29 +214,24 @@ def _vertex_connectivity(g: SkeletonGraph) -> ConnectivityResult:
     if reached != full:
         outside = next(_iter_bits(full ^ reached))
         return ConnectivityResult(0, False, CutSet((), (g.labels[0], g.labels[outside])))
-    net = _split_network(g)
     m = min(range(g.n), key=lambda w: g.masks[w].bit_count())
     near = tuple(_iter_bits(g.masks[m]))
     known = {
-        (x, y): _pair_flow(g, net, x, y)[0]
+        (x, y): unit_maxflow(g.masks, x, y)[0]
         for i, x in enumerate(near)
         for y in near[i + 1 :]
         if not g.adjacent(x, y)
     }
-    kappa = min([_absorbed_bound(g, net, m), *known.values()])
+    kappa = min([_absorbed_bound(g, m), *known.values()])
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if g.adjacent(u, v) or known.get((u, v), kappa) > kappa:
                 continue
-            value, _, reach = _pair_flow(g, net, u, v)
+            value, _, reach_in, reach_out = unit_maxflow(g.masks, u, v)
             if value == kappa:
                 # the separator: vertices whose in-node, but not out-node,
                 # lies on the source side of the flow's minimum cut
-                cut = tuple(
-                    w
-                    for w in range(g.n)
-                    if w != u and w != v and reach[2 * w] and not reach[2 * w + 1]
-                )
+                cut = tuple(_iter_bits(reach_in & ~reach_out & ~(1 << u | 1 << v)))
                 _check_cut(g, cut, u, v)
                 return ConnectivityResult(
                     kappa,
@@ -289,7 +241,7 @@ def _vertex_connectivity(g: SkeletonGraph) -> ConnectivityResult:
     raise AssertionError("no non-adjacent pair attains the connectivity")
 
 
-def _absorbed_bound(g: SkeletonGraph, net: _SplitNetwork, m: int) -> int:
+def _absorbed_bound(g: SkeletonGraph, m: int) -> int:
     """min(deg m, least flow from ``m`` to a non-neighbor), as the module
     docstring argues."""
     k = g.masks[m].bit_count()
@@ -302,7 +254,7 @@ def _absorbed_bound(g: SkeletonGraph, net: _SplitNetwork, m: int) -> int:
         w = max(rest, key=in_side.__getitem__)
         rest.remove(w)
         if in_side[w] < k:
-            k = min(k, _pair_flow(g, net, m, w)[0])
+            k = min(k, unit_maxflow(g.masks, m, w)[0])
         for y in _iter_bits(g.masks[w]):
             in_side[y] += 1
     return k
@@ -336,24 +288,14 @@ def independent_paths(g: SkeletonGraph, u_label: str, v_label: str) -> PathFamil
     u, v = g.id_of(u_label), g.id_of(v_label)
     if u == v:
         raise SameVertex("need two distinct vertices")
-    net = _split_network(g)
-    value, flows, _ = _pair_flow(g, net, u, v)
+    value, succ, _, _ = unit_maxflow(g.masks, u, v)
 
-    # Decompose the flow: walk saturated edge arcs from u, consuming them.
-    out_of: dict[int, list[int]] = {}
-    for (a, b), i in net.arc_of.items():
-        if flows[i] > 0:
-            out_of.setdefault(a, []).append(b)
-    for lst in out_of.values():
-        lst.sort(reverse=True)  # pop() yields ascending ids
-
+    # Decompose the flow: follow each path from its first hop, ascending.
     paths = []
-    starts = sorted(out_of.get(u, []), reverse=True)
-    while starts:
-        node = starts.pop()
+    for node in _iter_bits(succ[u]):
         path = [u, node]
         while node != v:
-            node = out_of[node].pop()
+            node = succ[node].bit_length() - 1
             path.append(node)
         paths.append(tuple(g.labels[w] for w in path))
     if g.adjacent(u, v):

@@ -1,16 +1,27 @@
-"""The two hot kernels: GF(2) rank and unit-style max flow.
+"""The two hot kernels: GF(2) rank and unit-vertex-capacity max flow.
 
 - ``gf2_rank(rows, ncols)``: rank over GF(2); each row is an int bitmask
   that must fit in ``ncols`` bits.
-- ``flow_network(num_nodes, tails, heads)``: the residual structure of a
-  network, built once and shared by every flow on it.
-- ``unit_maxflow(network, caps, source, sink)``: BFS augmenting-path max
-  flow on such a network with deterministic arc order, returning the
-  flow together with the source side of a minimum cut.  Each call starts
-  from its own capacity vector, so one network serves many flows.
-"""
+- ``unit_maxflow(masks, source, sink)``: a largest family of
+  source-sink paths sharing no interior vertex, found on the graph's
+  neighbor bitmasks, with the nodes that its last, failing search
+  reached, the source side of a minimum cut.
 
-from collections import deque
+The flow runs on the vertex-split network of Even (SIAM J. Comput. 4,
+1975) without building it.  Every vertex w has an in-node and an
+out-node joined by an arc of capacity 1, and every edge x-y gives the
+arcs out(x) -> in(y) and out(y) -> in(x), which unit vertex capacities
+never saturate.  A flow is a family of paths, kept as each vertex's
+successor and predecessor on its path, so the residual moves are:
+
+- out(x) -> in(y) along every edge x-y;
+- in(w) -> out(w) when w carries no path;
+- out(w) -> in(w) when w carries a path;
+- in(y) -> out(pred y) back along a path.
+
+Moves alternate between in-nodes and out-nodes, so each breadth-first
+search grows alternating in-node and out-node layers as bitmasks.
+"""
 
 BACKEND = "pure"
 
@@ -31,70 +42,91 @@ def gf2_rank(rows, ncols):
     return rank
 
 
-def flow_network(num_nodes, tails, heads):
-    """The residual arcs of a network whose arc ``i`` runs ``tails[i] -> heads[i]``.
+def unit_maxflow(masks, source, sink):
+    """Internally disjoint ``source``-``sink`` paths by shortest augmenting paths.
 
-    Returns ``(out, to)``: residual arc 2i is arc i and 2i+1 its reverse;
-    ``out[x]`` lists the residual arcs leaving node x in input order, and
-    ``to[a]`` is the node that residual arc a enters.
+    Bit y of ``masks[x]`` joins x and y.  A direct ``source``-``sink``
+    edge is left out; callers account for it.  Each search starts at
+    out(source), makes the moves of the module docstring one layer at a
+    time, and stops at the layer that holds in(sink); the augmenting path
+    is recovered backwards through the lowest-id node of each stored
+    layer that makes a move into the node after it, so the result is
+    deterministic.  Returns ``(value, succ, reach_in, reach_out)``:
+    ``succ[x]`` is the bitmask of the vertices that follow x on a path,
+    one per path at the source and at most one elsewhere; ``reach_in``
+    and ``reach_out`` are the vertices whose in-node and out-node the
+    last search reached.  That search misses the sink, so the nodes it
+    reached are the source side of a minimum cut, which is the same for
+    every maximum flow.
     """
-    out: list[list[int]] = [[] for _ in range(num_nodes)]
-    to = [0] * (2 * len(tails))
-    for i, (t, h) in enumerate(zip(tails, heads)):
-        out[t].append(2 * i)
-        out[h].append(2 * i + 1)
-        to[2 * i] = h
-        to[2 * i + 1] = t
-    return out, to
-
-
-def unit_maxflow(network, caps, source, sink):
-    """Max flow with BFS augmentation on small integer-capacity networks.
-
-    ``network`` comes from ``flow_network`` and ``caps[i]`` is the
-    capacity of its arc i; the network is not changed, so it can be
-    reused with other capacities and terminals.  BFS scans each node's
-    arcs in input order and stops as soon as the sink is labeled, which
-    makes the final flow assignment deterministic.  Returns
-    ``(value, flows, reach)`` with one flow entry per input arc;
-    ``reach[x]`` says whether node x was labeled by the last BFS, which
-    misses the sink and so runs to exhaustion: the labeled nodes are the
-    source side of a minimum cut.
-    """
-    out, to = network
-    num_nodes = len(out)
-    res = [0] * len(to)
-    res[0::2] = caps
-
+    n = len(masks)
+    succ = [0] * n
+    pred = [0] * n  # for w on a path, the bit of the vertex before w
+    on_path = 0  # the interior vertices of the paths
+    source_bit, sink_bit = 1 << source, 1 << sink
     value = 0
     while True:
-        parent = [-1] * num_nodes
-        parent[source] = -2
-        queue = deque([source])
-        while queue and parent[sink] == -1:
-            u = queue.popleft()
-            for a in out[u]:
-                if res[a] > 0:
-                    v = to[a]
-                    if parent[v] == -1:
-                        parent[v] = a
-                        queue.append(v)
-        if parent[sink] == -1:
-            break
-        bottleneck = None
-        v = sink
-        while v != source:
-            a = parent[v]
-            if bottleneck is None or res[a] < bottleneck:
-                bottleneck = res[a]
-            v = to[a ^ 1]
-        v = sink
-        while v != source:
-            a = parent[v]
-            res[a] -= bottleneck
-            res[a ^ 1] += bottleneck
-            v = to[a ^ 1]
-        value += bottleneck
+        reach_out = source_bit
+        reach_in = layer = masks[source] & ~sink_bit
+        layers = [source_bit, layer]
+        while layer and not layer & sink_bit:
+            # in(w) -> out(w) off the paths, in(y) -> out(pred y) on them
+            nxt = layer & ~on_path
+            back = layer & on_path
+            while back:
+                low = back & -back
+                nxt |= pred[low.bit_length() - 1]
+                back ^= low
+            layer = nxt & ~reach_out
+            reach_out |= layer
+            layers.append(layer)
+            # out(x) -> in(y) along edges, out(w) -> in(w) on the paths
+            nxt = layer & on_path
+            while layer:
+                low = layer & -layer
+                nxt |= masks[low.bit_length() - 1]
+                layer ^= low
+            layer = nxt & ~reach_in
+            reach_in |= layer
+            layers.append(layer)
+        if not layer:
+            return value, succ, reach_in, reach_out
+        value += 1
 
-    flows = [cap - left for cap, left in zip(caps, res[0::2])]
-    return value, flows, [p != -1 for p in parent]
+        # Back from in(sink): each edge step x -> y of the path adds a unit
+        # of flow from x to y, or cancels one from y to x.
+        steps = []
+        y = sink
+        for j in range(len(layers) - 2, -1, -2):
+            y_bit = 1 << y
+            outs = layers[j] & (masks[y] | y_bit & on_path)
+            x_bit = outs & -outs
+            x = x_bit.bit_length() - 1
+            if x != y:
+                steps.append((x, y))
+            if on_path & x_bit:  # out(x) was reached from in(succ x)
+                y = succ[x].bit_length() - 1
+                steps.append((y, x))
+            else:
+                y = x
+        for x, y in steps:
+            if succ[y] >> x & 1:
+                succ[y] ^= 1 << x
+            else:
+                succ[x] |= 1 << y
+
+        # Keep the paths from the source and drop any cycle the steps closed.
+        fresh = [0] * n
+        fresh[source] = heads = succ[source]
+        on_path = 0
+        while heads:
+            low = heads & -heads
+            heads ^= low
+            prev, w = source_bit, low.bit_length() - 1
+            while w != sink:
+                pred[w] = prev
+                prev = 1 << w
+                on_path |= prev
+                fresh[w] = succ[w]
+                w = succ[w].bit_length() - 1
+        succ = fresh

@@ -392,9 +392,10 @@ def verify_shelling(c: SimplicialComplex, order: Sequence[Face]) -> bool:
     if not c.is_pure:
         raise NotPure("shellings are defined for pure complexes")
     keys = [tuple(sorted(f)) for f in order]
-    if sorted(keys) != sorted(c.facets):
+    facets = c.facets  # each access rebuilds every label tuple
+    if sorted(keys) != sorted(facets):
         return False
-    index, chosen = {f: i for i, f in enumerate(c.facets)}, 0
+    index, chosen = {f: i for i, f in enumerate(facets)}, 0
     vertex_facets = _vertex_facets(c)
     for k, i in enumerate(index[key] for key in keys):
         if k and not _may_follow(_restriction(c, i, chosen), chosen, vertex_facets):

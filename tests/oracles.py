@@ -6,6 +6,8 @@ genuinely separate routes:
 
 - connectivity and separators by subset enumeration + BFS,
 - connectivity certificates by one flow per non-adjacent pair,
+- vertex connectivity with its certificate, and the value and cut of
+  each pair's flow, on an explicit vertex-split network of residual arcs,
 - maximum independent path families by DFS packing over all simple paths,
 - GF(2) ranks by dense numpy elimination,
 - face counts by raw subset enumeration,
@@ -41,7 +43,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from scx.kernels import flow_network, unit_maxflow
 from scx.banner import (
     BannerClass,
     BannerNumber,
@@ -52,7 +53,7 @@ from scx.banner import (
 )
 from scx.complexes import SimplicialComplex, _iter_bits
 from scx.errors import EmptyOutside, NoBoundary, NotPseudomanifold, NotPure, ScxError
-from scx.graphs import neighborhood, skeleton
+from scx.graphs import ConnectivityResult, CutSet, _check_cut, neighborhood, skeleton
 from scx.homology import z2_betti, z2_relative_betti
 from scx.manifold import _may_follow, _ridge_graph, _vertex_facets, is_pseudomanifold
 
@@ -104,6 +105,157 @@ def brute_min_separator(g, u, v) -> int:
     return len(others)
 
 
+def arc_flow_network(num_nodes, tails, heads):
+    """The residual arcs of a network whose arc ``i`` runs ``tails[i] -> heads[i]``.
+
+    Returns ``(out, to)``: residual arc 2i is arc i and 2i+1 its reverse;
+    ``out[x]`` lists the residual arcs leaving node x in input order, and
+    ``to[a]`` is the node that residual arc a enters.
+    """
+    out: list[list[int]] = [[] for _ in range(num_nodes)]
+    to = [0] * (2 * len(tails))
+    for i, (t, h) in enumerate(zip(tails, heads)):
+        out[t].append(2 * i)
+        out[h].append(2 * i + 1)
+        to[2 * i] = h
+        to[2 * i + 1] = t
+    return out, to
+
+
+def arc_maxflow(network, caps, source, sink):
+    """Max flow by BFS augmentation over a per-arc residual capacity vector.
+
+    ``network`` comes from ``arc_flow_network`` and ``caps[i]`` is the
+    capacity of its arc i; the network is not changed.  Returns
+    ``(value, flows, reach)`` with one flow entry per input arc;
+    ``reach[x]`` says whether the last, failing BFS labeled node x.
+    """
+    out, to = network
+    num_nodes = len(out)
+    res = [0] * len(to)
+    res[0::2] = caps
+    value = 0
+    while True:
+        parent = [-1] * num_nodes
+        parent[source] = -2
+        queue = deque([source])
+        while queue and parent[sink] == -1:
+            x = queue.popleft()
+            for a in out[x]:
+                if res[a] > 0 and parent[to[a]] == -1:
+                    parent[to[a]] = a
+                    queue.append(to[a])
+        if parent[sink] == -1:
+            break
+        bottleneck = None
+        y = sink
+        while y != source:
+            a = parent[y]
+            if bottleneck is None or res[a] < bottleneck:
+                bottleneck = res[a]
+            y = to[a ^ 1]
+        y = sink
+        while y != source:
+            a = parent[y]
+            res[a] -= bottleneck
+            res[a ^ 1] += bottleneck
+            y = to[a ^ 1]
+        value += bottleneck
+    flows = [cap - left for cap, left in zip(caps, res[0::2])]
+    return value, flows, [p != -1 for p in parent]
+
+
+def _split_network(g):
+    """The vertex-split network of the whole graph, built as arc lists.
+
+    Arc w < n is the split arc 2w -> 2w+1 of capacity 1; every edge (a, b)
+    follows as the arc 2a+1 -> 2b of capacity n, whose index ``arc_of``
+    gives.  Returns ``(network, caps, arc_of)``.
+    """
+    tails = [2 * w for w in range(g.n)]
+    heads = [2 * w + 1 for w in range(g.n)]
+    caps = [1] * g.n
+    arc_of = {}
+    for a, near in enumerate(g.adj):
+        for b in near:
+            arc_of[a, b] = len(tails)
+            tails.append(2 * a + 1)
+            heads.append(2 * b)
+            caps.append(g.n)
+    return arc_flow_network(2 * g.n, tails, heads), caps, arc_of
+
+
+def _split_pair_flow(g, net, u, v) -> tuple[int, tuple[int, ...]]:
+    """The u-v flow value on the split network, the direct arcs of an
+    adjacent pair set to 0, with the vertices whose in-node but not
+    out-node the last BFS labeled."""
+    network, caps, arc_of = net
+    if (u, v) in arc_of:
+        caps = caps.copy()
+        caps[arc_of[u, v]] = caps[arc_of[v, u]] = 0
+    value, _, reach = arc_maxflow(network, caps, 2 * u + 1, 2 * v)
+    cut = tuple(
+        w for w in range(g.n)
+        if w != u and w != v and reach[2 * w] and not reach[2 * w + 1]
+    )
+    return value, cut
+
+
+def pair_cuts_by_split_network(g, pairs) -> dict[tuple[int, int], tuple[int, tuple[int, ...]]]:
+    """(value, cut) of the u-v flow for each (u, v) of ``pairs``, on one
+    split network."""
+    net = _split_network(g)
+    return {(u, v): _split_pair_flow(g, net, u, v) for u, v in pairs}
+
+
+def vertex_connectivity_by_split_network(g) -> ConnectivityResult:
+    """``graphs.vertex_connectivity`` by the same flow plan, each flow run
+    on an explicit split network with per-arc residual capacities."""
+    if g.n <= 1:
+        return ConnectivityResult(0, False, None)
+    adj = g.adj
+    if all(len(a) == g.n - 1 for a in adj):
+        return ConnectivityResult(g.n - 1, True, None)
+    comps = components(g.n, adj)
+    if len(comps) > 1:
+        outside = min(set(range(g.n)) - comps[0])
+        return ConnectivityResult(0, False, CutSet((), (g.labels[0], g.labels[outside])))
+    net = _split_network(g)
+    m = min(range(g.n), key=lambda w: len(adj[w]))
+    near = adj[m]
+    known = {
+        (x, y): _split_pair_flow(g, net, x, y)[0]
+        for i, x in enumerate(near)
+        for y in near[i + 1 :]
+        if y not in adj[x]
+    }
+    # m's side grows by the non-neighbor with most neighbors in it, lowest first
+    k = len(near)
+    in_side = [0] * g.n
+    for x in near:
+        for y in adj[x]:
+            in_side[y] += 1
+    rest = [w for w in range(g.n) if w != m and w not in adj[m]]
+    while rest:
+        w = max(rest, key=in_side.__getitem__)
+        rest.remove(w)
+        if in_side[w] < k:
+            k = min(k, _split_pair_flow(g, net, m, w)[0])
+        for y in adj[w]:
+            in_side[y] += 1
+    kappa = min([k, *known.values()])
+    for u, v in itertools.combinations(range(g.n), 2):
+        if v in adj[u] or known.get((u, v), kappa) > kappa:
+            continue
+        value, cut = _split_pair_flow(g, net, u, v)
+        if value == kappa:
+            _check_cut(g, cut, u, v)
+            return ConnectivityResult(
+                kappa, False, CutSet(tuple(g.labels[w] for w in cut), (g.labels[u], g.labels[v]))
+            )
+    raise AssertionError("no non-adjacent pair attains the connectivity")
+
+
 def _pair_min_cut(g, u, v) -> tuple[int, tuple[int, ...]]:
     """Least u-v separator of a non-adjacent pair, from a network of its own.
 
@@ -122,7 +274,7 @@ def _pair_min_cut(g, u, v) -> tuple[int, tuple[int, ...]]:
             heads.append(2 * b)
             caps.append(g.n)
     s, t = 2 * u + 1, 2 * v
-    value, flows, _ = unit_maxflow(flow_network(2 * g.n, tails, heads), caps, s, t)
+    value, flows, _ = arc_maxflow(arc_flow_network(2 * g.n, tails, heads), caps, s, t)
     out: list[list[tuple[int, int]]] = [[] for _ in range(2 * g.n)]
     for i, (a, b) in enumerate(zip(tails, heads)):
         out[a].append((b, caps[i] - flows[i]))

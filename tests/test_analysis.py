@@ -33,7 +33,14 @@ from scx.generators import (
     stacked_sphere,
     torus_7,
 )
-from scx.graphs import _adjacency_masks, is_outside_connected
+from scx.graphs import (
+    PathFamily,
+    _adjacency_masks,
+    _validate_family,
+    is_outside_connected,
+    local_connectivity,
+    skeleton,
+)
 from scx.manifold import manifold_class
 
 from oracles import (
@@ -869,6 +876,23 @@ def test_cli_connectivity(tmp_path, capsys):
     assert cli.main(["connectivity", str(path), "--paths", "p0", "m0"]) == 0
     out = capsys.readouterr().out
     assert "4 independent paths" in out
+
+
+@pytest.mark.parametrize(("dim", "u", "v", "size"), [(2, "p0", "m0", 4), (3, "p0", "p1", 6)])
+def test_cli_connectivity_paths_json(tmp_path, capsys, dim, u, v, size):
+    """The JSON family is valid and as large as the local connectivity, for
+    a non-adjacent pair of the octahedron and for an adjacent pair of the
+    3-dimensional cross-polytope, whose edge is a path of its own."""
+    path = tmp_path / "cross.scx"
+    cli.main(["gen", "cross-polytope", str(dim), "-o", str(path)])
+    capsys.readouterr()
+    assert cli.main(["connectivity", str(path), "--paths", u, v, "--json"]) == 0
+    paths = json.loads(capsys.readouterr().out)["paths"]
+    g = skeleton(loads(path.read_text()))
+    family = PathFamily((u, v), tuple(map(tuple, paths)))
+    _validate_family(g, family)
+    assert len(family) == local_connectivity(g, g.id_of(u), g.id_of(v)) == size
+    assert ([u, v] in paths) == g.adjacent(g.id_of(u), g.id_of(v))
 
 
 def test_cli_connectivity_prints_the_cut_in_certificate_order(tmp_path, capsys):

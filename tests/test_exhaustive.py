@@ -10,6 +10,7 @@ families of subsets none inside another, add the non-pure complexes on
 n <= 4 vertices, which pin the skip reasons.
 """
 
+import functools
 import itertools
 import random
 import runpy
@@ -28,11 +29,18 @@ from scx.analysis import (
     verify_property,
 )
 from scx.banner import banner_number, classify, classify_tilde_cliques
-from scx.complexes import SimplicialComplex, _maximal, loads
+from scx.complexes import SimplicialComplex, _iter_bits, _maximal, loads
 from scx.errors import EmptyComplex, ScxError
 from scx.generators import catalog
-from scx.graphs import _adjacency_masks, is_outside_connected, skeleton, vertex_connectivity
+from scx.graphs import (
+    _adjacency_masks,
+    _vertex_connectivity,
+    is_outside_connected,
+    skeleton,
+    vertex_connectivity,
+)
 from scx.homology import sphere_pattern, z2_betti
+from scx.kernels import unit_maxflow
 from scx.manifold import (
     _homology_manifold,
     _greedy_shelling,
@@ -68,11 +76,13 @@ from oracles import (
     maximal_by_pairs,
     normal_by_links,
     outside_connected_by_complexes,
+    pair_cuts_by_split_network,
     pseudomanifold_by_ridge_counts,
     relative_betti_by_complexes,
     relative_homology_matches_by_complexes,
     shelling_step_by_meets,
     strongly_connected_by_pairs,
+    vertex_connectivity_by_split_network,
 )
 from test_banner import _pinched_octahedron
 
@@ -218,9 +228,10 @@ def test_shelling_step_matches_facet_meets_on_random_orders_of_every_small_compl
     assert min(steps.values()) > 1000
 
 
-def _seeded_spheres() -> list[tuple[str, SimplicialComplex]]:
-    """The distinct ``spheres`` and ``highdim`` inputs of seeds 1-4 in
-    ``perfbench/inputs.py``, each with its cone and suspension.  Four
+@functools.cache
+def _seeded_texts() -> tuple[tuple[str, str], ...]:
+    """The names and ``.scx`` texts of the distinct ``spheres`` and
+    ``highdim`` inputs of seeds 1-4 in ``perfbench/inputs.py``.  Four
     ``highdim`` inputs, such as ``cross-4``, take no seed, so they come once."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
     build = runpy.run_path(str(path))["build"]
@@ -228,13 +239,18 @@ def _seeded_spheres() -> list[tuple[str, SimplicialComplex]]:
     for workload in ("spheres", "highdim"):
         for seed in (1, 2, 3, 4):
             for inp in build(workload, seed):
-                if inp.text in seen:
-                    continue
-                seen.add(inp.text)
-                c = loads(inp.text)
-                name = f"{workload}-{seed}-{inp.name}"
-                out += [(name, c), (f"{name}-cone", c.cone())]
-                out.append((f"{name}-suspension", c.suspension()))
+                if inp.text not in seen:
+                    seen.add(inp.text)
+                    out.append((f"{workload}-{seed}-{inp.name}", inp.text))
+    return tuple(out)
+
+
+def _seeded_spheres() -> list[tuple[str, SimplicialComplex]]:
+    """Each seeded input, freshly parsed, with its cone and suspension."""
+    out = []
+    for name, text in _seeded_texts():
+        c = loads(text)
+        out += [(name, c), (f"{name}-cone", c.cone()), (f"{name}-suspension", c.suspension())]
     return out
 
 
@@ -421,7 +437,7 @@ def test_ridge_graph_searches_match_pairwise_oracles_on_every_small_complex():
 def test_skeleton_searches_match_built_complexes_on_every_small_complex():
     """Outsides of closed neighborhoods, and vertex connectivity with its
     certificate, the empty cut of a disconnected skeleton included."""
-    disconnected = 0
+    disconnected, references = 0, {}
     for c in SMALL:
         for v in c.vertices:
             assert _outcome(is_outside_connected, c, v) == _outcome(
@@ -430,10 +446,38 @@ def test_skeleton_searches_match_built_complexes_on_every_small_complex():
         g = skeleton(c)
         res = vertex_connectivity(g)
         got = (res.value, None, None) if res.cut is None else (res.value, *astuple(res.cut))
-        expected = all_pairs_connectivity(g)
+        key = (g.labels, g.masks)
+        if key not in references:  # the reference of a skeleton met before
+            references[key] = all_pairs_connectivity(g)
+        expected = references[key]
         assert got == expected, c.facets
         disconnected += expected[1] == ()
     assert disconnected > 0
+
+
+def test_connectivity_matches_the_split_network_oracle():
+    """The bitmask flows against flows on an explicit split network of
+    residual arcs: the whole ``ConnectivityResult`` of every small
+    skeleton and of the seeded inputs with their cones and suspensions,
+    and the value and cut of the flow from the lower to the higher id of
+    every vertex pair of the small skeletons, adjacent pairs included.
+    ``test_graphs`` compares both directions on larger random graphs."""
+    small = {}
+    for c in SMALL:
+        g = skeleton(c)
+        small.setdefault((g.labels, g.masks), g)
+    graphs = [*small.values(), *(skeleton(c) for _, c in _seeded_spheres())]
+    for g in graphs:
+        assert _vertex_connectivity(g) == vertex_connectivity_by_split_network(g), g.labels
+    pairs = 0
+    for g in small.values():
+        pairs_of_g = itertools.combinations(range(g.n), 2)
+        for (u, v), expected in pair_cuts_by_split_network(g, pairs_of_g).items():
+            value, _, reach_in, reach_out = unit_maxflow(g.masks, u, v)
+            cut = tuple(_iter_bits(reach_in & ~reach_out & ~(1 << u | 1 << v)))
+            assert (value, cut) == expected, (g.masks, u, v)
+            pairs += 1
+    assert (len(small), len(graphs), pairs) == (819, 951, 15918 // 2)
 
 
 def test_outside_facet_components_match_relative_betti_on_every_small_manifold():

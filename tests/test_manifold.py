@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from scx import manifold
-from scx.complexes import from_facets
+from scx.complexes import SimplicialComplex, from_facets
 from scx.errors import BadSeed, NotPseudomanifold, NotPure, ScxError, SearchBudgetExceeded
 from scx.generators import (
     banana,
@@ -462,3 +462,14 @@ def test_verify_shelling_requires_a_pure_complex():
 def test_verify_shelling_rejects_wrong_facets():
     c = simplex_boundary(3)
     assert not verify_shelling(c, c.facets[:2])
+
+
+def test_verify_shelling_reads_the_facet_labels_once(monkeypatch):
+    """``facets`` rebuilds every label tuple on each access."""
+    c = cross_polytope_boundary(3)
+    order = find_shelling(c).facets
+    reads = []
+    facets = SimplicialComplex.facets.fget
+    monkeypatch.setattr(SimplicialComplex, "facets", property(lambda s: reads.append(s) or facets(s)))
+    assert verify_shelling(c, order)
+    assert len(reads) == 1
