@@ -365,7 +365,7 @@ def _links_inherit(c: SimplicialComplex) -> tuple:
     """P3.7: the link of every vertex of a banner (strongly banner) complex
     of dimension d >= 2 is banner (strongly banner).
 
-    The link table answers both sides.  It answers banner-or-triangle, and
+    ``_link_banner`` answers both sides.  It answers banner-or-triangle, and
     with c banner the link of no vertex v is a triangle abc: only for d = 2
     is it a graph, and then v, a, b, c span a simplex boundary if abc is a
     face and abc is a critical non-spanning clique if not.  For c strongly

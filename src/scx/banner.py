@@ -201,20 +201,15 @@ def banner_or_triangle(c: SimplicialComplex) -> bool:
 def _link_banner(c: SimplicialComplex, ids: tuple[int, ...]) -> bool:
     """``banner_or_triangle(c.link(face))`` for the non-facet face with sorted ``ids``.
 
-    Answers are kept in a table in ``c``'s memo, indexed by face.  Apart
-    from the empty face, whose link is ``c`` itself, no link is built: the
-    link is read off the residues ``G - F`` of the facets ``G`` containing
-    the face ``F``, as bitmasks (``_residues_banner``).  The table has two
-    readers: ``_banner_number``, whose scan of level b is also L5.2's
-    certificate, asks it level by level (``_first_failure``), except at
-    level d-1 of a closed normal pseudomanifold, which holds by rule
-    (``_holds_by_rule``); and P3.7 asks it about every vertex.
+    Apart from the empty face, whose link is ``c`` itself, no link is
+    built: the link is read off the residues ``G - F`` of the facets ``G``
+    containing the face ``F``, as bitmasks (``_residues_banner``).  No
+    answer is kept: ``_banner_number``, which is memoized, asks about each
+    face once (``_first_failure``), and P3.7 asks about every vertex only
+    of a banner complex, whose banner number stops at level 0 without
+    asking about any vertex.
     """
-    table = c._memo.setdefault("link_banner", {})
-    ok = table.get(ids)
-    if ok is None:
-        ok = table[ids] = _residues_banner(c, ids) if ids else banner_or_triangle(c)
-    return ok
+    return _residues_banner(c, ids) if ids else banner_or_triangle(c)
 
 
 def _residues_banner(c: SimplicialComplex, ids: tuple[int, ...]) -> bool:
@@ -308,8 +303,8 @@ def _banner_number(c: SimplicialComplex) -> BannerNumber:
 def _first_failure(
     c: SimplicialComplex, family: Iterable[tuple[int, ...]]
 ) -> tuple[int, ...] | None:
-    """The first face of ``family`` whose link the link table finds neither
-    banner nor a triangle, or None when there is none."""
+    """The first face of ``family`` whose link is neither banner nor a
+    triangle, or None when there is none."""
     return next((ids for ids in family if not _link_banner(c, ids)), None)
 
 

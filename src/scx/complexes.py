@@ -22,18 +22,18 @@ star of a face, the normality and homology-manifold checks and the
 banner status of a face link start from the holders of the face.  Its
 lists are never mutated.
 
-Invariants computed from a complex (its banner class, banner number,
-manifold class, Betti numbers, its vertex adjacency, which its skeleton
-wraps, the ridge graph of its facets, the facets holding each vertex and
-the banner status of its face links) are cached per object in its
-``_memo`` dict, so each is computed once however many checks ask for it.
+Invariants computed from a complex that more than one caller reads (its
+banner class, banner number, pseudomanifold status, normality,
+homology-manifold verdict, greedy shelling, Betti numbers, its vertex
+adjacency, which its skeleton wraps, the ridge graph of its facets and
+the facets holding each vertex) are cached per object in its ``_memo``
+dict, so each is computed once however many checks ask for it.
 Cached values are immutable, hold no reference back to the complex and
 die with it; there is no global or content-keyed cache.  Neither memo
 takes a lock: two threads asking for the same value at once may both
 compute it and store equal results.  Each store is one dict assignment,
 which the interpreter lock keeps atomic, so a complex can still be
-shared between threads.  The banner status of a face link needs no link
-at all: it is read off the facet bitmasks.
+shared between threads.
 
 ``SimplicialComplex(...)`` is the only entry point that validates its
 input; it interns the labels and hands the facets, as bitmasks, to the

@@ -232,7 +232,7 @@ def _vertex_connectivity(g: SkeletonGraph) -> ConnectivityResult:
                 # the separator: vertices whose in-node, but not out-node,
                 # lies on the source side of the flow's minimum cut
                 cut = tuple(_iter_bits(reach_in & ~reach_out & ~(1 << u | 1 << v)))
-                _check_cut(g, cut, u, v)
+                _check_cut(g, cut, u, v, kappa)
                 return ConnectivityResult(
                     kappa,
                     False,
@@ -277,9 +277,10 @@ def _reach(masks: Sequence[int], seen: int, allowed: int) -> int:
     return seen
 
 
-def _check_cut(g: SkeletonGraph, cut: tuple[int, ...], u: int, v: int) -> None:
+def _check_cut(g: SkeletonGraph, cut: tuple[int, ...], u: int, v: int, kappa: int) -> None:
+    """Raise unless ``cut`` has ``kappa`` vertices and separates u from v."""
     around = (1 << g.n) - 1 - sum(1 << w for w in cut)
-    if _reach(g.masks, 1 << u, around) >> v & 1:
+    if len(cut) != kappa or _reach(g.masks, 1 << u, around) >> v & 1:
         raise AssertionError("flow cut certificate failed independent validation")
 
 

@@ -2,22 +2,20 @@
 
 The checks here follow the chain: homology manifold => normal
 pseudomanifold => pseudomanifold.  ``is_normal`` and
-``is_homology_manifold`` each check their property on their own.  Each
-verdict is kept under its own key of the complex's memo, so that a
-caller pays only for the invariant it asks about: ``"pseudomanifold"``
-(``is_pseudomanifold``), ``"normal"`` (``_normality``),
-``"homology_manifold"`` with its witness (``_homology_manifold``),
-``"homology_sphere"`` (``is_homology_sphere``) and the greedy shelling
-order (``"shelled"``, ``_shelled``).  The CLOSED_NORMAL hypothesis reads
-the first two, HOMOLOGY_MANIFOLD the third, and the banner number's level
-d - 1 rule the first two.  ``_normality`` reads normality off a passing
-homology-manifold verdict when that verdict is already in the memo, or
-off the greedy shelling of a closed pseudomanifold, which both it and
-the homology-manifold check read; it runs ``is_normal`` only when the
-pass stalls, and never runs the rank scan.  The tests compare the routes.
-``manifold_class`` is the bundle that ``analyze`` and the API read; it
-asks for the homology-manifold verdict first and builds the rest from the
-same keys, so no invariant is computed twice.
+``is_homology_manifold`` each check their property on their own.  The
+verdicts that more than one caller reads are kept under their own keys
+of the complex's memo, so that a caller pays only for the invariant it
+asks about: ``"pseudomanifold"`` (``is_pseudomanifold``), ``"normal"``
+(``_normality``), ``"homology_manifold"`` with its witness
+(``_homology_manifold``) and the greedy shelling order (``"shelled"``,
+``_shelled``).  The CLOSED_NORMAL hypothesis reads the first two,
+HOMOLOGY_MANIFOLD the third, and the banner number's level d - 1 rule the
+first two.  ``_normality`` reads normality off the greedy shelling of a
+closed pseudomanifold, which the homology-manifold check reads too; it
+runs ``is_normal`` only when the pass stalls, and never runs the rank
+scan.  The tests compare the routes.  ``is_homology_sphere`` and
+``manifold_class``, the bundle that ``analyze`` and the API read, are put
+together from these keys on each call.
 ``is_normal`` builds no link: the link of a face F is connected exactly
 when the residues G - F of the facets G containing F, each joining its
 vertices, are.
@@ -92,7 +90,7 @@ class ManifoldClass:
     normal: bool | None  # None when not a pseudomanifold
     homology_manifold: bool
     homology_sphere: bool
-    witnesses: Mapping[str, Face]  # read-only: the result is shared through the memo
+    witnesses: Mapping[str, Face]  # read-only, as the rest of the frozen result
 
 
 def _ridge_graph(c: SimplicialComplex) -> tuple[int, ...]:
@@ -257,40 +255,26 @@ def _homology_manifold(c: SimplicialComplex) -> tuple[bool, Face | None]:
 def _normality(c: SimplicialComplex) -> NormalityResult:
     """``is_normal(c)`` on a pseudomanifold, kept in ``c``'s memo.
 
-    A connected homology manifold is normal: each link of dimension at
-    least 1 has reduced Betti number 0 in degree 0, so it is connected.  So
-    a passing homology-manifold verdict already in the memo answers, and
-    so does the greedy shelling of a closed pseudomanifold of dimension at
-    least 1, which makes it a PL sphere (``_shelled``).  ``is_normal`` runs
-    only when the pass stalls, and gives the witness; normality never runs
-    the rank scan of the homology-manifold check.
+    The greedy shelling of a closed pseudomanifold of dimension at least 1
+    makes it a PL sphere (``_shelled``), whose links of dimension at least
+    1 are connected.  ``is_normal`` runs only when the pass stalls, and
+    gives the witness; normality never runs the rank scan of the
+    homology-manifold check.
     """
     return c._cached("normal", _build_normality)
 
 
 def _build_normality(c: SimplicialComplex) -> NormalityResult:
-    if c._memo.get("homology_manifold", (False,))[0] or _shelled(c) is not None:
-        return NormalityResult(True, None)
-    return is_normal(c)
+    return NormalityResult(True, None) if _shelled(c) is not None else is_normal(c)
 
 
 def is_homology_sphere(c: SimplicialComplex) -> bool:
-    """A homology manifold with the GF(2) Betti numbers of a sphere; kept in ``c``'s memo."""
-    return c._cached("homology_sphere", _is_homology_sphere)
-
-
-def _is_homology_sphere(c: SimplicialComplex) -> bool:
+    """A homology manifold with the GF(2) Betti numbers of a sphere."""
     return _homology_manifold(c)[0] and z2_betti(c) == sphere_pattern(c.dim, c.dim + 1)
 
 
 def manifold_class(c: SimplicialComplex) -> ManifoldClass:
     """All manifold-like flags bundled, with failure witnesses."""
-    return c._cached("manifold_class", _manifold_class)
-
-
-def _manifold_class(c: SimplicialComplex) -> ManifoldClass:
-    """The bundle, read off the memo keys of its parts; the homology-manifold
-    verdict comes first, so that normality is read off it when it passes."""
     witnesses: dict[str, Face] = {}
     pm = is_pseudomanifold(c)
     strongly = pm != "no" or is_strongly_connected(c)

@@ -1,0 +1,267 @@
+"""A mutation run for the fast paths: break each one in a copy of the tree
+and see whether the tests that guard it notice.
+
+Run it by hand, from any directory; it needs only the standard
+library and the test requirements:
+
+    python tests/mutants.py                  # every mutant
+    python tests/mutants.py flow-no-wait     # only the named mutants
+
+Each mutant names a file, an exact old text, its replacement, the fast
+path it breaks and the tests that guard that path.  For each one,
+``src/``, ``tests/`` and ``pyproject.toml`` are copied to a temporary
+directory, the replacement is made there, and pytest runs the guarding
+tests, stopping at the first failure.  A failing run kills the mutant and
+a passing one lets it survive.  An old text that does not occur exactly
+once, or a run that pytest cannot start, is an error, so the list cannot
+go stale quietly.  A run that outlasts the time limit counts as killed:
+the mutant made a guard loop.  The exit status is 0 only when every
+mutant is killed.  The file is not collected by pytest, whose test files
+are named ``test_*.py``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    breaks: str  # the fast path, or the check, that the replacement breaks
+    guards: tuple[str, ...]  # pytest node ids
+
+
+EX = "tests/test_exhaustive.py::"
+MANIFOLD = "tests/test_manifold.py::"
+BANNER = "tests/test_banner.py::"
+GRAPHS = "tests/test_graphs.py::"
+ANALYSIS = "tests/test_analysis.py::"
+
+MUTANTS = (
+    Mutant(
+        "level-rule-without-normality",
+        "src/scx/banner.py",
+        'is_pseudomanifold(c) == "closed" and _normality(c).normal',
+        'is_pseudomanifold(c) == "closed"',
+        "banner_number accepts level d - 1 of every closed pseudomanifold",
+        (
+            EX + "test_banner_numbers_match_full_scans_on_a_pinched_sphere",
+            BANNER + "test_banner_number_scans_level_d_minus_1_of_a_closed_pseudomanifold_that_is_not_normal",
+        ),
+    ),
+    Mutant(
+        "shelling-accepts-a-stall",
+        "src/scx/manifold.py",
+        "        else:\n            return None\n        chosen |= low",
+        "        else:\n            break\n        chosen |= low",
+        "the greedy shelling certifies a complex when it stalls",
+        (
+            EX + "test_manifold_recognition_and_flagness_match_oracles_on_every_small_complex",
+            EX + "test_greedy_shelling_orders_match_a_full_rescan",
+            MANIFOLD + "test_homology_manifold_matches_ascending_oracle",
+        ),
+    ),
+    Mutant(
+        "shelling-skips-the-lazy-retest",
+        "src/scx/manifold.py",
+        "            if _may_follow(restriction[i], chosen, vertex_facets):\n                break",
+        "            if True:\n                break",
+        "the greedy shelling takes the lowest ready facet without re-testing it",
+        (
+            EX + "test_greedy_shelling_orders_match_a_full_rescan",
+            EX + "test_manifold_recognition_and_flagness_match_oracles_on_every_small_complex",
+        ),
+    ),
+    Mutant(
+        "flow-no-edge-move",
+        "src/scx/kernels.py",
+        "                nxt |= masks[low.bit_length() - 1]\n",
+        "                nxt |= 0\n",
+        "unit_maxflow without its out(x) -> in(y) move along edges",
+        (GRAPHS + "test_flow_kappa_matches_brute_on_random_graphs", "tests/test_kernels.py"),
+    ),
+    Mutant(
+        "flow-no-split-move",
+        "src/scx/kernels.py",
+        "            nxt = layer & ~on_path\n",
+        "            nxt = 0\n",
+        "unit_maxflow without its in(w) -> out(w) move off the paths",
+        (GRAPHS + "test_flow_kappa_matches_brute_on_random_graphs", "tests/test_kernels.py"),
+    ),
+    Mutant(
+        "flow-no-wait",
+        "src/scx/kernels.py",
+        "            nxt = layer & on_path\n",
+        "            nxt = 0\n",
+        "unit_maxflow without its out(w) -> in(w) move on the paths",
+        (
+            GRAPHS + "test_connectivity_certificate_matches_all_pairs_reference",
+            GRAPHS + "test_pair_cuts_match_the_split_network_oracle_on_random_graphs",
+            EX + "test_connectivity_matches_the_split_network_oracle",
+            "tests/test_kernels.py",
+        ),
+    ),
+    Mutant(
+        "flow-no-back-move",
+        "src/scx/kernels.py",
+        "                nxt |= pred[low.bit_length() - 1]\n",
+        "                nxt |= 0\n",
+        "unit_maxflow without its in(y) -> out(pred y) move back along a path",
+        (GRAPHS + "test_flow_kappa_matches_brute_on_random_graphs", "tests/test_kernels.py"),
+    ),
+    Mutant(
+        "absorbed-bound-without-min",
+        "src/scx/graphs.py",
+        "            k = min(k, unit_maxflow(g.masks, m, w)[0])",
+        "            k = unit_maxflow(g.masks, m, w)[0]",
+        "the grown-side pass keeps the last flow, not the least",
+        (
+            GRAPHS + "test_absorbing_matches_all_pairs_reference_on_two_blobs",
+            GRAPHS + "test_connectivity_certificate_matches_all_pairs_reference",
+            EX + "test_connectivity_matches_the_split_network_oracle",
+        ),
+    ),
+    Mutant(
+        "cut-check-without-size",
+        "src/scx/graphs.py",
+        "    if len(cut) != kappa or _reach(",
+        "    if _reach(",
+        "the cut certificate is accepted whatever its size",
+        (GRAPHS + "test_connectivity_rejects_a_cut_larger_than_kappa",),
+    ),
+    Mutant(
+        "classify-scans-swapped",
+        "src/scx/banner.py",
+        """    forbidden = contains_simplex_boundary(c, d + 1)
+    if forbidden is not None:
+        witness = BannerWitness("banner", "simplex_boundary", forbidden)
+        return BannerClass(False, False, False, witness)
+    if spanning_viol is not None:
+        labels = c._face_labels(spanning_viol)
+        witness = BannerWitness("strongly_banner", "non_spanning_clique", labels)
+        return BannerClass(False, False, True, witness)
+""",
+        """    if spanning_viol is not None:
+        labels = c._face_labels(spanning_viol)
+        witness = BannerWitness("strongly_banner", "non_spanning_clique", labels)
+        return BannerClass(False, False, True, witness)
+    forbidden = contains_simplex_boundary(c, d + 1)
+    if forbidden is not None:
+        witness = BannerWitness("banner", "simplex_boundary", forbidden)
+        return BannerClass(False, False, False, witness)
+""",
+        "classify returns at the non-spanning clique before the simplex-boundary scan",
+        (
+            EX + "test_classify_matches_label_oracle_on_every_small_complex",
+            BANNER + "test_classify_matches_label_oracle_on_corpus_links",
+            BANNER + "test_simplex_boundary_witness_comes_before_a_non_spanning_clique",
+        ),
+    ),
+    Mutant(
+        "p37-trusts-strongly-banner",
+        "src/scx/analysis.py",
+        "    for i, v in enumerate(c.vertices):\n        if not _link_banner(c, (i,)):",
+        "    for i, v in enumerate(() if classify(c).strongly_banner else c.vertices):\n"
+        "        if not _link_banner(c, (i,)):",
+        "P3.7 takes the strongly-banner-equals-banner rule as a pass and asks no vertex link",
+        (
+            ANALYSIS + "test_p37_failure_row_on_a_strongly_banner_input",
+            EX + "test_p37_rows_match_built_vertex_links",
+        ),
+    ),
+    Mutant(
+        "antistar-without-rim-check",
+        "src/scx/manifold.py",
+        "        if rim >> i & 1:\n",
+        "        if False:\n",
+        "the antistar check skips the boundary ridges that make an antistar impure",
+        (
+            MANIFOLD + "test_barnette_antistar_matches_built_antistars",
+            MANIFOLD + "test_barnette_antistar_outcomes",
+            EX + "test_ridge_graph_searches_match_pairwise_oracles_on_every_small_complex",
+        ),
+    ),
+    Mutant(
+        "residues-without-purity",
+        "src/scx/banner.py",
+        "    if any(r.bit_count() != size for r in residues):\n",
+        "    if False:\n",
+        "_link_banner reads an impure face link as if it were pure",
+        (
+            BANNER + "test_link_banner_matches_built_links_that_are_not_pure",
+            EX + "test_link_banner_matches_built_links_on_every_small_antichain",
+        ),
+    ),
+    Mutant(
+        "normality-trusts-every-complex",
+        "src/scx/manifold.py",
+        "    return NormalityResult(True, None) if _shelled(c) is not None else is_normal(c)",
+        "    return NormalityResult(True, None)",
+        "normality is accepted without the shelling or is_normal",
+        (
+            MANIFOLD + "test_manifold_class_normality_matches_is_normal",
+            EX + "test_banner_numbers_match_full_scans_on_a_pinched_sphere",
+        ),
+    ),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """Apply ``mutant`` in a fresh copy of the tree and run its guards."""
+    with tempfile.TemporaryDirectory(prefix="scx-mutant-") as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+        target = work / mutant.path
+        text = target.read_text()
+        found = text.count(mutant.old)
+        if found != 1:
+            return f"error (old text found {found} times)"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.guards]
+        try:
+            done = subprocess.run(command, cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed (timed out)"
+    if done.returncode == 0:
+        return "survived"
+    if done.returncode == 1:
+        return "killed"
+    return f"error (pytest exit {done.returncode}: {done.stdout.strip().splitlines()[-1:]})"
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    outcomes = []
+    for mutant in chosen:
+        start = time.perf_counter()
+        outcome = run(mutant)
+        outcomes.append(outcome)
+        print(f"{mutant.name:32} {outcome:10} {time.perf_counter() - start:6.1f} s  {mutant.breaks}", flush=True)
+    killed = sum(o.startswith("killed") for o in outcomes)
+    print(f"{killed} of {len(outcomes)} killed")
+    return 0 if killed == len(outcomes) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -249,7 +249,7 @@ def vertex_connectivity_by_split_network(g) -> ConnectivityResult:
             continue
         value, cut = _split_pair_flow(g, net, u, v)
         if value == kappa:
-            _check_cut(g, cut, u, v)
+            _check_cut(g, cut, u, v, kappa)
             return ConnectivityResult(
                 kappa, False, CutSet(tuple(g.labels[w] for w in cut), (g.labels[u], g.labels[v]))
             )
@@ -748,7 +748,7 @@ def banner_number_by_links(c) -> BannerNumber:
 
     Level j is the j-vertex faces in label order, the empty face (whose link
     is ``c``) at level 0; every face up to the first failure has its link
-    built and classified, the route the library's link table replaced.
+    built and classified, the route that reading links off facet bitmasks replaced.
     Level d - 1 is scanned too, where the library accepts a closed normal
     pseudomanifold by rule.
     """
@@ -767,7 +767,7 @@ def link_values_bounded_by_links(c) -> tuple:
 
     Each face of at most b vertices has its link built and that link's
     banner number computed from level 0 up, the per-face route that the
-    library's one scan of the level-b link table replaced.
+    library's one scan of the level-b face links replaced.
     """
     value = banner_number(c).value
     for size in range(1, value + 1):
@@ -784,7 +784,7 @@ def links_inherit_by_links(c) -> tuple:
 
     A banner input needs banner links and a strongly banner input strongly
     banner ones, the two-sided route that the library's one scan of the
-    vertex link table replaced.
+    vertex links, read off facet bitmasks, replaced.
     """
     strongly = classify_by_labels(c).strongly_banner
     for v in c.vertices:

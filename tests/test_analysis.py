@@ -394,12 +394,12 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
     torus = torus_7()  # closed and normal, not banner, and does not shell
     subjects = (banner_input, other, torus)
     names = [
-        (manifold, "_manifold_class"),
+        (analysis, "manifold_class"),
         (manifold, "_build_normality"),
         (manifold, "is_normal"),
         (manifold, "_greedy_shelling"),
         (manifold, "is_homology_manifold"),
-        (manifold, "_is_homology_sphere"),
+        (manifold, "is_homology_sphere"),
         (banner, "_classify"),
         (banner, "_banner_number"),
         (graphs, "_vertex_connectivity"),
@@ -429,7 +429,7 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
     assert rows["octahedral-3-sphere", "L4.4-homological"][0] == "pass"
     assert rows["cyclic", "L4.4-homological"] == rows["torus", "L4.4-homological"] == ("skip", "not banner")
     once = dict.fromkeys([name for _, name in names], 1)
-    once["_manifold_class"] = once["_is_homology_sphere"] = once["is_normal"] = 0
+    once["manifold_class"] = once["is_homology_sphere"] = once["is_normal"] = 0
     assert {name: counts[banner_input, name] for name in once} == once
     once["is_homology_manifold"] = 0
     assert {name: counts[other, name] for name in once} == once
@@ -460,10 +460,10 @@ def test_p37_failure_row_on_a_strongly_banner_input(monkeypatch):
     c = cross_polytope_boundary(3)
     assert classify(c).strongly_banner
     v = c.vertices[1]
-    table_entry = analysis._link_banner
+    entry = analysis._link_banner
 
     def rejecting(cx, ids):
-        return False if cx is c and ids == (1,) else table_entry(cx, ids)
+        return False if cx is c and ids == (1,) else entry(cx, ids)
 
     def unbuilt(cx, face):
         raise AssertionError("a strongly banner input builds no link")
@@ -482,10 +482,10 @@ def test_p37_failure_row_on_a_banner_input_reads_the_link_table(monkeypatch):
     assert c.dim >= 2 and cls.banner and not cls.strongly_banner
     assert verify_property("P3.7", c).verdict == "pass"
     v = c.vertices[2]
-    table_entry = analysis._link_banner
+    entry = analysis._link_banner
 
     def rejecting(cx, ids):
-        return False if cx is c and ids == (2,) else table_entry(cx, ids)
+        return False if cx is c and ids == (2,) else entry(cx, ids)
 
     def unbuilt(cx, face):
         raise AssertionError("a banner input that is not strongly banner builds no link")

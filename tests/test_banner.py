@@ -109,6 +109,16 @@ def test_strongly_banner_witness_is_the_first_of_several_non_spanning_cliques():
     assert cls.witness.vertices == ("g0", "g1", "g2", "g3")
 
 
+def test_simplex_boundary_witness_comes_before_a_non_spanning_clique():
+    # the banana's non-spanning 4-cliques refute strongly banner only; the
+    # disjoint boundary of a 4-simplex refutes banner, so it is the witness
+    c = from_facets(list(banana(complete_graph_edges(5)).facets) + list(simplex_boundary(4).facets))
+    cls = classify(c)
+    assert cls == classify_by_labels(c)
+    assert (cls.banner, cls.witness.kind) == (False, "simplex_boundary")
+    assert cls.witness.vertices == ("v0", "v1", "v2", "v3", "v4")
+
+
 def test_classify_ring_ball():
     cls = classify(ring_ball())
     assert cls.strongly_banner and not cls.flag
@@ -306,38 +316,45 @@ def test_link_banner_matches_built_links_that_are_not_pure():
 
 
 def test_banner_number_and_l52_build_no_link(monkeypatch):
+    from scx import banner
+
     c = cyclic_polytope_boundary(7, 4)  # the corpus 4-sphere "cyclic-polytope-7-4"
-    calls = []
-    link = SimplicialComplex.link
+    calls, asked = [], []
+    link, entry = SimplicialComplex.link, banner._link_banner
 
     def counted(self, face):
         calls.append(face)
         return link(self, face)
 
+    def counted_faces(cx, ids):
+        asked.append(ids)
+        return entry(cx, ids)
+
     monkeypatch.setattr(SimplicialComplex, "link", counted)
+    monkeypatch.setattr(banner, "_link_banner", counted_faces)
     assert banner_number(c) == BannerNumber(3, 34, ("t0", "t1"))
     assert verify_property("L5.2", c).verdict == "pass"
     assert calls == []
     # levels 0, 1 and 2 each stop at their first failing face; level 3 = d - 1
     # of this closed normal pseudomanifold holds by rule, so none of its 34
-    # faces is asked (37 entries before the rule)
-    assert len(c._memo["link_banner"]) == 3
+    # faces is asked (37 questions before the rule)
+    assert len(asked) == 3
 
 
 def test_l52_reads_the_banner_number_and_asks_the_link_table_nothing(monkeypatch):
     """On a ball level b = 2 < d = 3 is scanned, not accepted by rule, and
-    that scan is L5.2's certificate: the check asks the table no question."""
+    that scan is L5.2's certificate: the check asks about no face link."""
     from scx import banner
 
     c = simplex_boundary(3).cone()  # the corpus entry "cone-simplex-boundary-3"
     assert is_pseudomanifold(c) == "with_boundary"
     assert (c.dim, banner_number(c).value) == (3, 2)
     calls = []
-    table_entry = banner._link_banner
+    entry = banner._link_banner
 
     def counted(cx, ids):
         calls.append(ids)
-        return table_entry(cx, ids)
+        return entry(cx, ids)
 
     monkeypatch.setattr(banner, "_link_banner", counted)
     res = verify_property("L5.2", c)

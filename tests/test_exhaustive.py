@@ -84,7 +84,7 @@ from oracles import (
     strongly_connected_by_pairs,
     vertex_connectivity_by_split_network,
 )
-from test_banner import _pinched_octahedron
+from test_banner import _compare_link_banner, _pinched_octahedron
 
 
 def _every_pure_complex(max_n: int) -> list[SimplicialComplex]:
@@ -154,11 +154,11 @@ def _verdicts_match(c: SimplicialComplex, hm: tuple, normal: tuple | None, betti
     the banner number.  The Betti numbers are read after the bundle, which
     keeps a sphere's when the greedy shelling certifies one.
 
-    In the order of ``verify`` normality comes first: from the greedy
-    shelling when it certifies ``c``, else from ``is_normal``.  Neither it
-    nor the banner number's level d - 1 rule runs the rank scan of the
-    homology-manifold check.  In the order of ``analyze`` the bundle comes
-    first, and normality is read off its homology-manifold verdict.
+    In the order of ``verify`` normality comes first, and in the order of
+    ``analyze`` the bundle does.  Either way normality comes from the
+    greedy shelling when it certifies ``c``, else from ``is_normal``, and
+    neither it nor the banner number's level d - 1 rule runs the rank scan
+    of the homology-manifold check.
     """
     first = _fresh(c)
     if normal is not None:
@@ -349,7 +349,7 @@ def test_l52_rows_match_exact_link_values_on_every_small_complex():
 
 
 def test_p37_rows_match_built_vertex_links():
-    """P3.7's one scan of the vertex link table against classifying every
+    """P3.7's one scan of the vertex links against classifying every
     built vertex link, on the small complexes and on the pure catalog
     entries with their cones and suspensions."""
     subjects = SMALL + _catalog_subjects()
@@ -520,6 +520,16 @@ def test_every_small_antichain_passes_or_skips():
         if c.is_pure:
             report = analyze(c, name=f"a{i}")
             assert report_from_json(report_json(report)) == report, c.facets
+
+
+def test_link_banner_matches_built_links_on_every_small_antichain():
+    """``_link_banner`` against the built link of every face with a non-empty
+    link, on every antichain: the links of the non-pure ones may mix facet
+    sizes, which the residue test must reject."""
+    kinds: set[str] = set()
+    for a in ANTICHAINS:
+        _compare_link_banner(SimplicialComplex([[f"x{v}" for v in s] for s in a]), kinds)
+    assert kinds == {"triangle", "not_pure", "simplex_boundary", "critical_non_spanning_clique"}
 
 
 def test_every_small_antichain_absorbs_its_closure_through_both_constructors():

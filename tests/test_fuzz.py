@@ -12,7 +12,7 @@ id-based classification, absorption and strong-connectivity search
 agree with the label-based and pairwise oracles of ``oracles.py``, and
 so do the homology-manifold verdict, normality on facet residues
 and the antistar check, on every complex and every pure face link.  Under
-the hypotheses of P3.7 the link table's verdict on a vertex is the
+the hypotheses of P3.7 ``_link_banner``'s verdict on a vertex is the
 banner status of its built link.  Outside connectivity, the
 facet component count and the L4.4-homological conclusion agree with
 the built complexes and full relative ranks of ``oracles.py``.  Cones,

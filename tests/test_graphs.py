@@ -166,9 +166,28 @@ def test_cut_check_searches_around_the_cut():
     full = (1 << 5) - 1
     assert scx.graphs._reach(g.masks, 1 << u, full - (1 << 1 | 1 << 3)) == 1 << 0 | 1 << 4
     assert scx.graphs._reach(g.masks, 1 << u, full) == full
-    scx.graphs._check_cut(g, (1, 3), u, v)
+    scx.graphs._check_cut(g, (1, 3), u, v, 2)
     with pytest.raises(AssertionError, match="independent validation"):
-        scx.graphs._check_cut(g, (1,), u, v)
+        scx.graphs._check_cut(g, (1,), u, v, 1)
+    with pytest.raises(AssertionError, match="independent validation"):
+        scx.graphs._check_cut(g, (1, 3, 4), u, v, 2)  # separates, but is not least
+
+
+def test_connectivity_rejects_a_cut_larger_than_kappa(monkeypatch):
+    """A flow whose source side reaches one in-node too many gives a cut of
+    kappa + 1 vertices that still separates its pair; it must not pass."""
+    g = skeleton(stacked_sphere(2, 5, 11))
+    kernel = scx.graphs.unit_maxflow
+
+    def widened(masks, source, sink):
+        value, succ, reach_in, reach_out = kernel(masks, source, sink)
+        spare = ((1 << len(masks)) - 1) & ~(reach_in | reach_out | 1 << source | 1 << sink)
+        return value, succ, reach_in | spare & -spare, reach_out
+
+    assert scx.graphs._vertex_connectivity(g).value == 3  # not kept on g
+    monkeypatch.setattr(scx.graphs, "unit_maxflow", widened)
+    with pytest.raises(AssertionError, match="independent validation"):
+        vertex_connectivity(g)
 
 
 def test_neighborhood_containment_absent_in_banner_pseudomanifolds(corpus):
@@ -297,6 +316,9 @@ def test_connectivity_certificate_matches_all_pairs_reference():
         n = 2 + seed % 11
         p = (0.15, 0.3, 0.5, 0.7, 0.9)[seed % 5]
         cases.append((f"random seed {seed}", random_graph(n, p, seed=5000 + seed)))
+    # enough 10-vertex graphs that a flow whose last search reaches one
+    # in-node too many shows up as a cut larger than kappa
+    cases += [(f"10 vertices seed {seed}", random_graph(10, 0.4, seed=seed)) for seed in range(300)]
     kinds = {"disconnected": 0, "complete": 0, "other": 0}
     for name, g in cases:
         expected = all_pairs_connectivity(g)

@@ -209,7 +209,7 @@ def _pseudomanifolds(corpus):
 
 
 def test_manifold_class_normality_matches_is_normal(corpus):
-    # manifold_class reads normality off the homology-manifold check
+    # manifold_class reads normality off the greedy shelling, else off is_normal
     for name, c in corpus.items():
         if c.is_pure and is_pseudomanifold(c) == "no":
             assert manifold_class(c).normal is None, name
@@ -219,7 +219,10 @@ def test_manifold_class_normality_matches_is_normal(corpus):
         assert mc.witnesses.get("normal") == res.witness, name
 
 
-def test_manifold_class_runs_is_normal_only_off_homology_manifolds(monkeypatch):
+def test_manifold_class_runs_is_normal_only_where_the_shelling_stalls(monkeypatch):
+    """A shelled sphere needs no ``is_normal``; the torus, which does not
+    shell, and the pinched torus run it once, whichever of the bundle, the
+    homology-manifold verdict and normality is asked first."""
     calls = []
 
     def counted(c):
@@ -231,6 +234,12 @@ def test_manifold_class_runs_is_normal_only_off_homology_manifolds(monkeypatch):
     assert calls == []
     assert not manifold_class(_pinched_torus()).normal
     assert len(calls) == 1
+    for first in (manifold_class, manifold._homology_manifold, manifold._normality):
+        calls.clear()
+        torus = torus_7()
+        first(torus)
+        assert manifold._normality(torus).normal and manifold_class(torus).normal
+        assert calls == [torus], first.__name__
 
 
 def _outcome(fn, c):
