@@ -17,11 +17,11 @@ from .banner import BannerClass, _link_banner, banner_number, classify
 from .complexes import SimplicialComplex
 from .errors import EmptyOutside, NotPure, ScxError, UnknownProperty
 from .generators import catalog, display_name
-from .graphs import _adjacency_masks, _reach, is_outside_connected, skeleton, vertex_connectivity
+from .graphs import _reach, is_outside_connected, skeleton, vertex_connectivity
 from .homology import z2_betti, z2_relative_betti
 from .manifold import (
+    _closed_normal,
     _homology_manifold,
-    _normality,
     _ridge_graph,
     _vertex_facets,
     is_pseudomanifold,
@@ -208,10 +208,7 @@ CLOSED: Hypothesis = (
     lambda c: c.is_pure and is_pseudomanifold(c) == "closed",
     "not a closed pseudomanifold",  # L2.1 gives this reason on non-pure input too
 )
-CLOSED_NORMAL: Hypothesis = (
-    lambda c: is_pseudomanifold(c) == "closed" and _normality(c).normal,
-    "not a closed normal pseudomanifold",
-)
+CLOSED_NORMAL: Hypothesis = (_closed_normal, "not a closed normal pseudomanifold")
 WITH_BOUNDARY: Hypothesis = (
     lambda c: is_pseudomanifold(c) == "with_boundary",
     "not a pseudomanifold with boundary",
@@ -260,7 +257,7 @@ def _antistars_connected(c: SimplicialComplex) -> tuple:
 
 def _no_neighborhood_containment(c: SimplicialComplex) -> tuple:
     # closed neighborhoods as bitmasks; edges in id order, which is label order
-    masks = _adjacency_masks(c)
+    masks = skeleton(c).masks
     edges = sorted(c.faces_ids(2))
     for x, y in edges:
         hx, hy = masks[x] | 1 << x, masks[y] | 1 << y
@@ -324,7 +321,7 @@ def _outside_facet_components(c: SimplicialComplex, near: int) -> int:
 
 def _relative_homology_matches(c: SimplicialComplex) -> tuple:
     d = c.dim
-    adjacency = _adjacency_masks(c)
+    adjacency = skeleton(c).masks
     for i, v in enumerate(c.vertices):
         near = adjacency[i] | 1 << i
         hood = c._induced(near)

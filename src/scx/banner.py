@@ -27,8 +27,8 @@ from typing import Iterable, Iterator
 
 from .complexes import Face, Label, SimplicialComplex, _iter_bits, _mask
 from .errors import NoBoundary, NotAClique, NotPure
-from .graphs import _adjacency_masks
-from .manifold import _normality, is_pseudomanifold
+from .graphs import skeleton
+from .manifold import _closed_normal
 
 _TRIANGLE_F_VECTOR = (1, 3, 3)
 
@@ -71,7 +71,7 @@ def cliques_ids(c: SimplicialComplex, j: int) -> Iterator[tuple[int, ...]]:
     if j == 1:
         yield from ((i,) for i in range(n))
         return
-    masks = _adjacency_masks(c)
+    masks = skeleton(c).masks
     full = (1 << n) - 1
 
     def extend(prefix: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
@@ -205,7 +205,7 @@ def _link_banner(c: SimplicialComplex, ids: tuple[int, ...]) -> bool:
     built: the link is read off the residues ``G - F`` of the facets ``G``
     containing the face ``F``, as bitmasks (``_residues_banner``).  No
     answer is kept: ``_banner_number``, which is memoized, asks about each
-    face once (``_first_failure``), and P3.7 asks about every vertex only
+    face once, and P3.7 asks about every vertex only
     of a banner complex, whose banner number stops at level 0 without
     asking about any vertex.
     """
@@ -270,16 +270,16 @@ def banner_number(c: SimplicialComplex) -> BannerNumber:
     failing face documents the last failure.
 
     On a closed normal pseudomanifold of dimension d >= 1, level d-1 holds
-    by rule and is not scanned (``_holds_by_rule``).  The link of a
-    (d-1)-vertex face F is 1-dimensional, and each of its vertices v lies
-    in exactly two of its edges, one for each facet holding the ridge
-    F + v.  Normality makes the link connected, so it is one cycle: a
-    triangle, or flag and therefore banner.  For d = 1, level 0 is the
-    complex itself, which is one cycle for the same reasons.  So the value
-    is None there only in dimension 0: the 0-sphere, whose one level is
-    the complex itself, is neither banner nor a triangle.  Normality is
-    read through ``manifold._normality``, so no homology-manifold pass is
-    forced.
+    by rule and is not scanned.  The link of a (d-1)-vertex face F is
+    1-dimensional, and each of its vertices v lies in exactly two of its
+    edges, one for each facet holding the ridge F + v.  Normality makes the
+    link connected, so it is one cycle: a triangle, or flag and therefore
+    banner.  For d = 1, level 0 is the complex itself, which is one cycle
+    for the same reasons.  So the value is None there only in dimension 0:
+    the 0-sphere, whose one level is the complex itself, is neither banner
+    nor a triangle.  The rule asks ``manifold._closed_normal`` only when
+    the scan reaches level d-1, and that reads normality through
+    ``manifold._normality``, so no homology-manifold pass is forced.
     """
     if not c.is_pure:
         raise NotPure("banner number needs a pure complex")
@@ -291,27 +291,13 @@ def _banner_number(c: SimplicialComplex) -> BannerNumber:
     prev_fail: Face | None = None
     for j in range(0, max(c.dim, 1)):
         level = c.faces_ids(j) if j else [()]
-        if _holds_by_rule(c, j):
+        if j == c.dim - 1 and _closed_normal(c):  # the level d-1 rule
             return BannerNumber(j, len(level), prev_fail)
-        failed = _first_failure(c, sorted(level))
+        failed = next((ids for ids in sorted(level) if not _link_banner(c, ids)), None)
         if failed is None:
             return BannerNumber(j, len(level), prev_fail)
         prev_fail = c._face_labels(failed)
     return BannerNumber(None, 0, prev_fail)
-
-
-def _first_failure(
-    c: SimplicialComplex, family: Iterable[tuple[int, ...]]
-) -> tuple[int, ...] | None:
-    """The first face of ``family`` whose link is neither banner nor a
-    triangle, or None when there is none."""
-    return next((ids for ids in family if not _link_banner(c, ids)), None)
-
-
-def _holds_by_rule(c: SimplicialComplex, j: int) -> bool:
-    """Is j = d - 1 >= 0 on a closed normal pseudomanifold, whose (d-1)-vertex
-    faces all have cycles as links (see ``banner_number``)?"""
-    return j == c.dim - 1 >= 0 and is_pseudomanifold(c) == "closed" and _normality(c).normal
 
 
 def classify_tilde_cliques(ball: SimplicialComplex, j: int) -> TildeCliques:

@@ -116,9 +116,7 @@ def _cmd_verify(args) -> int:
         )
         for e in errors:
             print(f"error: {e}", file=sys.stderr)
-    if errors:
-        return 2
-    return 1 if summary.failures else 0
+    return 2 if errors else summary.exit_code
 
 
 def _cmd_homology(args) -> int:

@@ -24,10 +24,10 @@ lists are never mutated.
 
 Invariants computed from a complex that more than one caller reads (its
 banner class, banner number, pseudomanifold status, normality,
-homology-manifold verdict, greedy shelling, Betti numbers, its vertex
-adjacency, which its skeleton wraps, the ridge graph of its facets and
-the facets holding each vertex) are cached per object in its ``_memo``
-dict, so each is computed once however many checks ask for it.
+homology-manifold verdict, greedy shelling, Betti numbers, its skeleton,
+which holds the vertex adjacency as bitmasks, the ridge graph of its
+facets and the facets holding each vertex) are cached per object in its
+``_memo`` dict, so each is computed once however many checks ask for it.
 Cached values are immutable, hold no reference back to the complex and
 die with it; there is no global or content-keyed cache.  Neither memo
 takes a lock: two threads asking for the same value at once may both

@@ -1,16 +1,17 @@
 """The 1-skeleton graph and its connectivity machinery.
 
-This module owns the vertex adjacency of a complex (``_adjacency_masks``):
-per vertex, the OR of the facet masks holding it.  ``skeleton(c)`` wraps
-that same tuple, which the clique search and neighborhood checks also read.
+This module owns the vertex adjacency of a complex: ``skeleton(c).masks``
+holds, per vertex, the OR of the facet masks holding it, less the vertex
+itself.  The clique search and the neighborhood checks read that tuple.
 
-Every connectivity question of the package is answered by ``_reach``, a
-frontier search over neighbor bitmasks: the skeleton's connectivity and
-the check of each cut certificate here, the vertices outside a closed
-neighborhood (``is_outside_connected``, on the complex's adjacency
-bitmasks, so no subcomplex is built), strong connectivity and vertex
-antistars on the facet ridge graph (``manifold``), and the facet
-components of L4.4-homological (``analysis``).
+Every graph search of the package but one is ``_reach``, a frontier
+search over neighbor bitmasks: the skeleton's connectivity and the check
+of each cut certificate here, the vertices outside a closed neighborhood
+(``is_outside_connected``, on the skeleton's bitmasks, so no subcomplex
+is built), strong connectivity and vertex antistars on the facet ridge
+graph (``manifold``), and the facet components of L4.4-homological
+(``analysis``).  The exception is the link connectivity of normality,
+which ``manifold._connected`` decides by merging residue bitmasks.
 
 Vertex connectivity and independent path families come out of
 ``kernels.unit_maxflow``, run on the skeleton's adjacency bitmasks
@@ -123,20 +124,6 @@ class SkeletonGraph:
         return self.n > 0 and _reach(self.masks, 1, full) == full
 
 
-def _adjacency_masks(c: SimplicialComplex) -> tuple[int, ...]:
-    """Bit j of entry i says that ids i and j span an edge, that is, lie in
-    one facet; kept in ``c``'s memo."""
-    return c._cached("adjacency_masks", _build_adjacency_masks)
-
-
-def _build_adjacency_masks(c: SimplicialComplex) -> tuple[int, ...]:
-    masks = [0] * c.n_vertices
-    for f, m in zip(c._facets, c._masks):
-        for v in f:
-            masks[v] |= m
-    return tuple(m ^ (1 << v) for v, m in enumerate(masks))
-
-
 def skeleton(c: SimplicialComplex) -> SkeletonGraph:
     """The graph with the complex's vertices as nodes and its edges as edges.
 
@@ -146,8 +133,14 @@ def skeleton(c: SimplicialComplex) -> SkeletonGraph:
 
 
 def _skeleton(c: SimplicialComplex) -> SkeletonGraph:
+    """Bit j of ``masks[i]`` says that ids i and j span an edge, that is,
+    lie in one facet."""
+    masks = [0] * c.n_vertices
+    for f, m in zip(c._facets, c._masks):
+        for v in f:
+            masks[v] |= m
     g = SkeletonGraph.__new__(SkeletonGraph)
-    g._set(c.vertices, c._index, _adjacency_masks(c))
+    g._set(c.vertices, c._index, tuple(m ^ (1 << v) for v, m in enumerate(masks)))
     return g
 
 
@@ -337,12 +330,12 @@ def is_outside_connected(c: SimplicialComplex, vertex: Label) -> bool:
 
     The 1-skeleton of an induced subcomplex is the induced subgraph of the
     1-skeleton, so no subcomplex is built: the search runs over the
-    parent's adjacency bitmasks, restricted to the outside vertices.
+    parent's skeleton bitmasks, restricted to the outside vertices.
     """
     i = c._index.get(str(vertex))  # noqa: SLF001 - intra-package id view
     if i is None:
         raise UnknownVertex(f"unknown vertex {vertex!r}")
-    masks = _adjacency_masks(c)
+    masks = skeleton(c).masks
     rest = ((1 << c.n_vertices) - 1) & ~(masks[i] | 1 << i)
     if not rest:
         raise EmptyOutside(f"every vertex is adjacent to {vertex!r}")

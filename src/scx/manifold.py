@@ -8,14 +8,15 @@ of the complex's memo, so that a caller pays only for the invariant it
 asks about: ``"pseudomanifold"`` (``is_pseudomanifold``), ``"normal"``
 (``_normality``), ``"homology_manifold"`` with its witness
 (``_homology_manifold``) and the greedy shelling order (``"shelled"``,
-``_shelled``).  The CLOSED_NORMAL hypothesis reads the first two,
-HOMOLOGY_MANIFOLD the third, and the banner number's level d - 1 rule the
-first two.  ``_normality`` reads normality off the greedy shelling of a
-closed pseudomanifold, which the homology-manifold check reads too; it
-runs ``is_normal`` only when the pass stalls, and never runs the rank
-scan.  The tests compare the routes.  ``is_homology_sphere`` and
-``manifold_class``, the bundle that ``analyze`` and the API read, are put
-together from these keys on each call.
+``_shelled``).  ``_closed_normal`` reads the first two; it is both the
+CLOSED_NORMAL hypothesis and the test of the banner number's level d - 1
+rule.  HOMOLOGY_MANIFOLD reads the third.  ``_normality`` reads normality
+off the greedy shelling of a closed pseudomanifold, which the
+homology-manifold check reads too; it runs ``is_normal`` only when the
+pass stalls, and never runs the rank scan.  The tests compare the routes.
+``is_homology_sphere`` and ``manifold_class``, the bundle that
+``analyze`` and the API read, are put together from these keys on each
+call.
 ``is_normal`` builds no link: the link of a face F is connected exactly
 when the residues G - F of the facets G containing F, each joining its
 vertices, are.
@@ -23,21 +24,21 @@ vertices, are.
 The facets containing each ridge are the ridge level of the complex's
 face index (``SimplicialComplex._holders``), as the facets containing
 any smaller face are its lower levels.  The pseudomanifold test counts
-them, the ridge link test of ``is_homology_manifold`` reads them, and the
+them, the antistar check finds the boundary ridges among them, and the
 facet ridge graph is built from them once.
 
-``is_homology_manifold`` first tries one greedy shelling of a complex of
-dimension d >= 1 whose ridges each lie in two facets.  A shelling makes
-a pure complex a wedge of d-spheres (Bjorner, Trans. AMS 260, 1980), and
-the face links of a shellable complex shell too (Bjorner & Wachs, Trans.
-AMS 348, 1996).  Each ridge of such a link, of dimension m, lies in two
-of its facets, so over GF(2) its b_m, the number of spheres in the
-wedge, is 1.  So the complex is a homology manifold with the Betti
-numbers of a d-sphere, and no rank is taken (it is even a PL sphere:
-Danaraj & Klee, Duke Math. J. 41, 1974), so it is normal too.  When the
-pass stalls, the links are built and ranked, faces ascending, for the
-first that deviates.  The pass's order is kept in the memo as a
-certificate that ``verify_shelling`` re-checks.
+``is_homology_manifold`` first tries one greedy shelling of a closed
+pseudomanifold of dimension d >= 1.  A shelling makes a pure complex a
+wedge of d-spheres (Bjorner, Trans. AMS 260, 1980), and the face links of
+a shellable complex shell too (Bjorner & Wachs, Trans. AMS 348, 1996).
+Each ridge of such a link, of dimension m, lies in two of its facets, so
+over GF(2) its b_m, the number of spheres in the wedge, is 1.  So the
+complex is a homology manifold with the Betti numbers of a d-sphere, and
+no rank is taken (it is even a PL sphere: Danaraj & Klee, Duke Math. J.
+41, 1974), so it is normal too.  When the pass stalls, the links are
+built and ranked, faces ascending, for the first that deviates.  The
+pass's order is kept in the memo as a certificate that
+``verify_shelling`` re-checks.
 
 A facet F may follow the facets S of a shelling exactly when its
 restriction face R = {y : F - y lies in a facet of S}, the OR of F - G
@@ -268,6 +269,11 @@ def _build_normality(c: SimplicialComplex) -> NormalityResult:
     return NormalityResult(True, None) if _shelled(c) is not None else is_normal(c)
 
 
+def _closed_normal(c: SimplicialComplex) -> bool:
+    """Is the pure complex ``c`` a closed normal pseudomanifold?"""
+    return is_pseudomanifold(c) == "closed" and _normality(c).normal
+
+
 def is_homology_sphere(c: SimplicialComplex) -> bool:
     """A homology manifold with the GF(2) Betti numbers of a sphere."""
     return _homology_manifold(c)[0] and z2_betti(c) == sphere_pattern(c.dim, c.dim + 1)
@@ -329,17 +335,22 @@ def _shelled(c: SimplicialComplex) -> tuple[int, ...] | None:
 def _greedy_shelling(c: SimplicialComplex) -> tuple[int, ...] | None:
     """One greedy shelling of ``c``, as facet indices, or None.
 
-    Only a complex of dimension d >= 1 whose ridges each lie in two facets
-    is tried.  The pass starts at facet 0 and then takes the lowest-index
-    facet of the ridge frontier that may follow; None when none may.  A
-    facet that fails the step test keeps failing until its restriction face
-    grows, since ``chosen`` only grows.  So only the unchosen neighbours of
-    the facet just chosen are re-tested, ``ready`` keeps the frontier
-    facets that passed when last tested, and its lowest is re-tested when
-    picked.  On success the Betti numbers of a d-sphere go into the memo.
+    Only a closed pseudomanifold of dimension d >= 1 is tried.  A complex
+    whose ridges each lie in two facets but which is not strongly connected
+    is not tried either: the pass would stall on it, since each facet it
+    takes after the first shares a ridge with a chosen facet, so it never
+    leaves the component of facet 0.
+
+    The pass starts at facet 0 and then takes the lowest-index facet of the
+    ridge frontier that may follow; None when none may.  A facet that fails
+    the step test keeps failing until its restriction face grows, since
+    ``chosen`` only grows.  So only the unchosen neighbours of the facet
+    just chosen are re-tested, ``ready`` keeps the frontier facets that
+    passed when last tested, and its lowest is re-tested when picked.  On
+    success the Betti numbers of a d-sphere go into the memo.
     """
     d = c.dim
-    if not d or any(len(members) != 2 for members in c._holders(d).values()):
+    if not d or is_pseudomanifold(c) != "closed":
         return None
     masks = c._masks  # noqa: SLF001 - intra-package id view
     adjacent, vertex_facets = _ridge_graph(c), _vertex_facets(c)

@@ -55,13 +55,30 @@ MUTANTS = (
     Mutant(
         "level-rule-without-normality",
         "src/scx/banner.py",
-        'is_pseudomanifold(c) == "closed" and _normality(c).normal',
-        'is_pseudomanifold(c) == "closed"',
+        "        if j == c.dim - 1 and _closed_normal(c):",
+        "        from .manifold import is_pseudomanifold\n\n"
+        '        if j == c.dim - 1 and is_pseudomanifold(c) == "closed":',
         "banner_number accepts level d - 1 of every closed pseudomanifold",
         (
             EX + "test_banner_numbers_match_full_scans_on_a_pinched_sphere",
             BANNER + "test_banner_number_scans_level_d_minus_1_of_a_closed_pseudomanifold_that_is_not_normal",
         ),
+    ),
+    Mutant(
+        "level-rule-eager",
+        "src/scx/banner.py",
+        "j == c.dim - 1 and _closed_normal(c)",
+        "_closed_normal(c) and j == c.dim - 1",
+        "banner_number decides closed-and-normal on a complex whose scan stops below level d - 1",
+        (BANNER + "test_level_rule_is_not_tested_below_level_d_minus_1",),
+    ),
+    Mutant(
+        "shelling-without-closed-gate",
+        "src/scx/manifold.py",
+        '    if not d or is_pseudomanifold(c) != "closed":\n        return None\n',
+        "    if not d:\n        return None\n",
+        "the greedy shelling tries complexes that are not closed pseudomanifolds",
+        (EX + "test_manifold_recognition_and_flagness_match_oracles_on_every_small_complex",),
     ),
     Mutant(
         "shelling-accepts-a-stall",
@@ -205,6 +222,14 @@ MUTANTS = (
             BANNER + "test_link_banner_matches_built_links_that_are_not_pure",
             EX + "test_link_banner_matches_built_links_on_every_small_antichain",
         ),
+    ),
+    Mutant(
+        "shelling-without-dead-sets",
+        "src/scx/manifold.py",
+        "        if chosen in dead:\n            return False\n",
+        "",
+        "find_shelling re-searches chosen facet sets it could not complete before",
+        (MANIFOLD + "test_shelling_search_prunes_the_chosen_sets_it_could_not_complete",),
     ),
     Mutant(
         "normality-trusts-every-complex",

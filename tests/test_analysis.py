@@ -35,7 +35,6 @@ from scx.generators import (
 )
 from scx.graphs import (
     PathFamily,
-    _adjacency_masks,
     _validate_family,
     is_outside_connected,
     local_connectivity,
@@ -88,6 +87,57 @@ def test_analyze_zero_sphere_leaves_the_bound_unchecked(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["bound_checked"] is False
 
 
+_PLAIN_REPORTS = {
+    # a flag catalog entry, and one whose banner witness gets its own line
+    "cross-polytope-2": (cross_polytope_boundary(2), """\
+name:               cross-polytope-2.scx
+dimension:          2
+f-vector:           (1, 6, 12, 8)
+pseudomanifold:     closed
+normal:             True
+homology manifold:  True
+homology sphere:    True
+reduced Betti:      (0, 0, 1)
+flag:               True
+strongly banner:    True
+banner:             True
+banner number:      0
+connectivity:       4
+bound 2d-b:         4
+bound checked:      True
+bound satisfied:    True
+"""),
+    "stacked-sphere-2-5-11": (stacked_sphere(2, 5, 11), """\
+name:               stacked-sphere-2-5-11.scx
+dimension:          2
+f-vector:           (1, 9, 21, 14)
+pseudomanifold:     closed
+normal:             True
+homology manifold:  True
+homology sphere:    True
+reduced Betti:      (0, 0, 1)
+flag:               False
+strongly banner:    False
+banner:             False
+witness:            {'level': 'banner', 'kind': 'critical_non_spanning_clique', 'vertices': ['s0', 'v0', 'v2']}
+banner number:      1
+connectivity:       3
+bound 2d-b:         3
+bound checked:      True
+bound satisfied:    True
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PLAIN_REPORTS))
+def test_analyze_prints_the_plain_text_report(name, tmp_path, monkeypatch, capsys):
+    c, expected = _PLAIN_REPORTS[name]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / f"{name}.scx").write_text(dumps(c))
+    assert cli.main(["analyze", f"{name}.scx"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_bound_checked_is_t11_not_skipping_on_the_catalog():
     for spec, c in catalog():
         if c.is_pure:
@@ -126,6 +176,10 @@ def test_report_rejects_unknown_fields():
     data = json.loads(report_json(r))
     data["schema"] = "scx-report/0"
     with pytest.raises(ScxError):
+        report_from_json(json.dumps(data))
+    data = json.loads(report_json(r))
+    del data["bound"]
+    with pytest.raises(ScxError, match=r"missing report fields: \['bound'\]"):
         report_from_json(json.dumps(data))
 
 
@@ -403,7 +457,7 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
         (banner, "_classify"),
         (banner, "_banner_number"),
         (graphs, "_vertex_connectivity"),
-        (graphs, "_build_adjacency_masks"),
+        (graphs, "_skeleton"),
         (manifold, "_build_ridge_graph"),
     ]
     counts = {(c, name): 0 for c in subjects for _, name in names}
@@ -561,7 +615,7 @@ def test_outside_routes_match_the_built_complexes_per_vertex(corpus):
     seen = set()
     for name, c in _neighborhood_subjects(corpus):
         homology_manifold = manifold_class(c).homology_manifold
-        adjacency = _adjacency_masks(c)
+        adjacency = skeleton(c).masks
         for i, v in enumerate(c.vertices):
             got = _outcome(is_outside_connected, c, v)
             assert got == _outcome(outside_connected_by_complexes, c, v), (name, v)
@@ -616,10 +670,12 @@ def test_l44_homological_failure_path_rechecks_the_component_count(monkeypatch):
 _L42_ROW = """
 from scx import analysis
 from scx.generators import cross_polytope_boundary
+from scx.graphs import skeleton
 
 c = cross_polytope_boundary(3)
 full = (1 << c.n_vertices) - 1
-analysis._adjacency_masks = lambda cx: (full,) * cx.n_vertices  # every edge fails
+assert analysis.classify(c).banner  # memoized before the skeleton is widened
+skeleton(c).masks = (full,) * c.n_vertices  # every edge fails
 res = analysis.verify_property("L4.2", c)
 print(res.verdict, res.detail, res.payload)
 """

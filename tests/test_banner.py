@@ -389,6 +389,14 @@ def test_banner_number_scans_level_d_minus_1_of_a_closed_pseudomanifold_that_is_
     assert banner_number(c.link(("m1",))).value == 0  # other vertex links are 5-cycles
 
 
+def test_level_rule_is_not_tested_below_level_d_minus_1():
+    """A banner 3-sphere stops at level 0, so neither its pseudomanifold
+    status nor its normality is computed."""
+    c = cross_polytope_boundary(3)
+    assert banner_number(c).value == 0
+    assert "pseudomanifold" not in c._memo and "normal" not in c._memo
+
+
 def test_stacked_spheres_are_barnette_tight():
     for d in (2, 3):
         c = stacked_sphere(d, 3, seed=5)

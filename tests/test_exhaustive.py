@@ -33,7 +33,6 @@ from scx.complexes import SimplicialComplex, _iter_bits, _maximal, loads
 from scx.errors import EmptyComplex, ScxError
 from scx.generators import catalog
 from scx.graphs import (
-    _adjacency_masks,
     _vertex_connectivity,
     is_outside_connected,
     skeleton,
@@ -485,7 +484,7 @@ def test_outside_facet_components_match_relative_betti_on_every_small_manifold()
     manifolds = [c for c in SMALL if c.dim >= 1 and is_homology_manifold(c)[0]]
     counts = set()
     for c in manifolds:
-        adjacency = _adjacency_masks(c)
+        adjacency = skeleton(c).masks
         for i, v in enumerate(c.vertices):
             count = _outside_facet_components(c, adjacency[i] | 1 << i)
             assert count == relative_betti_by_complexes(c, v)[c.dim], (c.facets, v)

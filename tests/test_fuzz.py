@@ -40,7 +40,7 @@ from scx.banner import _link_banner, classify
 from scx.complexes import SimplicialComplex, _maximal, from_facets
 from scx.errors import ScxError
 from scx.generators import stacked_sphere
-from scx.graphs import _adjacency_masks, is_outside_connected, skeleton, vertex_connectivity
+from scx.graphs import is_outside_connected, skeleton, vertex_connectivity
 from scx.manifold import (
     is_homology_manifold,
     is_normal,
@@ -178,7 +178,7 @@ def test_neighborhood_routes_match_oracles(facets):
         got = _outcome(is_outside_connected, c, v)
         assert got == _outcome(outside_connected_by_complexes, c, v), v
     if c.is_pure and c.dim >= 1 and manifold_class(c).homology_manifold:
-        adjacency = _adjacency_masks(c)
+        adjacency = skeleton(c).masks
         for i, v in enumerate(c.vertices):
             count = _outside_facet_components(c, adjacency[i] | 1 << i)
             assert count == relative_betti_by_complexes(c, v)[c.dim], v

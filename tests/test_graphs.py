@@ -76,8 +76,7 @@ def test_skeleton_graph_keeps_labels_as_strings():
 def test_skeleton_of_a_complex_shares_its_adjacency():
     c = cross_polytope_boundary(2)
     g = skeleton(c)
-    assert g.masks is scx.graphs._adjacency_masks(c)
-    assert g.labels is c.vertices
+    assert skeleton(c) is g and g.labels is c.vertices
     rebuilt = SkeletonGraph(c.n_vertices, c.faces_ids(2), labels=c.vertices)
     assert (g.n, g.masks, g.adj) == (rebuilt.n, rebuilt.masks, rebuilt.adj)
     assert [g.id_of(v) for v in c.vertices] == list(range(c.n_vertices))

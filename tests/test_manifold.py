@@ -414,6 +414,12 @@ def test_shelling_budget():
         find_shelling(ring_ball(), budget=3)
 
 
+def test_shelling_search_prunes_the_chosen_sets_it_could_not_complete():
+    # the 7-vertex torus does not shell; with the prune the search decides
+    # that in 560 expansions, without it in 3,416
+    assert find_shelling(torus_7(), budget=600) is None
+
+
 @pytest.mark.parametrize("budget", [0, -1])
 def test_shelling_rejects_a_budget_below_one(budget):
     # a budget that allows no expansion is a bad argument, not an undecided search
