@@ -21,9 +21,9 @@ from .graphs import _reach, is_outside_connected, skeleton, vertex_connectivity
 from .homology import z2_betti, z2_relative_betti
 from .manifold import (
     _closed_normal,
-    _homology_manifold,
     _ridge_graph,
     _vertex_facets,
+    is_homology_manifold,
     is_pseudomanifold,
     manifold_class,
     verify_barnette_antistar,
@@ -216,7 +216,7 @@ WITH_BOUNDARY: Hypothesis = (
 BANNER: Hypothesis = (lambda c: classify(c).banner, "not banner")
 FLAG: Hypothesis = (lambda c: classify(c).flag, "not flag")
 HOMOLOGY_MANIFOLD: Hypothesis = (
-    lambda c: _homology_manifold(c)[0],
+    lambda c: is_homology_manifold(c)[0],
     "not a homology manifold",
 )
 BANNER_NUMBER: Hypothesis = (
@@ -472,14 +472,19 @@ _STATEMENTS: dict[str, tuple[list[Hypothesis], Conclusion]] = {
 PROPERTY_IDS = tuple(_STATEMENTS)
 
 
-def verify_property(property_id: str, c: SimplicialComplex) -> PropertyCheckResult:
-    """Evaluate one registered statement on one complex."""
+def _statement(property_id: str) -> tuple[list[Hypothesis], Conclusion]:
+    """The hypotheses and conclusion of a registered statement."""
     try:
-        hypotheses, conclusion = _STATEMENTS[property_id]
+        return _STATEMENTS[property_id]
     except KeyError:
         raise UnknownProperty(
             f"unknown property {property_id!r}; known: {', '.join(PROPERTY_IDS)}"
         ) from None
+
+
+def verify_property(property_id: str, c: SimplicialComplex) -> PropertyCheckResult:
+    """Evaluate one registered statement on one complex."""
+    hypotheses, conclusion = _statement(property_id)
     reason = _unmet(hypotheses, c)
     if reason is not None:
         return PropertyCheckResult(property_id, "skip", reason)
@@ -524,14 +529,13 @@ def verify_corpus(
     check that raises ``ScxError`` on one input becomes an "error" row and
     an entry of ``errors``; the other rows are unaffected.
     """
+    props = list(properties) if properties is not None else list(PROPERTY_IDS)
+    for pid in props:
+        _statement(pid)
     if named is None:
         named = [(display_name(spec), c) for spec, c in catalog()]
     else:
         named = list(named)
-    props = list(properties) if properties is not None else list(PROPERTY_IDS)
-    for pid in props:
-        if pid not in _STATEMENTS:
-            raise UnknownProperty(f"unknown property {pid!r}")
 
     def run(name: str, pid: str, c: SimplicialComplex) -> CorpusRow:
         try:

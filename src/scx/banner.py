@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .complexes import Face, Label, SimplicialComplex, _iter_bits, _mask
+from .complexes import Face, Label, SimplicialComplex, _iter_bits
 from .errors import NoBoundary, NotAClique, NotPure
 from .graphs import skeleton
 from .manifold import _closed_normal
@@ -203,11 +203,11 @@ def _link_banner(c: SimplicialComplex, ids: tuple[int, ...]) -> bool:
 
     Apart from the empty face, whose link is ``c`` itself, no link is
     built: the link is read off the residues ``G - F`` of the facets ``G``
-    containing the face ``F``, as bitmasks (``_residues_banner``).  No
-    answer is kept: ``_banner_number``, which is memoized, asks about each
-    face once, and P3.7 asks about every vertex only
-    of a banner complex, whose banner number stops at level 0 without
-    asking about any vertex.
+    containing the face ``F``, as bitmasks (``SimplicialComplex._residues``,
+    read by ``_residues_banner``).  No answer is kept: ``_banner_number``,
+    which is memoized, asks about each face once, and P3.7 asks about
+    every vertex only of a banner complex, whose banner number stops at
+    level 0 without asking about any vertex.
     """
     return _residues_banner(c, ids) if ids else banner_or_triangle(c)
 
@@ -226,8 +226,7 @@ def _residues_banner(c: SimplicialComplex, ids: tuple[int, ...]) -> bool:
       that every (t - y) + x is a residue, so all (m + 1)-subsets of t + x
       are faces.
     """
-    face = _mask(ids)
-    residues = {c._masks[i] ^ face for i in c._holders(len(ids))[ids]}
+    residues = set(c._residues(ids))
     size = next(iter(residues)).bit_count()
     if any(r.bit_count() != size for r in residues):
         return False  # not pure, and so not a triangle either
@@ -279,7 +278,7 @@ def banner_number(c: SimplicialComplex) -> BannerNumber:
     the 0-sphere, whose one level is the complex itself, is neither banner
     nor a triangle.  The rule asks ``manifold._closed_normal`` only when
     the scan reaches level d-1, and that reads normality through
-    ``manifold._normality``, so no homology-manifold pass is forced.
+    ``manifold.is_normal``, so no homology-manifold rank scan is forced.
     """
     if not c.is_pure:
         raise NotPure("banner number needs a pure complex")

@@ -17,10 +17,12 @@ producing one.
 Each complex keeps one index from its faces to the facets holding them,
 built one face size at a time on first use (``_holders``).  Its keys are
 the faces (``faces_ids``); its ridge level holds what the pseudomanifold
-test, ``boundary()`` and the facet ridge graph need; and the link and
-star of a face, the normality and homology-manifold checks and the
-banner status of a face link start from the holders of the face.  Its
-lists are never mutated.
+test, ``boundary()`` and the facet ridge graph need; and the star of a
+vertex starts from its holders.  Its lists are never mutated.  The
+residues G - F of the facets G holding a face F, which are the facets
+of its link, are computed only by ``_residues``: ``link``, the
+normality scan, the homology-manifold rank scan and the banner status
+of a face link read them.
 
 Invariants computed from a complex that more than one caller reads (its
 banner class, banner number, pseudomanifold status, normality,
@@ -341,14 +343,19 @@ class SimplicialComplex:
             ids = self._face_ids(labels)
         except UnknownVertex:
             raise NotAFace(f"{labels} is not a face") from None
-        holders = self._holders(len(ids)).get(ids)
-        if holders is None:
+        residues = self._residues(ids)
+        if not residues:
             raise NotAFace(f"{labels} is not a face")
-        mask = _mask(ids)
-        residues = [self._masks[i] ^ mask for i in holders]
         if residues == [0]:
             raise EmptyComplex("link of a facet is empty")
         return SimplicialComplex._from_ids(self._labels, residues) if ids else self
+
+    def _residues(self, ids: tuple[int, ...]) -> list[int]:
+        """The vertex bitmasks G - F of the facets G holding the face F with
+        sorted ``ids``, in facet order; empty when F is no face.  They are
+        the facets of the link of F, and ``[0]`` when F is a facet."""
+        face = _mask(ids)
+        return [self._masks[i] ^ face for i in self._holders(len(ids)).get(ids, ())]
 
     def star(self, vertex: Label) -> "SimplicialComplex":
         """The cone over ``link(vertex)`` with apex ``vertex``."""

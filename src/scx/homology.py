@@ -1,8 +1,10 @@
 """Simplicial homology over GF(2) via boundary-matrix ranks.
 
 Boundary matrices are encoded as bitmask rows (one per higher face, bits
-indexed by the lower faces in sorted order) and ranked by
-``kernels.gf2_rank``.  All Betti numbers are exact integers.
+indexed by the lower faces in index order) and ranked by
+``kernels.gf2_rank``.  A GF(2) rank does not depend on the order of the
+rows or columns, so no face level is sorted.  All Betti numbers are
+exact integers.
 """
 
 from __future__ import annotations
@@ -14,13 +16,6 @@ from .errors import NotSubcomplex
 from .kernels import gf2_rank
 
 BettiVector = tuple[int, ...]
-
-
-def _layer(c: SimplicialComplex, k: int, skip: frozenset | None) -> list[tuple[int, ...]]:
-    faces = c.faces_ids(k)
-    if skip:
-        faces = (f for f in faces if f not in skip)
-    return sorted(faces)
 
 
 def _boundary_rank(
@@ -39,7 +34,10 @@ def _boundary_rank(
 
 def _betti_from_ranks(c: SimplicialComplex, skip_faces, reduced: bool) -> BettiVector:
     top = c.dim + 1
-    layers = [_layer(c, k, skip_faces) for k in range(1, top + 1)]
+    layers = [
+        [f for f in c.faces_ids(k) if not skip_faces or f not in skip_faces]
+        for k in range(1, top + 1)
+    ]
     # ranks[k] = rank of the boundary map from cardinality-(k+1) faces down
     ranks = [0] * (top + 1)
     ranks[0] = 1 if reduced else 0  # augmentation onto the empty face

@@ -1,25 +1,24 @@
 """Pseudomanifold structure, homology-manifold recognition and shelling.
 
 The checks here follow the chain: homology manifold => normal
-pseudomanifold => pseudomanifold.  ``is_normal`` and
-``is_homology_manifold`` each check their property on their own.  The
-verdicts that more than one caller reads are kept under their own keys
-of the complex's memo, so that a caller pays only for the invariant it
-asks about: ``"pseudomanifold"`` (``is_pseudomanifold``), ``"normal"``
-(``_normality``), ``"homology_manifold"`` with its witness
-(``_homology_manifold``) and the greedy shelling order (``"shelled"``,
+pseudomanifold => pseudomanifold.  The verdicts that more than one
+caller reads are kept under their own keys of the complex's memo, each
+behind one entry: ``"pseudomanifold"`` (``is_pseudomanifold``),
+``"normal"`` (``is_normal``), ``"homology_manifold"`` with its witness
+(``is_homology_manifold``) and the greedy shelling order (``"shelled"``,
 ``_shelled``).  ``_closed_normal`` reads the first two; it is both the
 CLOSED_NORMAL hypothesis and the test of the banner number's level d - 1
-rule.  HOMOLOGY_MANIFOLD reads the third.  ``_normality`` reads normality
-off the greedy shelling of a closed pseudomanifold, which the
-homology-manifold check reads too; it runs ``is_normal`` only when the
-pass stalls, and never runs the rank scan.  The tests compare the routes.
+rule.  HOMOLOGY_MANIFOLD reads the third.  ``is_normal`` and
+``is_homology_manifold`` read their verdicts off the greedy shelling
+when it completes; only when it stalls do they run the residue scan
+(``_residue_scan``, which takes no rank) and the rank scan
+(``_first_deviating_face``), which the tests compare with the oracles.
 ``is_homology_sphere`` and ``manifold_class``, the bundle that
 ``analyze`` and the API read, are put together from these keys on each
-call.
-``is_normal`` builds no link: the link of a face F is connected exactly
-when the residues G - F of the facets G containing F, each joining its
-vertices, are.
+call.  Neither scan builds a link by label: the link of a face F is
+connected exactly when the residues G - F of the facets G containing F
+(``SimplicialComplex._residues``), each joining its vertices, are, and
+the rank scan builds each link from those residues.
 
 The facets containing each ridge are the ridge level of the complex's
 face index (``SimplicialComplex._holders``), as the facets containing
@@ -66,7 +65,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import Face, SimplicialComplex, _iter_bits, _mask
+from .complexes import Face, SimplicialComplex, _iter_bits
 from .errors import BadSeed, EmptyComplex, NotPseudomanifold, NotPure, SearchBudgetExceeded
 from .graphs import _reach, skeleton
 from .homology import sphere_pattern, z2_betti
@@ -155,16 +154,24 @@ def _is_pseudomanifold(c: SimplicialComplex) -> str:
 def is_normal(c: SimplicialComplex) -> NormalityResult:
     """Are all links of dimension at least one connected?
 
-    Faces are visited by size and then id order, which is label order,
-    and the first whose link is disconnected is the witness.
+    The witness is the first face, by size and then label order, whose
+    link is disconnected.  Kept in ``c``'s memo; see the module docstring.
     """
     if is_pseudomanifold(c) == "no":
         raise NotPseudomanifold("normality is defined on pseudomanifolds")
-    masks = c._masks  # noqa: SLF001 - intra-package id view
+    return c._cached("normal", _build_normal)
+
+
+def _build_normal(c: SimplicialComplex) -> NormalityResult:
+    return NormalityResult(True, None) if _shelled(c) is not None else _residue_scan(c)
+
+
+def _residue_scan(c: SimplicialComplex) -> NormalityResult:
+    """``is_normal`` by the residues of each face, faces by size and then
+    id order, which is label order."""
     for k in range(c.dim):  # faces with link dimension d-k >= 1
-        for face, members in sorted(c._holders(k).items()):
-            f = _mask(face)
-            if not _connected([masks[i] ^ f for i in members]):
+        for face in sorted(c._holders(k)):
+            if not _connected(c._residues(face)):
                 return NormalityResult(False, c._face_labels(face))
     return NormalityResult(True, None)
 
@@ -184,13 +191,12 @@ def verify_barnette_antistar(c: SimplicialComplex) -> tuple[bool, str | None]:
         raise NotPseudomanifold("antistar connectivity assumes a pseudomanifold")
     if c.n_vertices == 1:
         raise EmptyComplex("antistar of the only vertex is empty")
-    masks = c._masks  # noqa: SLF001 - intra-package id view
     rim = 0  # each v of a facet G whose ridge G - v lies in no other facet
     for ridge, members in c._holders(c.dim).items():
         if len(members) == 1:
-            rim |= masks[members[0]] ^ _mask(ridge)
+            rim |= c._residues(ridge)[0]
     adjacent = _ridge_graph(c)
-    full = (1 << len(masks)) - 1
+    full = (1 << len(c._masks)) - 1
     for i, (v, holding) in enumerate(zip(c.vertices, _vertex_facets(c))):
         avoiding = full - holding
         if not avoiding:
@@ -224,9 +230,10 @@ def _first_deviating_face(c: SimplicialComplex) -> Face | None:
     homology; None when every link has it."""
     d = c.dim
     for k in range(1, d + 1):
-        for face in sorted(c.faces(k)):
-            if z2_betti(c.link(face)) != sphere_pattern(d - k, d - k + 1):
-                return face
+        for face in sorted(c.faces_ids(k)):
+            link = SimplicialComplex._from_ids(c._labels, c._residues(face))
+            if z2_betti(link) != sphere_pattern(d - k, d - k + 1):
+                return c._face_labels(face)
     return None
 
 
@@ -234,12 +241,15 @@ def is_homology_manifold(c: SimplicialComplex) -> tuple[bool, Face | None]:
     """Do all face links carry the GF(2) homology of matching spheres?
 
     Requires a pure connected complex; the witness is the first face, by
-    size and then label order, whose link deviates.  A complex that the
-    greedy shelling certifies keeps the Betti numbers of a sphere in its
+    size and then label order, whose link deviates.  Kept in ``c``'s
     memo; see the module docstring.
     """
     if not c.is_pure:
         raise NotPure("homology manifold check needs a pure complex")
+    return c._cached("homology_manifold", _build_homology_manifold)
+
+
+def _build_homology_manifold(c: SimplicialComplex) -> tuple[bool, Face | None]:
     if not skeleton(c).is_connected():
         return False, None
     if _shelled(c) is not None:
@@ -248,35 +258,14 @@ def is_homology_manifold(c: SimplicialComplex) -> tuple[bool, Face | None]:
     return face is None, face
 
 
-def _homology_manifold(c: SimplicialComplex) -> tuple[bool, Face | None]:
-    """``is_homology_manifold(c)``, kept in ``c``'s memo."""
-    return c._cached("homology_manifold", is_homology_manifold)
-
-
-def _normality(c: SimplicialComplex) -> NormalityResult:
-    """``is_normal(c)`` on a pseudomanifold, kept in ``c``'s memo.
-
-    The greedy shelling of a closed pseudomanifold of dimension at least 1
-    makes it a PL sphere (``_shelled``), whose links of dimension at least
-    1 are connected.  ``is_normal`` runs only when the pass stalls, and
-    gives the witness; normality never runs the rank scan of the
-    homology-manifold check.
-    """
-    return c._cached("normal", _build_normality)
-
-
-def _build_normality(c: SimplicialComplex) -> NormalityResult:
-    return NormalityResult(True, None) if _shelled(c) is not None else is_normal(c)
-
-
 def _closed_normal(c: SimplicialComplex) -> bool:
     """Is the pure complex ``c`` a closed normal pseudomanifold?"""
-    return is_pseudomanifold(c) == "closed" and _normality(c).normal
+    return is_pseudomanifold(c) == "closed" and is_normal(c).normal
 
 
 def is_homology_sphere(c: SimplicialComplex) -> bool:
     """A homology manifold with the GF(2) Betti numbers of a sphere."""
-    return _homology_manifold(c)[0] and z2_betti(c) == sphere_pattern(c.dim, c.dim + 1)
+    return is_homology_manifold(c)[0] and z2_betti(c) == sphere_pattern(c.dim, c.dim + 1)
 
 
 def manifold_class(c: SimplicialComplex) -> ManifoldClass:
@@ -284,10 +273,10 @@ def manifold_class(c: SimplicialComplex) -> ManifoldClass:
     witnesses: dict[str, Face] = {}
     pm = is_pseudomanifold(c)
     strongly = pm != "no" or is_strongly_connected(c)
-    hm, hw = _homology_manifold(c)
+    hm, hw = is_homology_manifold(c)
     normal: bool | None = None
     if pm != "no":
-        res = _normality(c)
+        res = is_normal(c)
         normal = res.normal
         if res.witness is not None:
             witnesses["normal"] = res.witness

@@ -50,6 +50,7 @@ MANIFOLD = "tests/test_manifold.py::"
 BANNER = "tests/test_banner.py::"
 GRAPHS = "tests/test_graphs.py::"
 ANALYSIS = "tests/test_analysis.py::"
+COMPLEXES = "tests/test_complexes.py::"
 
 MUTANTS = (
     Mutant(
@@ -234,12 +235,35 @@ MUTANTS = (
     Mutant(
         "normality-trusts-every-complex",
         "src/scx/manifold.py",
-        "    return NormalityResult(True, None) if _shelled(c) is not None else is_normal(c)",
+        "    return NormalityResult(True, None) if _shelled(c) is not None else _residue_scan(c)",
         "    return NormalityResult(True, None)",
-        "normality is accepted without the shelling or is_normal",
+        "normality is accepted without the shelling or the residue scan",
         (
-            MANIFOLD + "test_manifold_class_normality_matches_is_normal",
+            MANIFOLD + "test_normality_matches_link_oracle",
             EX + "test_banner_numbers_match_full_scans_on_a_pinched_sphere",
+        ),
+    ),
+    Mutant(
+        "homology-manifold-trusts-a-stalled-shelling",
+        "src/scx/manifold.py",
+        "    face = _first_deviating_face(c)\n    return face is None, face\n",
+        "    return True, None\n",
+        "the homology-manifold verdict is accepted without the rank scan where the shelling stalls",
+        (
+            MANIFOLD + "test_suspension_of_torus_normal_but_not_homology_manifold",
+            EX + "test_manifold_recognition_and_flagness_match_oracles_on_every_small_complex",
+        ),
+    ),
+    Mutant(
+        "residues-keep-the-face",
+        "src/scx/complexes.py",
+        "        return [self._masks[i] ^ face for i in self._holders(len(ids)).get(ids, ())]",
+        "        return [self._masks[i] for i in self._holders(len(ids)).get(ids, ())]",
+        "the residues of a face, and so its link, keep the face's own vertices",
+        (
+            COMPLEXES + "test_link_of_boundary_simplex_vertex",
+            COMPLEXES + "test_star_intersect_antistar_is_link_everywhere",
+            COMPLEXES + "test_link_facet_sizes_in_pure_complexes",
         ),
     ),
 )
@@ -282,7 +306,7 @@ def main(names: list[str]) -> int:
         start = time.perf_counter()
         outcome = run(mutant)
         outcomes.append(outcome)
-        print(f"{mutant.name:32} {outcome:10} {time.perf_counter() - start:6.1f} s  {mutant.breaks}", flush=True)
+        print(f"{mutant.name:44} {outcome:10} {time.perf_counter() - start:6.1f} s  {mutant.breaks}", flush=True)
     killed = sum(o.startswith("killed") for o in outcomes)
     print(f"{killed} of {len(outcomes)} killed")
     return 0 if killed == len(outcomes) else 1

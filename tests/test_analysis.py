@@ -439,7 +439,7 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
     and the homology-manifold check only where a check reaches
     HOMOLOGY_MANIFOLD, which a non-banner input never does.  Normality
     comes from the greedy shelling, which L4.4-homological's check then
-    reads too; ``is_normal`` runs only where the pass stalls, as on the
+    reads too; the residue scan runs only where the pass stalls, as on the
     torus."""
     from scx import banner, graphs, manifold
 
@@ -449,10 +449,10 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
     subjects = (banner_input, other, torus)
     names = [
         (analysis, "manifold_class"),
-        (manifold, "_build_normality"),
-        (manifold, "is_normal"),
+        (manifold, "_build_normal"),
+        (manifold, "_residue_scan"),
         (manifold, "_greedy_shelling"),
-        (manifold, "is_homology_manifold"),
+        (manifold, "_build_homology_manifold"),
         (manifold, "is_homology_sphere"),
         (banner, "_classify"),
         (banner, "_banner_number"),
@@ -483,11 +483,11 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
     assert rows["octahedral-3-sphere", "L4.4-homological"][0] == "pass"
     assert rows["cyclic", "L4.4-homological"] == rows["torus", "L4.4-homological"] == ("skip", "not banner")
     once = dict.fromkeys([name for _, name in names], 1)
-    once["manifold_class"] = once["is_homology_sphere"] = once["is_normal"] = 0
+    once["manifold_class"] = once["is_homology_sphere"] = once["_residue_scan"] = 0
     assert {name: counts[banner_input, name] for name in once} == once
-    once["is_homology_manifold"] = 0
+    once["_build_homology_manifold"] = 0
     assert {name: counts[other, name] for name in once} == once
-    once["is_normal"] = 1
+    once["_residue_scan"] = 1
     assert {name: counts[torus, name] for name in once} == once
     assert banner_input._memo["shelled"] is not None and other._memo["shelled"] is not None
     assert torus._memo["shelled"] is None
@@ -552,10 +552,9 @@ def test_p37_failure_row_on_a_banner_input_reads_the_link_table(monkeypatch):
 
 
 def test_only_witnesses_build_links(monkeypatch):
-    """Links are built only by the ascending scan of the homology-manifold
-    check: for a witness, or for the verdict of a complex that the greedy
-    shelling does not certify, such as torus-7, all of whose links are
-    built and ranked."""
+    """No check builds a link by label: the scans that need a face link,
+    such as the rank scan of torus-7, which the greedy shelling does not
+    certify, build it from the residues of the face."""
     callers = []
     real = SimplicialComplex.link
 
@@ -568,7 +567,7 @@ def test_only_witnesses_build_links(monkeypatch):
     for spec, c in catalog():  # fresh complexes, as the memo would answer the old ones
         if c.is_pure:
             analyze(c, display_name(spec))
-    assert set(callers) == {"_first_deviating_face"}
+    assert callers == []
 
 
 def test_analyze_of_a_shelled_sphere_takes_no_rank(monkeypatch):
@@ -786,6 +785,14 @@ def test_cli_gen_unknown_name_lists_the_known_ones(capsys):
     known = ", ".join(sorted(generators.REGISTRY))
     assert captured.err == f"error: unknown generator 'nope'; known: {known}\n"
     assert "cross-polytope, cycle, cyclic-polytope" in known
+
+
+def test_cli_verify_unknown_property_lists_the_known_ones(capsys):
+    assert cli.main(["verify", "--corpus", "--property", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown property 'nope'; known: {', '.join(PROPERTY_IDS)}\n"
+    assert "T1.1" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -41,10 +41,10 @@ from scx.graphs import (
 from scx.homology import sphere_pattern, z2_betti
 from scx.kernels import unit_maxflow
 from scx.manifold import (
-    _homology_manifold,
+    _first_deviating_face,
     _greedy_shelling,
     _may_follow,
-    _normality,
+    _residue_scan,
     _restriction,
     _shelled,
     _vertex_facets,
@@ -155,24 +155,24 @@ def _verdicts_match(c: SimplicialComplex, hm: tuple, normal: tuple | None, betti
 
     In the order of ``verify`` normality comes first, and in the order of
     ``analyze`` the bundle does.  Either way normality comes from the
-    greedy shelling when it certifies ``c``, else from ``is_normal``, and
-    neither it nor the banner number's level d - 1 rule runs the rank scan
-    of the homology-manifold check.
+    greedy shelling when it certifies ``c``, else from the residue scan,
+    and neither it nor the banner number's level d - 1 rule runs the rank
+    scan of the homology-manifold check.
     """
     first = _fresh(c)
     if normal is not None:
-        res = _normality(first)
+        res = is_normal(first)
         assert (res.normal, res.witness) == normal, c.facets
         assert first._memo["shelled"] is None or normal == (True, None), c.facets
     value = banner_number(first)
     assert "homology_manifold" not in first._memo, c.facets
     second = _fresh(c)
     mc = manifold_class(second)
-    assert _homology_manifold(second) == hm, c.facets
+    assert is_homology_manifold(second) == hm, c.facets
     assert z2_betti(second) == betti, c.facets
     assert (mc.homology_manifold, mc.witnesses.get("homology_manifold")) == hm, c.facets
     if normal is not None:
-        res = _normality(second)
+        res = is_normal(second)
         bundled = (mc.normal, mc.witnesses.get("normal"))
         assert (res.normal, res.witness) == bundled == normal, c.facets
     sphere = hm[0] and betti == sphere_pattern(c.dim, c.dim + 1)
@@ -181,15 +181,20 @@ def _verdicts_match(c: SimplicialComplex, hm: tuple, normal: tuple | None, betti
 
 
 def test_manifold_recognition_and_flagness_match_oracles_on_every_small_complex():
-    """Normality on facet residues against built links, the greedy
-    shelling and ranked links against full Betti vectors, and flagness; the
-    verdicts also as cached apart and bundled (``_verdicts_match``), and the
-    banner number, with its level d - 1 rule for closed normal
-    pseudomanifolds, against a full scan of every level on built links."""
+    """Normality against built links, the homology-manifold verdict
+    against full Betti vectors, and flagness; the verdicts also as cached
+    apart and bundled (``_verdicts_match``), and the banner number, with
+    its level d - 1 rule for closed normal pseudomanifolds, against a full
+    scan of every level on built links.  The residue scan and the rank
+    scan, which the verdicts skip where the greedy shelling completes, are
+    also run on every complex they may be asked about."""
     pseudomanifolds = ruled = 0
     for c in SMALL:
         hm = homology_manifold_ascending(c)
         assert is_homology_manifold(c) == hm, c.facets
+        if skeleton(c).is_connected():
+            face = _first_deviating_face(c)
+            assert (face is None, face) == hm, c.facets
         assert classify(c).flag == brute_is_flag(c), c.facets
         normal = None
         if is_pseudomanifold(c) != "no":
@@ -197,6 +202,7 @@ def test_manifold_recognition_and_flagness_match_oracles_on_every_small_complex(
             normal = normal_by_links(c)
             res = is_normal(c)
             assert (res.normal, res.witness) == normal, c.facets
+            assert astuple(_residue_scan(c)) == normal, c.facets
         betti = betti_by_dense_rank(c)
         assert _verdicts_match(c, hm, normal, betti) == banner_number_by_links(c), c.facets
         ruled += c.dim >= 1 and is_pseudomanifold(c) == "closed" and normal == (True, None)
@@ -307,7 +313,7 @@ def test_banner_numbers_match_full_scans_on_a_pinched_sphere():
     None is normal, and the banner number of each is undefined: level d - 1
     fails at x, or at the apex edge _apex0 x, whose link is two triangles.
     The octahedron and its suspension are closed, so the greedy shelling
-    runs for normality, stalls, and ``is_normal`` gives the witness."""
+    runs for normality, stalls, and the residue scan gives the witness."""
     pinched = _pinched_octahedron()
     for c in (pinched, pinched.cone(), pinched.suspension()):
         expected = banner_number_by_links(c)
@@ -315,7 +321,7 @@ def test_banner_numbers_match_full_scans_on_a_pinched_sphere():
         assert not is_normal(c).normal and expected.value is None, c.facets
         assert expected.failing_face == (("x",) if c is pinched else ("_apex0", "x"))
         first = _fresh(c)
-        res = _normality(first)
+        res = is_normal(first)
         assert (res.normal, res.witness) == normal_by_links(c), c.facets
         assert first._memo["shelled"] is None, c.facets
     assert normal_by_links(pinched) == (False, ("x",))

@@ -19,6 +19,7 @@ from scx.generators import (
     torus_7,
 )
 from scx.manifold import (
+    NormalityResult,
     facet_graph,
     find_shelling,
     is_homology_manifold,
@@ -209,37 +210,59 @@ def _pseudomanifolds(corpus):
 
 
 def test_manifold_class_normality_matches_is_normal(corpus):
-    # manifold_class reads normality off the greedy shelling, else off is_normal
+    # both read the memo, so the bundle is held to the link oracle as well
     for name, c in corpus.items():
         if c.is_pure and is_pseudomanifold(c) == "no":
             assert manifold_class(c).normal is None, name
     for name, c in _pseudomanifolds(corpus):
         mc, res = manifold_class(c), is_normal(c)
-        assert mc.normal == res.normal, name
-        assert mc.witnesses.get("normal") == res.witness, name
+        bundled = (mc.normal, mc.witnesses.get("normal"))
+        assert bundled == (res.normal, res.witness) == normal_by_links(c), name
 
 
 def test_manifold_class_runs_is_normal_only_where_the_shelling_stalls(monkeypatch):
-    """A shelled sphere needs no ``is_normal``; the torus, which does not
+    """A shelled sphere needs no residue scan; the torus, which does not
     shell, and the pinched torus run it once, whichever of the bundle, the
     homology-manifold verdict and normality is asked first."""
     calls = []
+    scan = manifold._residue_scan
 
     def counted(c):
         calls.append(c)
-        return is_normal(c)
+        return scan(c)
 
-    monkeypatch.setattr(manifold, "is_normal", counted)
+    monkeypatch.setattr(manifold, "_residue_scan", counted)
     assert manifold_class(cross_polytope_boundary(3)).normal
     assert calls == []
     assert not manifold_class(_pinched_torus()).normal
     assert len(calls) == 1
-    for first in (manifold_class, manifold._homology_manifold, manifold._normality):
+    for first in (manifold_class, is_homology_manifold, is_normal):
         calls.clear()
         torus = torus_7()
         first(torus)
-        assert manifold._normality(torus).normal and manifold_class(torus).normal
+        assert is_normal(torus).normal and manifold_class(torus).normal
         assert calls == [torus], first.__name__
+
+
+def test_manifold_verdicts_are_kept_in_the_memo():
+    for c in (cross_polytope_boundary(3), torus_7(), _pinched_torus()):
+        assert is_normal(c) is is_normal(c)
+        assert is_homology_manifold(c) is is_homology_manifold(c)
+
+
+def test_is_normal_of_a_shelled_sphere_scans_no_residues(monkeypatch):
+    calls = []
+    connected = manifold._connected
+
+    def counted(masks):
+        calls.append(masks)
+        return connected(masks)
+
+    monkeypatch.setattr(manifold, "_connected", counted)
+    sphere = cross_polytope_boundary(3)
+    assert is_normal(sphere) == NormalityResult(True, None)
+    assert sphere._memo["shelled"] is not None and calls == []
+    assert is_normal(torus_7()).normal and calls
 
 
 def _outcome(fn, c):
