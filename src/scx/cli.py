@@ -243,6 +243,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.files and args.corpus:
         parser.error("give files or --corpus, not both")
+    if args.command == "verify" and not (args.files or args.corpus):
+        parser.error("give .scx files to verify, or --corpus for the built-in corpus")
     if args.command == "shelling" and args.budget < 1:
         parser.error(f"--budget must be at least 1, not {args.budget}")
     try:

@@ -4,11 +4,12 @@ Vertex labels are non-empty strings without whitespace that do not start
 with ``#``, which opens a comment in the ``.scx`` format.  They are
 interned to dense integer ids in label-sorted order, so id-lexicographic
 and label-lexicographic enumeration agree.  At the API boundary faces travel
-as sorted label tuples; internally they are sorted id tuples.  Each facet
-is stored twice, in one order: as a vertex bitmask, bit i for id i
-(``_masks``), the one set form that links, stars, antistars, induced
-subcomplexes, residues and the skeleton are computed on, and as the
-sorted id tuple read off it (``_facets``).
+as sorted label tuples; internally they are sorted id tuples, the form
+the construction steps pass to each other.  Each facet is stored twice,
+in one order: as its id tuple (``_facets``) and as the vertex bitmask
+that ``_fill`` makes from it, bit i for id i (``_masks``), the one set
+form that links, antistars, induced subcomplexes, residues and the
+skeleton are computed on.
 
 A complex is immutable once built.  The empty complex is
 unrepresentable: every constructor raises ``EmptyComplex`` rather than
@@ -38,22 +39,25 @@ which the interpreter lock keeps atomic, so a complex can still be
 shared between threads.
 
 ``SimplicialComplex(...)`` is the only entry point that validates its
-input; it interns the labels and hands the facets, as bitmasks, to the
-absorb-and-renumber step ``_absorb``.  Complexes derived from a built one
-skip the validation through one of two trusted constructors:
+input; it interns the labels straight into sorted id tuples and hands
+them to the absorb-and-renumber step ``_absorb``, as ``star`` and
+``boundary`` hand it the parent's tuples.  Other complexes derived from
+a built one skip the validation through one of two trusted constructors:
 
-- ``_from_ids`` builds links, stars, antistars, induced subcomplexes and
-  boundaries, none of which is cached.  It assumes valid sorted labels
-  and non-zero masks, and runs the same ``_absorb``: nested masks are
-  absorbed and unused labels dropped.
+- ``_from_ids`` builds links, antistars and induced subcomplexes, none
+  of which is cached, from valid sorted labels and non-zero masks.  It
+  is the one place that walks a facet mask's bits, reading each into its
+  id tuple, and it runs the same ``_absorb``.
 - ``_join`` builds cones, suspensions and boundary cones (``tilde``).  It
   assumes base facets free of nested sets and apex labels that
   ``_check_fresh`` has already accepted, so it absorbs nothing: it sorts
-  the apexes into the labels and adds each apex bit to each base mask.
+  the apexes into the labels and splices each apex id into each moved
+  base tuple.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from typing import AbstractSet, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -96,7 +100,10 @@ def _normalize_facet(facet: Iterable[Label]) -> list[Label]:
 
 def _mask(ids: Iterable[int]) -> int:
     """The vertex bitmask of the ids ``ids``."""
-    return sum(map((1).__lshift__, ids))
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return mask
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -107,28 +114,27 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _maximal(masks: set[int]) -> list[int]:
-    """The members of ``masks`` that lie in no other member.
+def _maximal(facets: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The members of ``facets``, sorted id tuples, that lie in no other member.
 
-    Masks are visited largest first; bit k of ``holders[v]`` says that the
-    k-th kept mask contains ``v``, so a candidate lies in a kept mask exactly
-    when the holders of its vertices share a bit.  A kept mask is never equal
-    to a later candidate, since the members are distinct.
+    Tuples are visited largest first; bit k of ``holders[v]`` says that the
+    k-th kept tuple contains ``v``, so a candidate lies in a kept tuple
+    exactly when the holders of its vertices share a bit.  A kept tuple is
+    never equal to a later candidate, since the members are distinct.
     """
-    if len({m.bit_count() for m in masks}) == 1:
-        return list(masks)
-    maximal: list[int] = []
+    if len({len(f) for f in facets}) == 1:
+        return list(facets)
+    maximal: list[tuple[int, ...]] = []
     holders: dict[int, int] = {}
-    for cand in sorted(masks, key=int.bit_count, reverse=True):
-        bits = tuple(_iter_bits(cand))
+    for cand in sorted(facets, key=len, reverse=True):
         common = -1
-        for v in bits:
+        for v in cand:
             common &= holders.get(v, 0)
             if not common:
                 break
         if not common:
             bit = 1 << len(maximal)
-            for v in bits:
+            for v in cand:
                 holders[v] = holders.get(v, 0) | bit
             maximal.append(cand)
     return maximal
@@ -163,34 +169,30 @@ class SimplicialComplex:
     def __init__(self, facets: Iterable[Iterable[Label]]):
         cleaned = [_normalize_facet(f) for f in facets]
         labels = tuple(sorted(set().union(*cleaned)))
-        bit = {v: 1 << i for i, v in enumerate(labels)}
-        self._absorb(labels, [sum(map(bit.__getitem__, f)) for f in cleaned])
+        intern = {v: i for i, v in enumerate(labels)}
+        self._absorb(labels, [tuple(sorted(map(intern.__getitem__, f))) for f in cleaned])
 
     @classmethod
     def _from_ids(cls, labels: tuple[Label, ...], masks: Iterable[int]) -> "SimplicialComplex":
         """The complex of the non-zero vertex bitmasks ``masks`` over the valid
         sorted ``labels``: the trusted constructor of subcomplexes."""
-        self = cls.__new__(cls)
-        self._absorb(labels, list(masks))
-        return self
+        return cls.__new__(cls)._absorb(labels, [tuple(_iter_bits(m)) for m in masks])
 
-    def _absorb(self, labels: tuple[Label, ...], masks: list[int]) -> None:
-        """Build from the non-zero vertex bitmasks ``masks`` over the sorted
-        ``labels``, absorbing nested masks and dropping unused labels; the
-        used ids keep their order, so the labels stay sorted."""
-        if not masks:
+    def _absorb(
+        self, labels: tuple[Label, ...], facets: list[tuple[int, ...]]
+    ) -> "SimplicialComplex":
+        """Build this complex from the sorted id tuples ``facets`` over the
+        sorted ``labels`` and return it, absorbing nested tuples and dropping
+        unused labels; the used ids keep their order, so all stays sorted."""
+        if not facets:
             raise EmptyComplex("a complex needs at least one facet")
-        maximal = _maximal(set(masks))
-        union = 0
-        for m in maximal:
-            union |= m
-        used = list(_iter_bits(union))
+        maximal = _maximal(set(facets))
+        used = sorted(set().union(*maximal))
         if len(used) < len(labels):
-            new_bit = {old: 1 << new for new, old in enumerate(used)}
+            new_id = {old: new for new, old in enumerate(used)}
             labels = tuple(labels[i] for i in used)
-            maximal = [sum(map(new_bit.__getitem__, _iter_bits(m))) for m in maximal]
-        index = {v: i for i, v in enumerate(labels)}
-        self._fill(labels, index, maximal, len(masks) - len(maximal))
+            maximal = [tuple(map(new_id.__getitem__, f)) for f in maximal]
+        return self._fill(labels, maximal, len(facets) - len(maximal))
 
     def _join(
         self,
@@ -206,40 +208,37 @@ class SimplicialComplex:
         a base, and that the apexes are distinct valid labels unused here.
         Then nothing is absorbed: ``f + a`` lies in ``g + b`` only when
         ``a == b`` and ``f`` lies in ``g``, and no kept tuple holds an apex.
-        The old ids move to their places among the merged labels, and each
-        apex adds its bit to each moved base mask.
+        Each old id moves up by the number of apexes below its label, and
+        each apex id is spliced into each moved base tuple at its place.
         """
+        apexes = sorted(apexes)
         labels = tuple(sorted(self._labels + tuple(apexes)))
-        index = {v: i for i, v in enumerate(labels)}
-        new_bit = [1 << index[v] for v in self._labels]
-        tips = [1 << index[a] for a in apexes]
-        masks = [sum(map(new_bit.__getitem__, f)) for f in kept]
+        new_id = [i + bisect.bisect(apexes, v) for i, v in enumerate(self._labels)]
+        tips = [(bisect.bisect(self._labels, a) + k,) for k, a in enumerate(apexes)]
+        facets = [tuple(map(new_id.__getitem__, f)) for f in kept]
         for f in bases:
-            moved = sum(map(new_bit.__getitem__, f))
-            masks += [moved | a for a in tips]
-        joined = SimplicialComplex.__new__(SimplicialComplex)
-        joined._fill(labels, index, masks, 0)
-        return joined
+            moved = tuple(map(new_id.__getitem__, f))
+            for tip in tips:
+                k = bisect.bisect(moved, tip[0])
+                facets.append(moved[:k] + tip + moved[k:])
+        return SimplicialComplex.__new__(SimplicialComplex)._fill(labels, facets, 0)
 
     def _fill(
-        self,
-        labels: tuple[Label, ...],
-        index: dict[Label, int],
-        masks: list[int],
-        absorbed: int,
-    ) -> None:
-        # facets in id-lexicographic order; distinct masks give distinct tuples
-        facets = sorted((tuple(_iter_bits(m)), m) for m in masks)
+        self, labels: tuple[Label, ...], facets: list[tuple[int, ...]], absorbed: int
+    ) -> "SimplicialComplex":
+        """Store the distinct sorted id tuples ``facets`` over ``labels`` in
+        lexicographic order, with the bitmasks made from them; return self."""
         self._labels = labels
-        self._index = index
-        self._facets: tuple[tuple[int, ...], ...] = tuple(f for f, _ in facets)
-        self._masks: tuple[int, ...] = tuple(m for _, m in facets)
+        self._index = {v: i for i, v in enumerate(labels)}
+        self._facets: tuple[tuple[int, ...], ...] = tuple(sorted(facets))
+        self._masks: tuple[int, ...] = tuple(map(_mask, self._facets))
         sizes = {len(f) for f in self._facets}
         self.dim = max(sizes) - 1
         self.is_pure = len(sizes) == 1
         self.absorbed = absorbed
         self._face_cache: dict[int, dict[tuple[int, ...], list[int]]] = {}
         self._memo: dict[str, object] = {}
+        return self
 
     def _cached(self, key: str, compute: Callable[["SimplicialComplex"], _T]) -> _T:
         """``compute(self)``, computed on first use and kept in the memo."""
@@ -362,9 +361,8 @@ class SimplicialComplex:
         i = self._index.get(str(vertex))
         if i is None:
             raise UnknownVertex(f"unknown vertex {vertex!r}")
-        return SimplicialComplex._from_ids(
-            self._labels, [self._masks[j] for j in self._holders(1)[(i,)]]
-        )
+        facets = [self._facets[j] for j in self._holders(1)[(i,)]]
+        return SimplicialComplex.__new__(SimplicialComplex)._absorb(self._labels, facets)
 
     def antistar(self, vertex: Label) -> "SimplicialComplex":
         """The subcomplex induced on all vertices except ``vertex``."""
@@ -438,10 +436,10 @@ class SimplicialComplex:
         """
         if not self.is_pure:
             raise NotPure("boundary is defined for pure complexes")
-        rim = [_mask(r) for r, m in self._holders(self.dim).items() if len(m) == 1]
+        rim = [r for r, m in self._holders(self.dim).items() if len(m) == 1]
         if not rim:
             return None
-        return SimplicialComplex._from_ids(self._labels, rim)
+        return SimplicialComplex.__new__(SimplicialComplex)._absorb(self._labels, rim)
 
     def tilde(self, apex: Label | None = None) -> "SimplicialComplex":
         """Close the complex off by coning a fresh apex over its boundary."""

@@ -29,7 +29,7 @@ def _boundary_rank(
             if col is not None:
                 mask |= 1 << col
         rows.append(mask)
-    return gf2_rank(rows, max(len(lower_index), 1))
+    return gf2_rank(rows)
 
 
 def _betti_from_ranks(c: SimplicialComplex, skip_faces, reduced: bool) -> BettiVector:

@@ -1,7 +1,6 @@
 """The two hot kernels: GF(2) rank and unit-vertex-capacity max flow.
 
-- ``gf2_rank(rows, ncols)``: rank over GF(2); each row is an int bitmask
-  that must fit in ``ncols`` bits.
+- ``gf2_rank(rows)``: rank over GF(2); each row is an int bitmask.
 - ``unit_maxflow(masks, source, sink)``: a largest family of
   source-sink paths sharing no interior vertex, found on the graph's
   neighbor bitmasks, with the nodes that its last, failing search
@@ -26,7 +25,7 @@ search grows alternating in-node and out-node layers as bitmasks.
 BACKEND = "pure"
 
 
-def gf2_rank(rows, ncols):
+def gf2_rank(rows):
     """Rank over GF(2) of a matrix given as int bitmasks, one per row."""
     pivots: dict[int, int] = {}
     rank = 0

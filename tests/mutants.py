@@ -51,6 +51,7 @@ BANNER = "tests/test_banner.py::"
 GRAPHS = "tests/test_graphs.py::"
 ANALYSIS = "tests/test_analysis.py::"
 COMPLEXES = "tests/test_complexes.py::"
+FUZZ = "tests/test_fuzz.py::"
 
 MUTANTS = (
     Mutant(
@@ -265,6 +266,30 @@ MUTANTS = (
             COMPLEXES + "test_star_intersect_antistar_is_link_everywhere",
             COMPLEXES + "test_link_facet_sizes_in_pure_complexes",
         ),
+    ),
+    Mutant(
+        "join-apex-unsorted",
+        "src/scx/complexes.py",
+        "                facets.append(moved[:k] + tip + moved[k:])",
+        "                facets.append(moved + tip)",
+        "cones and suspensions append the apex id to each base tuple instead of splicing it in",
+        (COMPLEXES + "test_joins_match_label_routes", FUZZ + "test_joins_match_label_routes"),
+    ),
+    Mutant(
+        "maximal-keeps-nested",
+        "src/scx/complexes.py",
+        "    if len({len(f) for f in facets}) == 1:",
+        "    if True:",
+        "absorption takes its same-size shortcut on facets of mixed sizes and keeps nested ones",
+        (COMPLEXES + "test_nonmaximal_absorbed_with_count",),
+    ),
+    Mutant(
+        "absorb-skips-renumbering",
+        "src/scx/complexes.py",
+        "        if len(used) < len(labels):",
+        "        if False:",
+        "subcomplexes keep the labels that none of their facets uses",
+        (EX + "test_subcomplexes_match_label_sets_on_every_small_complex",),
     ),
 )
 

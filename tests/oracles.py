@@ -612,11 +612,6 @@ def moment_curve_facets(n: int, dim: int) -> set[frozenset[int]]:
     return facets
 
 
-def mask_sets(masks) -> set[frozenset]:
-    """Vertex bitmasks as the frozensets of their set bits."""
-    return {frozenset(i for i in range(m.bit_length()) if m >> i & 1) for m in masks}
-
-
 def maximal_by_pairs(sets) -> set[frozenset]:
     """The members of ``sets`` in no other member, by pairwise tests."""
     maximal: list[frozenset] = []

@@ -574,9 +574,9 @@ def test_analyze_of_a_shelled_sphere_takes_no_rank(monkeypatch):
     # the greedy shelling certifies the homology manifold and its Betti numbers
     calls = []
 
-    def counted(rows, ncols):
+    def counted(rows):
         calls.append(len(rows))
-        return kernels.gf2_rank(rows, ncols)
+        return kernels.gf2_rank(rows)
 
     monkeypatch.setattr(homology, "gf2_rank", counted)
     report = analyze(cross_polytope_boundary(4), "cross-4")
@@ -814,6 +814,16 @@ def test_cli_verify_single_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "pass" in out
+
+
+def test_cli_verify_without_inputs_is_a_usage_error(capsys):
+    # a shell glob that matches nothing must not verify the corpus instead
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--property", "T1.1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "files to verify" in captured.err and "--corpus" in captured.err
 
 
 def test_cli_verify_missing_file(capsys):

@@ -20,7 +20,7 @@ from scx.generators import (
     stacked_sphere,
 )
 
-from oracles import brute_f_vector, join_route_outcomes, mask_sets, maximal_by_pairs
+from oracles import brute_f_vector, join_route_outcomes, maximal_by_pairs
 
 
 def test_maximal_matches_pairwise_oracle_on_corpus_antistars(corpus):
@@ -30,10 +30,12 @@ def test_maximal_matches_pairwise_oracle_on_corpus_antistars(corpus):
             for face in sorted(c.faces(k)) if k else [()]:
                 lk = c.link(face)
                 for i in range(lk.n_vertices):
-                    pieces = {m & ~(1 << i) for m in lk._masks} - {0}
+                    pieces = {tuple(v for v in f if v != i) for f in lk._facets} - {()}
                     kept = _maximal(pieces)
                     assert len(set(kept)) == len(kept), (name, face, i)
-                    assert mask_sets(kept) == maximal_by_pairs(mask_sets(pieces)), (name, face, i)
+                    assert set(kept) <= pieces, (name, face, i)
+                    assert set(map(frozenset, kept)) == maximal_by_pairs(map(frozenset, pieces)), (
+                        name, face, i)
 
 
 def test_two_triangles():

@@ -71,7 +71,6 @@ from oracles import (
     homology_manifold_ascending,
     link_values_bounded_by_links,
     links_inherit_by_links,
-    mask_sets,
     maximal_by_pairs,
     normal_by_links,
     outside_connected_by_complexes,
@@ -551,7 +550,7 @@ def test_every_small_antichain_absorbs_its_closure_through_both_constructors():
         kept = maximal_by_pairs(closure)
         assert kept == {frozenset(f) for f in a}, a
         masks = [sum(1 << v for v in s) for s in closure]
-        assert mask_sets(_maximal(set(masks))) == kept, a
+        assert set(map(frozenset, _maximal({tuple(sorted(s)) for s in closure}))) == kept, a
         public = SimplicialComplex([[labels[v] for v in s] for s in closure])
         assert {frozenset(int(v[1:]) for v in f) for f in public.facets} == kept, a
         assert public.absorbed == len(closure) - len(a), a

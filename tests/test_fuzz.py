@@ -56,7 +56,6 @@ from oracles import (
     classify_by_labels,
     homology_manifold_ascending,
     join_route_outcomes,
-    mask_sets,
     maximal_by_pairs,
     normal_by_links,
     outside_connected_by_complexes,
@@ -155,8 +154,8 @@ def test_joins_match_label_routes(facets):
 @given(_FACETS)
 def test_id_paths_match_oracles(facets):
     c = _build(facets)
-    masks = {sum(1 << c.vertices.index(v) for v in f) for f in facets}
-    assert mask_sets(_maximal(masks)) == maximal_by_pairs(mask_sets(masks))
+    ids = {tuple(sorted(c.vertices.index(v) for v in f)) for f in facets}
+    assert set(map(frozenset, _maximal(ids))) == maximal_by_pairs(map(frozenset, ids))
     for face in _faces(c):
         kind, lk = _outcome(c.link, face)
         if kind == "value" and lk.is_pure:
