@@ -15,7 +15,7 @@ Classification stops at its first violation, taken in witness order: a
 critical non-spanning (d+1)-clique, then a simplex boundary, then a
 non-spanning (d+1)-clique, then a non-spanning j-clique for j = 3 ... d.
 For d >= 1, flag => strongly banner => banner, so each violation also
-refutes every stronger property, and ``_classify`` proves that only a
+refutes every stronger property, and ``classify`` proves that only a
 strongly banner complex needs the last scan, and no larger j.
 """
 
@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .complexes import Face, Label, SimplicialComplex, _iter_bits
+from .complexes import Face, Label, SimplicialComplex, _iter_bits, _memoized
 from .errors import NoBoundary, NotAClique, NotPure
 from .graphs import skeleton
 from .manifold import _closed_normal
@@ -127,6 +127,7 @@ def contains_simplex_boundary(c: SimplicialComplex, k: int) -> Face | None:
     return None
 
 
+@_memoized("classify")
 def classify(c: SimplicialComplex) -> BannerClass:
     """Evaluate flag / strongly banner / banner with a failure witness.
 
@@ -136,22 +137,18 @@ def classify(c: SimplicialComplex) -> BannerClass:
     dimension >= 1; zero-dimensional complexes on several vertices are
     flag yet not banner because two bare points form the boundary of an
     edge.
+
+    The scans run in witness order, each only when all earlier ones
+    passed.  The (d+1)-clique walk returns at the first critical
+    non-spanning clique and keeps the first non-spanning one.  Flag needs
+    j-cliques only for j = 3 ... d: a strongly banner complex has every
+    (d+1)-clique as a face and no (d+2)-clique, since the (d+1)-subsets of
+    one would be cliques, so faces, and span the boundary of a simplex.
+    Cliques and faces are sorted id tuples; labels are only for the
+    witness.
     """
     if not c.is_pure:
         raise NotPure("banner classification needs a pure complex")
-    return c._cached("classify", _classify)
-
-
-def _classify(c: SimplicialComplex) -> BannerClass:
-    """The scans in witness order, each run only when all earlier ones passed.
-
-    The (d+1)-clique walk returns at the first critical non-spanning clique
-    and keeps the first non-spanning one.  Flag needs j-cliques only for
-    j = 3 ... d: a strongly banner complex has every (d+1)-clique as a face
-    and no (d+2)-clique, since the (d+1)-subsets of one would be cliques,
-    so faces, and span the boundary of a simplex.  Cliques and faces are
-    sorted id tuples; labels are only for the witness.
-    """
     d = c.dim
     if d == 0:  # flag, but two points bound an edge
         if c.n_vertices < 2:
@@ -204,7 +201,7 @@ def _link_banner(c: SimplicialComplex, ids: tuple[int, ...]) -> bool:
     Apart from the empty face, whose link is ``c`` itself, no link is
     built: the link is read off the residues ``G - F`` of the facets ``G``
     containing the face ``F``, as bitmasks (``SimplicialComplex._residues``,
-    read by ``_residues_banner``).  No answer is kept: ``_banner_number``,
+    read by ``_residues_banner``).  No answer is kept: ``banner_number``,
     which is memoized, asks about each face once, and P3.7 asks about
     every vertex only of a banner complex, whose banner number stops at
     level 0 without asking about any vertex.
@@ -261,6 +258,7 @@ def _residues_banner(c: SimplicialComplex, ids: tuple[int, ...]) -> bool:
     return True
 
 
+@_memoized("banner_number")
 def banner_number(c: SimplicialComplex) -> BannerNumber:
     """The least j whose j-vertex face links are all banner-or-triangle.
 
@@ -282,10 +280,6 @@ def banner_number(c: SimplicialComplex) -> BannerNumber:
     """
     if not c.is_pure:
         raise NotPure("banner number needs a pure complex")
-    return c._cached("banner_number", _banner_number)
-
-
-def _banner_number(c: SimplicialComplex) -> BannerNumber:
     # ids are in label order, so sorted id tuples are in label order too
     prev_fail: Face | None = None
     for j in range(0, max(c.dim, 1)):

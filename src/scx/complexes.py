@@ -31,12 +31,14 @@ homology-manifold verdict, greedy shelling, Betti numbers, its skeleton,
 which holds the vertex adjacency as bitmasks, the ridge graph of its
 facets and the facets holding each vertex) are cached per object in its
 ``_memo`` dict, so each is computed once however many checks ask for it.
-Cached values are immutable, hold no reference back to the complex and
-die with it; there is no global or content-keyed cache.  Neither memo
-takes a lock: two threads asking for the same value at once may both
-compute it and store equal results.  Each store is one dict assignment,
-which the interpreter lock keeps atomic, so a complex can still be
-shared between threads.
+Each is one function decorated with ``_memoized(key)``, as is the
+skeleton's connectivity in the skeleton's memo; a guard that raises in
+one stores nothing.  Cached values are immutable, hold no reference back
+to the complex and die with it; there is no global or content-keyed
+cache.  Neither memo takes a lock: two threads asking for the same value
+at once may both compute it and store equal results.  Each store is one
+dict assignment, which the interpreter lock keeps atomic, so a complex
+can still be shared between threads.
 
 ``SimplicialComplex(...)`` is the only entry point that validates its
 input; it interns the labels straight into sorted id tuples and hands
@@ -58,8 +60,9 @@ a built one skip the validation through one of two trusted constructors:
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
-from typing import AbstractSet, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import AbstractSet, Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
     EmptyComplex,
@@ -75,6 +78,25 @@ Label = str
 Face = tuple[Label, ...]
 FVector = tuple[int, ...]
 _T = TypeVar("_T")
+
+
+def _memoized(key: str) -> Callable[[Callable[[Any], _T]], Callable[[Any], _T]]:
+    """Keep the result of the decorated one-argument function in its
+    argument's ``_memo`` dict under ``key``: built on the first call, read
+    on every later one.  The undecorated body stays as ``__wrapped__``."""
+
+    def decorate(build: Callable[[Any], _T]) -> Callable[[Any], _T]:
+        @functools.wraps(build)
+        def memoized(x: Any) -> _T:
+            try:
+                return x._memo[key]
+            except KeyError:
+                value = x._memo[key] = build(x)
+                return value
+
+        return memoized
+
+    return decorate
 
 
 def _check_labels(labels: Iterable[Label]) -> None:
@@ -240,14 +262,6 @@ class SimplicialComplex:
         self._memo: dict[str, object] = {}
         return self
 
-    def _cached(self, key: str, compute: Callable[["SimplicialComplex"], _T]) -> _T:
-        """``compute(self)``, computed on first use and kept in the memo."""
-        try:
-            return self._memo[key]  # type: ignore[return-value]
-        except KeyError:
-            value = self._memo[key] = compute(self)
-            return value
-
     # -- basic accessors ------------------------------------------------
 
     @property
@@ -263,7 +277,9 @@ class SimplicialComplex:
         return tuple(self._face_labels(f) for f in self._facets)
 
     def _face_labels(self, ids: Iterable[int]) -> Face:
-        return tuple(sorted(self._labels[i] for i in ids))
+        """The labels of the ascending ``ids``, which ascend too, as ids
+        are interned in label order."""
+        return tuple([self._labels[i] for i in ids])
 
     def _face_ids(self, labels: Iterable[Label]) -> tuple[int, ...]:
         try:
@@ -477,7 +493,7 @@ def loads(text: str) -> SimplicialComplex:
 
 def dumps(c: SimplicialComplex) -> str:
     """Serialize to the facet-list format, facets in lexicographic order."""
-    return "".join(" ".join(f) + "\n" for f in sorted(c.facets))
+    return "".join(" ".join(f) + "\n" for f in c.facets)
 
 
 def load(path) -> SimplicialComplex:

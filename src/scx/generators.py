@@ -94,6 +94,10 @@ def path_graph_edges(n: int) -> list[tuple[str, str]]:
 # -- the 16-vertex ring ball ------------------------------------------------
 
 
+def _ring(prefix: str, i: int) -> str:
+    return f"{prefix}{(i - 1) % 3 + 1}"
+
+
 def ring_ball() -> SimplicialComplex:
     """A shellable 3-ball on 16 vertices: three solid octahedra around a
     shared axis triple x1,x2,x3, with the central hole filled around y.
@@ -101,33 +105,17 @@ def ring_ball() -> SimplicialComplex:
     Index arithmetic is mod 3 with 1-based names x1..x3, a1..a3, b1..b3,
     c1..c3, d1..d3 and the interior vertex y.
     """
-
-    def x(i):
-        return f"x{(i - 1) % 3 + 1}"
-
-    def a(i):
-        return f"a{(i - 1) % 3 + 1}"
-
-    def b(i):
-        return f"b{(i - 1) % 3 + 1}"
-
-    def c(i):
-        return f"c{(i - 1) % 3 + 1}"
-
-    def d(i):
-        return f"d{(i - 1) % 3 + 1}"
-
     facets = []
     for i in (1, 2, 3):
         facets += [
-            [x(i), x(i + 1), a(i), b(i)],
-            [x(i), x(i + 1), b(i), c(i)],
-            [x(i), x(i + 1), c(i), d(i)],
-            [x(i), x(i + 1), a(i), d(i)],
-            [x(i), a(i), b(i), b(i - 1)],
-            [x(i), a(i), a(i - 1), b(i - 1)],
-            ["y", a(i), b(i), a(i + 1)],
-            ["y", b(i), a(i + 1), b(i + 1)],
+            [_ring("x", i), _ring("x", i + 1), _ring("a", i), _ring("b", i)],
+            [_ring("x", i), _ring("x", i + 1), _ring("b", i), _ring("c", i)],
+            [_ring("x", i), _ring("x", i + 1), _ring("c", i), _ring("d", i)],
+            [_ring("x", i), _ring("x", i + 1), _ring("a", i), _ring("d", i)],
+            [_ring("x", i), _ring("a", i), _ring("b", i), _ring("b", i - 1)],
+            [_ring("x", i), _ring("a", i), _ring("a", i - 1), _ring("b", i - 1)],
+            ["y", _ring("a", i), _ring("b", i), _ring("a", i + 1)],
+            ["y", _ring("b", i), _ring("a", i + 1), _ring("b", i + 1)],
         ]
     facets += [["y", "a1", "a2", "a3"], ["y", "b1", "b2", "b3"]]
     return SimplicialComplex(facets)

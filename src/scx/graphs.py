@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .complexes import Label, SimplicialComplex, _iter_bits
+from .complexes import Label, SimplicialComplex, _iter_bits, _memoized
 from .errors import EmptyOutside, SameVertex, UnknownVertex
 from .kernels import unit_maxflow
 
@@ -68,7 +68,7 @@ class SkeletonGraph:
     """Simple undirected graph on dense vertex ids with display labels;
     bit x of ``masks[w]`` joins w and x."""
 
-    __slots__ = ("n", "labels", "masks", "_index", "_connectivity")
+    __slots__ = ("n", "labels", "masks", "_index", "_memo")
 
     def __init__(
         self,
@@ -96,7 +96,7 @@ class SkeletonGraph:
         self.labels = labels
         self._index = index
         self.masks = masks
-        self._connectivity: ConnectivityResult | None = None  # vertex_connectivity's memo
+        self._memo: dict[str, object] = {}  # vertex_connectivity's
 
     @property
     def adj(self) -> tuple[tuple[int, ...], ...]:
@@ -124,17 +124,14 @@ class SkeletonGraph:
         return self.n > 0 and _reach(self.masks, 1, full) == full
 
 
+@_memoized("skeleton")
 def skeleton(c: SimplicialComplex) -> SkeletonGraph:
     """The graph with the complex's vertices as nodes and its edges as edges.
 
-    Kept in the complex's memo, so repeated calls return the same graph.
+    Bit j of ``masks[i]`` says that ids i and j span an edge, that is, lie
+    in one facet.  Kept in the complex's memo, so repeated calls return
+    the same graph.
     """
-    return c._cached("skeleton", _skeleton)
-
-
-def _skeleton(c: SimplicialComplex) -> SkeletonGraph:
-    """Bit j of ``masks[i]`` says that ids i and j span an edge, that is,
-    lie in one facet."""
     masks = [0] * c.n_vertices
     for f, m in zip(c._facets, c._masks):
         for v in f:
@@ -181,23 +178,18 @@ def local_connectivity(g: SkeletonGraph, u: int, v: int) -> int:
     return value + (1 if g.adjacent(u, v) else 0)
 
 
+@_memoized("connectivity")
 def vertex_connectivity(g: SkeletonGraph) -> ConnectivityResult:
     """Vertex connectivity with a certificate.
 
     Complete graphs (and the one-vertex graph) have no cut; otherwise the
     certificate is a minimum cut set together with the lexicographically
-    first non-adjacent pair it separates.  The result is kept on ``g``.
+    first non-adjacent pair it separates.  The result is kept in ``g``'s memo.
 
     Flows run for the non-adjacent pairs of neighbors of a minimum-degree
     vertex m, for the non-neighbors of m that the grown-side test of the
     module docstring cannot skip, and for the certificate scan's pairs.
     """
-    if g._connectivity is None:
-        g._connectivity = _vertex_connectivity(g)
-    return g._connectivity
-
-
-def _vertex_connectivity(g: SkeletonGraph) -> ConnectivityResult:
     if g.n <= 1:
         return ConnectivityResult(0, False, None)
     if g.is_complete():

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .complexes import Face, SimplicialComplex
+from .complexes import SimplicialComplex, _memoized
 from .errors import NotSubcomplex
 from .kernels import gf2_rank
 
@@ -51,12 +51,9 @@ def _betti_from_ranks(c: SimplicialComplex, skip_faces, reduced: bool) -> BettiV
     return tuple(betti)
 
 
+@_memoized("z2_betti")
 def z2_betti(c: SimplicialComplex) -> BettiVector:
     """Reduced GF(2) Betti numbers (degree 0 through dim)."""
-    return c._cached("z2_betti", _z2_betti)
-
-
-def _z2_betti(c: SimplicialComplex) -> BettiVector:
     return _betti_from_ranks(c, None, reduced=True)
 
 
@@ -79,7 +76,7 @@ def z2_relative_betti(
         if not c.has_face(facet):
             raise NotSubcomplex(f"facet {facet} does not lie in the ambient complex")
     sub_ids = frozenset(
-        tuple(sorted(c._face_ids(f)))  # noqa: SLF001 - intra-package id view
+        c._face_ids(f)  # noqa: SLF001 - intra-package id view
         for k in range(1, sub.dim + 2)
         for f in sub.faces(k)
     )

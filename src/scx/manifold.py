@@ -3,7 +3,7 @@
 The checks here follow the chain: homology manifold => normal
 pseudomanifold => pseudomanifold.  The verdicts that more than one
 caller reads are kept under their own keys of the complex's memo, each
-behind one entry: ``"pseudomanifold"`` (``is_pseudomanifold``),
+by one ``_memoized`` function: ``"pseudomanifold"`` (``is_pseudomanifold``),
 ``"normal"`` (``is_normal``), ``"homology_manifold"`` with its witness
 (``is_homology_manifold``) and the greedy shelling order (``"shelled"``,
 ``_shelled``).  ``_closed_normal`` reads the first two; it is both the
@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import Face, SimplicialComplex, _iter_bits
+from .complexes import Face, SimplicialComplex, _iter_bits, _memoized
 from .errors import BadSeed, EmptyComplex, NotPseudomanifold, NotPure, SearchBudgetExceeded
 from .graphs import _reach, skeleton
 from .homology import sphere_pattern, z2_betti
@@ -93,13 +93,10 @@ class ManifoldClass:
     witnesses: Mapping[str, Face]  # read-only, as the rest of the frozen result
 
 
+@_memoized("ridge_graph")
 def _ridge_graph(c: SimplicialComplex) -> tuple[int, ...]:
     """For each facet of ``c``, the bitmask of the facets sharing a ridge
     with it, over indices into ``c._facets``; kept in ``c``'s memo."""
-    return c._cached("ridge_graph", _build_ridge_graph)
-
-
-def _build_ridge_graph(c: SimplicialComplex) -> tuple[int, ...]:
     adjacent = [0] * len(c._facets)
     for members in c._holders(c.dim).values():
         for a, b in itertools.combinations(members, 2):
@@ -108,13 +105,10 @@ def _build_ridge_graph(c: SimplicialComplex) -> tuple[int, ...]:
     return tuple(adjacent)
 
 
+@_memoized("vertex_facets")
 def _vertex_facets(c: SimplicialComplex) -> tuple[int, ...]:
     """For each vertex id of ``c``, the bitmask of the facets holding it, over
     indices into ``c._facets``; kept in ``c``'s memo."""
-    return c._cached("vertex_facets", _build_vertex_facets)
-
-
-def _build_vertex_facets(c: SimplicialComplex) -> tuple[int, ...]:
     holders = c._holders(1)
     return tuple(sum(1 << j for j in holders[(i,)]) for i in range(c.n_vertices))
 
@@ -134,6 +128,7 @@ def is_strongly_connected(c: SimplicialComplex) -> bool:
     return _reach(_ridge_graph(c), 1, full) == full
 
 
+@_memoized("pseudomanifold")
 def is_pseudomanifold(c: SimplicialComplex) -> str:
     """"closed" (every ridge in 2 facets), "with_boundary" (in 1 or 2), or "no".
 
@@ -141,16 +136,13 @@ def is_pseudomanifold(c: SimplicialComplex) -> str:
     """
     if not c.is_pure:
         raise NotPure("pseudomanifold checks need a pure complex")
-    return c._cached("pseudomanifold", _is_pseudomanifold)
-
-
-def _is_pseudomanifold(c: SimplicialComplex) -> str:
     counts = [len(m) for m in c._holders(c.dim).values()]
     if any(k > 2 for k in counts) or not is_strongly_connected(c):
         return "no"
     return "closed" if all(k == 2 for k in counts) else "with_boundary"
 
 
+@_memoized("normal")
 def is_normal(c: SimplicialComplex) -> NormalityResult:
     """Are all links of dimension at least one connected?
 
@@ -159,10 +151,6 @@ def is_normal(c: SimplicialComplex) -> NormalityResult:
     """
     if is_pseudomanifold(c) == "no":
         raise NotPseudomanifold("normality is defined on pseudomanifolds")
-    return c._cached("normal", _build_normal)
-
-
-def _build_normal(c: SimplicialComplex) -> NormalityResult:
     return NormalityResult(True, None) if _shelled(c) is not None else _residue_scan(c)
 
 
@@ -237,6 +225,7 @@ def _first_deviating_face(c: SimplicialComplex) -> Face | None:
     return None
 
 
+@_memoized("homology_manifold")
 def is_homology_manifold(c: SimplicialComplex) -> tuple[bool, Face | None]:
     """Do all face links carry the GF(2) homology of matching spheres?
 
@@ -246,10 +235,6 @@ def is_homology_manifold(c: SimplicialComplex) -> tuple[bool, Face | None]:
     """
     if not c.is_pure:
         raise NotPure("homology manifold check needs a pure complex")
-    return c._cached("homology_manifold", _build_homology_manifold)
-
-
-def _build_homology_manifold(c: SimplicialComplex) -> tuple[bool, Face | None]:
     if not skeleton(c).is_connected():
         return False, None
     if _shelled(c) is not None:
@@ -316,13 +301,10 @@ def _may_follow(r: int, chosen: int, vertex_facets: Sequence[int]) -> bool:
     return not chosen
 
 
+@_memoized("shelled")
 def _shelled(c: SimplicialComplex) -> tuple[int, ...] | None:
-    """``_greedy_shelling(c)``, kept in ``c``'s memo."""
-    return c._cached("shelled", _greedy_shelling)
-
-
-def _greedy_shelling(c: SimplicialComplex) -> tuple[int, ...] | None:
-    """One greedy shelling of ``c``, as facet indices, or None.
+    """One greedy shelling of ``c``, as facet indices, or None; kept in
+    ``c``'s memo.
 
     Only a closed pseudomanifold of dimension d >= 1 is tried.  A complex
     whose ridges each lie in two facets but which is not strongly connected

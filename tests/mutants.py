@@ -14,10 +14,11 @@ directory, the replacement is made there, and pytest runs the guarding
 tests, stopping at the first failure.  A failing run kills the mutant and
 a passing one lets it survive.  An old text that does not occur exactly
 once, or a run that pytest cannot start, is an error, so the list cannot
-go stale quietly.  A run that outlasts the time limit counts as killed:
-the mutant made a guard loop.  The exit status is 0 only when every
-mutant is killed.  The file is not collected by pytest, whose test files
-are named ``test_*.py``.
+go stale quietly; ``tests/test_mutants.py`` checks the old texts and the
+guards' names on every test run.  A run that outlasts the time limit
+counts as killed: the mutant made a guard loop.  The exit status is 0
+only when every mutant is killed.  The file is not collected by pytest,
+whose test files are named ``test_*.py``.
 """
 
 from __future__ import annotations
@@ -290,6 +291,14 @@ MUTANTS = (
         "        if False:",
         "subcomplexes keep the labels that none of their facets uses",
         (EX + "test_subcomplexes_match_label_sets_on_every_small_complex",),
+    ),
+    Mutant(
+        "memo-stores-nothing",
+        "src/scx/complexes.py",
+        "                value = x._memo[key] = build(x)\n",
+        "                value = build(x)\n",
+        "every memoized invariant is rebuilt on each call, since nothing is kept",
+        (ANALYSIS + "test_verify_corpus_computes_each_invariant_once",),
     ),
 )
 

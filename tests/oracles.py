@@ -651,7 +651,7 @@ def shelling_step_by_meets(chosen: list[frozenset], cand: frozenset, d: int) -> 
 
 
 def greedy_shelling_by_rescan(c) -> tuple[int, ...] | None:
-    """The order of ``manifold._greedy_shelling`` by rescanning the whole
+    """The order of ``manifold._shelled`` by rescanning the whole
     ridge frontier at every step: facet 0 first, then the lowest-index
     frontier facet that passes the step test; None when none does."""
     masks = c._masks

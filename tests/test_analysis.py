@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -433,6 +434,21 @@ def _count_index_levels(monkeypatch) -> list:
     return built
 
 
+MEMO_KEYS = ("normal", "shelled", "homology_manifold", "classify", "banner_number", "skeleton", "ridge_graph")
+
+
+class _CountingMemo(dict):
+    """A memo that counts its stores per key, so each count is a build."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)
+
+
 def test_verify_corpus_computes_each_invariant_once(monkeypatch):
     """Each invariant is computed at most once per complex, and each
     hypothesis computes only the invariant it names: no manifold bundle,
@@ -440,35 +456,37 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
     HOMOLOGY_MANIFOLD, which a non-banner input never does.  Normality
     comes from the greedy shelling, which L4.4-homological's check then
     reads too; the residue scan runs only where the pass stalls, as on the
-    torus."""
-    from scx import banner, graphs, manifold
+    torus.  A build is a store into the memo of the complex, or into the
+    memo of its skeleton for the connectivity."""
+    from scx import graphs, manifold
 
     banner_input = cross_polytope_boundary(3)
     other = cyclic_polytope_boundary(7, 4)  # closed and normal, not banner
     torus = torus_7()  # closed and normal, not banner, and does not shell
     subjects = (banner_input, other, torus)
+    for c in subjects:
+        c._memo = _CountingMemo()
+    set_graph = graphs.SkeletonGraph._set
+
+    def counting_set(g, *args):
+        set_graph(g, *args)
+        g._memo = _CountingMemo()
+
+    monkeypatch.setattr(graphs.SkeletonGraph, "_set", counting_set)
     names = [
         (analysis, "manifold_class"),
-        (manifold, "_build_normal"),
         (manifold, "_residue_scan"),
-        (manifold, "_greedy_shelling"),
-        (manifold, "_build_homology_manifold"),
         (manifold, "is_homology_sphere"),
-        (banner, "_classify"),
-        (banner, "_banner_number"),
-        (graphs, "_vertex_connectivity"),
-        (graphs, "_skeleton"),
-        (manifold, "_build_ridge_graph"),
     ]
-    counts = {(c, name): 0 for c in subjects for _, name in names}
+    calls = {(c, name): 0 for c in subjects for _, name in names}
 
     def count(module, name):
         body = getattr(module, name)
 
         def counted(x):
             for c in subjects:
-                if x is (graphs.skeleton(c) if name == "_vertex_connectivity" else c):
-                    counts[c, name] += 1
+                if x is c:
+                    calls[c, name] += 1
             return body(x)
 
         monkeypatch.setattr(module, name, counted)
@@ -482,13 +500,19 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
         assert rows[name, "T1.1"][0] == rows[name, "L5.2"][0] == "pass"
     assert rows["octahedral-3-sphere", "L4.4-homological"][0] == "pass"
     assert rows["cyclic", "L4.4-homological"] == rows["torus", "L4.4-homological"] == ("skip", "not banner")
-    once = dict.fromkeys([name for _, name in names], 1)
+
+    def counts(c):
+        stores = {key: c._memo.stores[key] for key in MEMO_KEYS}
+        stores["connectivity"] = graphs.skeleton(c)._memo.stores["connectivity"]
+        return {**stores, **{name: calls[c, name] for _, name in names}}
+
+    once = dict.fromkeys([*MEMO_KEYS, "connectivity"], 1)
     once["manifold_class"] = once["is_homology_sphere"] = once["_residue_scan"] = 0
-    assert {name: counts[banner_input, name] for name in once} == once
-    once["_build_homology_manifold"] = 0
-    assert {name: counts[other, name] for name in once} == once
+    assert counts(banner_input) == once
+    once["homology_manifold"] = 0
+    assert counts(other) == once
     once["_residue_scan"] = 1
-    assert {name: counts[torus, name] for name in once} == once
+    assert counts(torus) == once
     assert banner_input._memo["shelled"] is not None and other._memo["shelled"] is not None
     assert torus._memo["shelled"] is None
     # built holds each facet tuple, so no id is reused within the run

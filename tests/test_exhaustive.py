@@ -33,7 +33,6 @@ from scx.complexes import SimplicialComplex, _iter_bits, _maximal, loads
 from scx.errors import EmptyComplex, ScxError
 from scx.generators import catalog
 from scx.graphs import (
-    _vertex_connectivity,
     is_outside_connected,
     skeleton,
     vertex_connectivity,
@@ -42,7 +41,6 @@ from scx.homology import sphere_pattern, z2_betti
 from scx.kernels import unit_maxflow
 from scx.manifold import (
     _first_deviating_face,
-    _greedy_shelling,
     _may_follow,
     _residue_scan,
     _restriction,
@@ -289,10 +287,10 @@ def test_greedy_shelling_orders_match_a_full_rescan():
     their suspensions.  Every other small complex, and every cone, is not
     tried."""
     subjects = [c for c in SMALL if _closed_ridges(c)]
-    assert all(_greedy_shelling(c) is None for c in SMALL if not _closed_ridges(c))
+    assert all(_shelled.__wrapped__(c) is None for c in SMALL if not _closed_ridges(c))
     for name, c in _seeded_spheres():
         if name.endswith("-cone"):
-            assert _greedy_shelling(c) is None, name
+            assert _shelled.__wrapped__(c) is None, name
         else:
             subjects.append(c)
     shelled = 0
@@ -472,7 +470,7 @@ def test_connectivity_matches_the_split_network_oracle():
         small.setdefault((g.labels, g.masks), g)
     graphs = [*small.values(), *(skeleton(c) for _, c in _seeded_spheres())]
     for g in graphs:
-        assert _vertex_connectivity(g) == vertex_connectivity_by_split_network(g), g.labels
+        assert vertex_connectivity.__wrapped__(g) == vertex_connectivity_by_split_network(g), g.labels
     pairs = 0
     for g in small.values():
         pairs_of_g = itertools.combinations(range(g.n), 2)

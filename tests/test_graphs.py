@@ -183,7 +183,7 @@ def test_connectivity_rejects_a_cut_larger_than_kappa(monkeypatch):
         spare = ((1 << len(masks)) - 1) & ~(reach_in | reach_out | 1 << source | 1 << sink)
         return value, succ, reach_in | spare & -spare, reach_out
 
-    assert scx.graphs._vertex_connectivity(g).value == 3  # not kept on g
+    assert vertex_connectivity.__wrapped__(g).value == 3  # not kept on g
     monkeypatch.setattr(scx.graphs, "unit_maxflow", widened)
     with pytest.raises(AssertionError, match="independent validation"):
         vertex_connectivity(g)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from scx import manifold
+from scx.banner import classify
 from scx.complexes import SimplicialComplex, from_facets
 from scx.errors import BadSeed, NotPseudomanifold, NotPure, ScxError, SearchBudgetExceeded
 from scx.generators import (
@@ -18,6 +19,7 @@ from scx.generators import (
     stacked_sphere,
     torus_7,
 )
+from scx.graphs import skeleton, vertex_connectivity
 from scx.manifold import (
     NormalityResult,
     facet_graph,
@@ -250,6 +252,24 @@ def test_manifold_verdicts_are_kept_in_the_memo():
         assert is_homology_manifold(c) is is_homology_manifold(c)
 
 
+def test_a_failing_guard_raises_on_every_call_and_stores_nothing():
+    impure = from_facets([["a", "b", "c"], ["c", "d"]])
+    branched = from_facets([["a", "b", "c"], ["a", "b", "d"], ["a", "b", "e"]])  # ab in three facets
+    guarded = (
+        (classify, impure, NotPure),
+        (is_homology_manifold, impure, NotPure),
+        (is_normal, branched, NotPseudomanifold),
+    )
+    for function, c, error in guarded:
+        for _ in range(2):
+            with pytest.raises(error):
+                function(c)
+    assert impure._memo == {}
+    assert branched._memo == {"pseudomanifold": "no"}
+    g = skeleton(branched)
+    assert vertex_connectivity(g) is g._memo["connectivity"] is vertex_connectivity(g)
+
+
 def test_is_normal_of_a_shelled_sphere_scans_no_residues(monkeypatch):
     calls = []
     connected = manifold._connected
@@ -362,8 +382,8 @@ def test_homology_manifold_fails_first_on_a_three_dimensional_link():
     assert z2_betti(s2s1) == (0, 1, 1, 1)
     # neither shells, so both verdicts come from the ranked links
     suspension = s2s1.suspension()
-    assert manifold._greedy_shelling(s2s1) is None
-    assert manifold._greedy_shelling(suspension) is None
+    assert manifold._shelled.__wrapped__(s2s1) is None
+    assert manifold._shelled.__wrapped__(suspension) is None
     assert is_homology_manifold(s2s1) == (True, None)
     # an apex link is S^2 x S^1, whose b_1 = 1 the rank path must see
     assert is_homology_manifold(suspension) == (False, ("_apex0",))
