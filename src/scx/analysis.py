@@ -10,11 +10,10 @@ are conditional, so an unmet hypothesis must never count as a pass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .banner import BannerClass, _link_banner, banner_number, classify
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, _Record
 from .errors import EmptyOutside, NotPure, ScxError, UnknownProperty
 from .generators import catalog, display_name
 from .graphs import _reach, is_outside_connected, skeleton, vertex_connectivity
@@ -32,8 +31,8 @@ from .manifold import (
 SCHEMA = "scx-report/1"
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(_Record):
+    __slots__ = ()
     name: str
     dim: int
     f_vector: tuple[int, ...]
@@ -110,7 +109,7 @@ def analyze(c: SimplicialComplex, name: str = "complex") -> AnalysisReport:
     )
 
 
-_REPORT_KEYS = ["schema"] + [f.name for f in fields(AnalysisReport)]
+_REPORT_KEYS = ["schema", *AnalysisReport._fields]
 # the JSON type of each report field, read off its annotation: a tuple is a
 # list of ints, and bool is not an int
 _JSON_TYPES = {
@@ -118,8 +117,8 @@ _JSON_TYPES = {
     "tuple[int,...]": list,
 }
 _REPORT_TYPES = {
-    f.name: tuple(_JSON_TYPES[t] for t in f.type.replace(" ", "").split("|"))
-    for f in fields(AnalysisReport)
+    key: tuple(_JSON_TYPES[t] for t in annotation.replace(" ", "").split("|"))
+    for key, annotation in AnalysisReport.__annotations__.items()
 }
 
 
@@ -191,8 +190,8 @@ def report_from_json(text: str) -> AnalysisReport:
 # in order, is the skip reason, so later predicates may assume earlier ones.
 
 
-@dataclass(frozen=True)
-class PropertyCheckResult:
+class PropertyCheckResult(_Record):
+    __slots__ = ()
     property_id: str
     verdict: str  # "pass", "fail" or "skip"
     detail: str
@@ -494,8 +493,8 @@ def verify_property(property_id: str, c: SimplicialComplex) -> PropertyCheckResu
 # -- corpus verification ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CorpusRow:
+class CorpusRow(_Record):
+    __slots__ = ()
     name: str
     property_id: str
     verdict: str  # "pass", "fail", "skip" or "error"
@@ -503,8 +502,8 @@ class CorpusRow:
     payload: dict | None = None
 
 
-@dataclass(frozen=True)
-class CorpusSummary:
+class CorpusSummary(_Record):
+    __slots__ = ()
     rows: tuple[CorpusRow, ...]
     errors: tuple[str, ...]
 

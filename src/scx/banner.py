@@ -22,10 +22,9 @@ strongly banner complex needs the last scan, and no larger j.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .complexes import Face, Label, SimplicialComplex, _iter_bits, _memoized
+from .complexes import Face, Label, SimplicialComplex, _iter_bits, _memoized, _Record
 from .errors import NoBoundary, NotAClique, NotPure
 from .graphs import skeleton
 from .manifold import _closed_normal
@@ -33,30 +32,30 @@ from .manifold import _closed_normal
 _TRIANGLE_F_VECTOR = (1, 3, 3)
 
 
-@dataclass(frozen=True)
-class BannerWitness:
+class BannerWitness(_Record):
+    __slots__ = ()
     level: str  # which property the witness refutes
     kind: str  # "non_spanning_clique", "critical_non_spanning_clique", "simplex_boundary"
     vertices: Face
 
 
-@dataclass(frozen=True)
-class BannerClass:
+class BannerClass(_Record):
+    __slots__ = ()
     flag: bool
     strongly_banner: bool
     banner: bool
     witness: BannerWitness | None
 
 
-@dataclass(frozen=True)
-class BannerNumber:
+class BannerNumber(_Record):
+    __slots__ = ()
     value: int | None  # None when no admissible level exists
     passed_faces: int  # the number of faces at the accepted level
     failing_face: Face | None  # a witness one level below (or at d-1 if undefined)
 
 
-@dataclass(frozen=True)
-class TildeCliques:
+class TildeCliques(_Record):
+    __slots__ = ()
     apex: Label
     plain: tuple[Face, ...]  # cliques of the ball's skeleton
     from_boundary: tuple[Face, ...]  # boundary cliques plus the apex

@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for usage
-or input errors.
+or input errors, and 141 (128 + SIGPIPE, as a shell reports a command
+that SIGPIPE ends) when the reader closes the output pipe early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import analysis, complexes, generators
@@ -17,6 +19,8 @@ from .graphs import independent_paths, skeleton, vertex_connectivity
 from .homology import z2_betti, z2_relative_betti
 from .manifold import find_shelling, is_pseudomanifold
 from .kernels import BACKEND
+
+CLOSED_PIPE = 141
 
 
 def _load(path: str) -> complexes.SimplicialComplex:
@@ -248,7 +252,15 @@ def main(argv=None) -> int:
     if args.command == "shelling" and args.budget < 1:
         parser.error(f"--budget must be at least 1, not {args.budget}")
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a buffered write to a closed pipe fails here
+        return status
+    except BrokenPipeError:
+        # the reader stopped early: what is left, and the flush at exit, goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_PIPE
     except ScxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

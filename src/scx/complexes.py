@@ -62,6 +62,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+from collections import namedtuple
 from typing import AbstractSet, Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
@@ -97,6 +98,71 @@ def _memoized(key: str) -> Callable[[Callable[[Any], _T]], Callable[[Any], _T]]:
         return memoized
 
     return decorate
+
+
+class _Record(tuple):
+    """Base of the immutable result records (``BannerClass``,
+    ``ConnectivityResult``, ``AnalysisReport`` and the rest).
+
+    A record class lists its fields as annotations, in order; a class
+    attribute named like a field is that field's default, and fields with
+    defaults come last.  ``__init_subclass__`` takes the constructor and
+    one C getter per field from a ``namedtuple`` of the same fields, so a
+    record costs about what a tuple costs to build and hash.  Each record
+    class sets ``__slots__ = ()``, so a record has no attribute dict.
+
+    A record is a tuple: it unpacks, iterates and indexes as the tuple of
+    its fields, and its hash is that tuple's hash.  It is not a plain
+    named tuple, though: it equals only a record of its own class with
+    equal fields, never a plain tuple or a record of another class; it
+    refuses assignment and ordering; and its ``repr`` is
+    ``Name(field=value, ...)``.  ``len`` counts its fields unless the class
+    defines it, as ``PathFamily`` does.  Code that tests
+    ``isinstance(value, tuple)`` takes a record for a tuple: ``report_json``
+    would write a record field as a JSON list, though no report field
+    holds a record.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = tuple(cls.__annotations__)
+        defaults = [cls.__dict__[f] for f in fields if f in cls.__dict__]
+        if any(f not in cls.__dict__ for f in fields[len(fields) - len(defaults) :]):
+            raise TypeError(f"{cls.__name__}: a field without a default follows a default")
+        base = namedtuple(cls.__name__, fields, defaults=defaults)
+        cls.__new__ = staticmethod(base.__new__)
+        for f in fields:
+            setattr(cls, f, base.__dict__[f])
+        cls._fields = fields
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)  # copy and pickle pass the fields to ``__new__``
+
+    def __eq__(self, other: object) -> Any:
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        # NotImplemented would let a plain tuple's reflected == compare the fields
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> Any:
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = tuple.__hash__
+
+    def _unordered(self, other: object) -> bool:
+        raise TypeError(f"{self.__class__.__name__} records are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self))
+        return f"{self.__class__.__qualname__}({items})"
 
 
 def _check_labels(labels: Iterable[Label]) -> None:

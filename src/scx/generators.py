@@ -9,9 +9,8 @@ bit-identically across platforms and runs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, dumps
+from .complexes import SimplicialComplex, _Record, dumps
 from .errors import ScxError
 from .manifold import is_pseudomanifold
 
@@ -218,8 +217,8 @@ def fan_ball() -> SimplicialComplex:
 # -- the default corpus -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(_Record):
+    __slots__ = ()
     name: str
     params: tuple = ()
     closed: bool = False  # expected to be a closed pseudomanifold

@@ -56,10 +56,9 @@ maximum flow, so the cut does not depend on which paths the flow found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .complexes import Label, SimplicialComplex, _iter_bits, _memoized
+from .complexes import Label, SimplicialComplex, _iter_bits, _memoized, _Record
 from .errors import EmptyOutside, SameVertex, UnknownVertex
 from .kernels import unit_maxflow
 
@@ -148,21 +147,21 @@ def neighborhood(c: SimplicialComplex, vertex: Label) -> frozenset[Label]:
     return frozenset(g.labels[j] for j in _iter_bits(g.masks[i] | 1 << i))
 
 
-@dataclass(frozen=True)
-class CutSet:
+class CutSet(_Record):
+    __slots__ = ()
     vertices: tuple[str, ...]
     pair: tuple[str, str]
 
 
-@dataclass(frozen=True)
-class ConnectivityResult:
+class ConnectivityResult(_Record):
+    __slots__ = ()
     value: int
     complete: bool
     cut: CutSet | None
 
 
-@dataclass(frozen=True)
-class PathFamily:
+class PathFamily(_Record):
+    __slots__ = ()
     endpoints: tuple[str, str]
     paths: tuple[tuple[str, ...], ...]
 

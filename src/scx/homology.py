@@ -86,11 +86,3 @@ def z2_relative_betti(
 def sphere_pattern(dim: int, length: int) -> BettiVector:
     """Reduced Betti vector of a ``dim``-sphere, padded to ``length`` entries."""
     return tuple(1 if i == dim else 0 for i in range(length))
-
-
-def euler_characteristic_checks(c: SimplicialComplex) -> tuple[int, int]:
-    """Both sides of the reduced Euler identity (face counts vs. Betti)."""
-    f = c.f_vector()
-    lhs = sum((-1) ** k * f[k + 1] for k in range(c.dim + 1)) - 1
-    rhs = sum((-1) ** k * b for k, b in enumerate(z2_betti(c)))
-    return lhs, rhs

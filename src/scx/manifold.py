@@ -61,30 +61,29 @@ antistar impure; when v lies in every facet its antistar is its link.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import Face, SimplicialComplex, _iter_bits, _memoized
+from .complexes import Face, SimplicialComplex, _iter_bits, _memoized, _Record
 from .errors import BadSeed, EmptyComplex, NotPseudomanifold, NotPure, SearchBudgetExceeded
 from .graphs import _reach, skeleton
 from .homology import sphere_pattern, z2_betti
 
 
-@dataclass(frozen=True)
-class FacetGraph:
+class FacetGraph(_Record):
+    __slots__ = ()
     facets: tuple[Face, ...]
     edges: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class NormalityResult:
+class NormalityResult(_Record):
+    __slots__ = ()
     normal: bool
     witness: Face | None
 
 
-@dataclass(frozen=True)
-class ManifoldClass:
+class ManifoldClass(_Record):
+    __slots__ = ()
     pseudomanifold: str  # "closed", "with_boundary" or "no"
     strongly_connected: bool
     normal: bool | None  # None when not a pseudomanifold
@@ -274,8 +273,8 @@ def manifold_class(c: SimplicialComplex) -> ManifoldClass:
 # -- shelling search -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShellingOrder:
+class ShellingOrder(_Record):
+    __slots__ = ()
     facets: tuple[Face, ...]
 
 

@@ -53,6 +53,7 @@ GRAPHS = "tests/test_graphs.py::"
 ANALYSIS = "tests/test_analysis.py::"
 COMPLEXES = "tests/test_complexes.py::"
 FUZZ = "tests/test_fuzz.py::"
+RECORDS = "tests/test_records.py::"
 
 MUTANTS = (
     Mutant(
@@ -299,6 +300,17 @@ MUTANTS = (
         "                value = build(x)\n",
         "every memoized invariant is rebuilt on each call, since nothing is kept",
         (ANALYSIS + "test_verify_corpus_computes_each_invariant_once",),
+    ),
+    Mutant(
+        "record-eq-ignores-class",
+        "src/scx/complexes.py",
+        "        if other.__class__ is self.__class__:\n            return tuple.__eq__(self, other)\n",
+        "        if isinstance(other, tuple):\n            return tuple.__eq__(self, other)\n",
+        "a record equals a plain tuple, or a record of another class, with the same fields",
+        (
+            RECORDS + "test_equal_only_to_a_record_of_its_class",
+            RECORDS + "test_records_of_two_classes_with_equal_fields_differ",
+        ),
     ),
 )
 

@@ -10,6 +10,8 @@ genuinely separate routes:
   each pair's flow, on an explicit vertex-split network of residual arcs,
 - maximum independent path families by DFS packing over all simple paths,
 - GF(2) ranks by dense numpy elimination,
+- the reduced Euler characteristic by face counts, against the Betti
+  numbers,
 - face counts by raw subset enumeration,
 - flagness by scanning all vertex subsets,
 - banner classes by label tuples probed with ``has_face``,
@@ -414,6 +416,15 @@ def betti_by_dense_rank(c) -> tuple[int, ...]:
         upper = ranks[m + 1] if m + 1 < top else 0
         out.append(len(layers[m]) - ranks[m] - upper)
     return tuple(out)
+
+
+def euler_characteristic_checks(c) -> tuple[int, int]:
+    """Both sides of the reduced Euler identity: face counts against the
+    library's Betti numbers."""
+    f = c.f_vector()
+    lhs = sum((-1) ** k * f[k + 1] for k in range(c.dim + 1)) - 1
+    rhs = sum((-1) ** k * b for k, b in enumerate(z2_betti(c)))
+    return lhs, rhs
 
 
 def normal_by_links(c) -> tuple[bool, tuple[str, ...] | None]:

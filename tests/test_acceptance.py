@@ -32,15 +32,10 @@ from scx.graphs import (
     skeleton,
     vertex_connectivity,
 )
-from scx.homology import (
-    euler_characteristic_checks,
-    sphere_pattern,
-    z2_betti,
-    z2_relative_betti,
-)
+from scx.homology import sphere_pattern, z2_betti, z2_relative_betti
 from scx.manifold import find_shelling, is_homology_manifold, is_pseudomanifold, manifold_class
 
-from oracles import brute_max_independent_family, brute_min_vertex_cut
+from oracles import brute_max_independent_family, brute_min_vertex_cut, euler_characteristic_checks
 
 
 @contextmanager

@@ -792,6 +792,29 @@ def test_python_m_scx_runs_the_cli():
     assert done.stdout == "False\n", done.stderr
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_cli_stops_quietly_when_the_reader_closes_the_pipe(unbuffered):
+    """``scx verify --corpus --json | head -1``: the JSON is larger than a
+    64 KiB pipe buffer, so a write fails once the reader has gone, either
+    in ``print`` or, with buffered stdout, in the flush after it."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(analysis.__file__).parents[1]),
+        PYTHONUNBUFFERED=unbuffered,
+    )
+    command = [sys.executable, "-m", "scx", "verify", "--corpus", "--json"]
+    proc = subprocess.Popen(
+        command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    status = proc.wait(timeout=60)
+    assert err == ""  # no traceback, no "Exception ignored" at exit
+    assert status == cli.CLOSED_PIPE  # not 1, which means a failed check
+
+
 def test_cli_gen_list(capsys):
     assert cli.main(["gen", "--list"]) == 0
     assert "ring-ball" in capsys.readouterr().out

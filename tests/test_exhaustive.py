@@ -14,7 +14,6 @@ import functools
 import itertools
 import random
 import runpy
-from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -199,7 +198,8 @@ def test_manifold_recognition_and_flagness_match_oracles_on_every_small_complex(
             normal = normal_by_links(c)
             res = is_normal(c)
             assert (res.normal, res.witness) == normal, c.facets
-            assert astuple(_residue_scan(c)) == normal, c.facets
+            scan = _residue_scan(c)
+            assert (scan.normal, scan.witness) == normal, c.facets
         betti = betti_by_dense_rank(c)
         assert _verdicts_match(c, hm, normal, betti) == banner_number_by_links(c), c.facets
         ruled += c.dim >= 1 and is_pseudomanifold(c) == "closed" and normal == (True, None)
@@ -447,7 +447,8 @@ def test_skeleton_searches_match_built_complexes_on_every_small_complex():
             ), (c.facets, v)
         g = skeleton(c)
         res = vertex_connectivity(g)
-        got = (res.value, None, None) if res.cut is None else (res.value, *astuple(res.cut))
+        cut = res.cut
+        got = (res.value, None, None) if cut is None else (res.value, cut.vertices, cut.pair)
         key = (g.labels, g.masks)
         if key not in references:  # the reference of a skeleton met before
             references[key] = all_pairs_connectivity(g)

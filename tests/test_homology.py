@@ -11,14 +11,13 @@ from scx.generators import (
 )
 from scx.graphs import neighborhood
 from scx.homology import (
-    euler_characteristic_checks,
     sphere_pattern,
     unreduced_betti,
     z2_betti,
     z2_relative_betti,
 )
 
-from oracles import betti_by_dense_rank
+from oracles import betti_by_dense_rank, euler_characteristic_checks
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
