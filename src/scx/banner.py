@@ -63,27 +63,25 @@ class TildeCliques(_Record):
 
 
 def cliques_ids(c: SimplicialComplex, j: int) -> Iterator[tuple[int, ...]]:
-    """All j-vertex cliques of the skeleton, ascending id tuples."""
+    """All j-vertex cliques of the skeleton as ascending id tuples, in lexicographic order;
+    a branch is pruned when fewer candidates remain than the clique still needs."""
     if j < 1:
         return
-    n = c.n_vertices
-    if j == 1:
-        yield from ((i,) for i in range(n))
-        return
-    masks = skeleton(c).masks
-    full = (1 << n) - 1
-
-    def extend(prefix: tuple[int, ...], cand: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == j:
-            yield prefix
-            return
-        need = j - len(prefix)
-        for v in _iter_bits(cand):
-            rest = cand & masks[v] & ~((1 << (v + 1)) - 1)
-            if rest.bit_count() >= need - 1:
-                yield from extend(prefix + (v,), rest)
-
-    yield from extend((), full)
+    masks, need, prefix = skeleton(c).masks, j - 1, [0] * j
+    untried = [0] * need + [(1 << c.n_vertices) - 1]  # per depth, by picks to follow
+    while need < j:
+        cand = untried[need]
+        if not cand:
+            need += 1
+            continue
+        low = cand & -cand
+        untried[need] = cand = cand ^ low
+        prefix[~need] = v = low.bit_length() - 1
+        if not need:
+            yield tuple(prefix)
+        elif (rest := cand & masks[v]).bit_count() >= need:
+            need -= 1
+            untried[need] = rest
 
 
 def cliques(c: SimplicialComplex, j: int) -> Iterator[Face]:

@@ -247,15 +247,17 @@ def _absorbed_bound(g: SkeletonGraph, m: int) -> int:
 def _reach(masks: Sequence[int], seen: int, allowed: int) -> int:
     """The nodes reachable from the node set ``seen`` through nodes of ``allowed``.
 
-    Bit j of ``masks[i]`` joins nodes i and j, and node sets are bitmasks;
-    the result is ``seen`` with every node of ``allowed`` that a path inside
-    ``allowed`` joins to it, found one frontier at a time.
+    Node sets are bitmasks, and bit j of ``masks[i]`` joins nodes i and j.  The
+    result adds to ``seen`` every node of ``allowed`` that a path inside ``allowed``
+    joins to it.  It grows one frontier at a time, walked inline lowest bit first.
     """
     frontier = seen
     while frontier:
         reach = 0
-        for w in _iter_bits(frontier):
-            reach |= masks[w]
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
         frontier = reach & allowed & ~seen
         seen |= frontier
     return seen

@@ -55,6 +55,9 @@ COMPLEXES = "tests/test_complexes.py::"
 FUZZ = "tests/test_fuzz.py::"
 RECORDS = "tests/test_records.py::"
 
+# The clique walk's prune has an off-by-one mutant but no mutant that drops
+# it: without the prune the walk yields the same cliques in the same order
+# and only explores more, so no test of its output could kill that one.
 MUTANTS = (
     Mutant(
         "level-rule-without-normality",
@@ -163,6 +166,26 @@ MUTANTS = (
         "    if _reach(",
         "the cut certificate is accepted whatever its size",
         (GRAPHS + "test_connectivity_rejects_a_cut_larger_than_kappa",),
+    ),
+    Mutant(
+        "clique-prune-off-by-one",
+        "src/scx/banner.py",
+        ".bit_count() >= need:",
+        ".bit_count() > need:",
+        "the clique walk prunes a branch that has exactly enough candidates left",
+        (
+            BANNER + "test_cliques_ids_at_the_edge_sizes",
+            EX + "test_cliques_match_label_combinations_on_every_small_complex_and_antichain",
+            EX + "test_cliques_match_the_recursive_walk_on_seeded_spheres",
+        ),
+    ),
+    Mutant(
+        "reach-skips-last-frontier-bit",
+        "src/scx/graphs.py",
+        "        while frontier:\n            low = frontier & -frontier\n",
+        "        while frontier & (frontier - 1):\n            low = frontier & -frontier\n",
+        "the frontier search stops its walk of each frontier one bit early",
+        (EX + "test_reach_matches_a_plain_bfs_on_every_small_skeleton_and_ridge_graph",),
     ),
     Mutant(
         "classify-scans-swapped",

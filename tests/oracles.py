@@ -14,6 +14,10 @@ genuinely separate routes:
   numbers,
 - face counts by raw subset enumeration,
 - flagness by scanning all vertex subsets,
+- cliques by ``itertools.combinations`` over the labels, each pair probed
+  with ``has_face``, and, for inputs too large for that, by the recursive
+  generator walk that the explicit-stack walk replaced,
+- frontier searches by a plain BFS over neighbor lists,
 - banner classes by label tuples probed with ``has_face``,
 - banner status of face links on built link complexes, classified on
   label tuples, with the triangle told by brute-force face counts,
@@ -42,6 +46,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -51,7 +56,6 @@ from scx.banner import (
     BannerWitness,
     banner_number,
     banner_or_triangle,
-    cliques,
 )
 from scx.complexes import SimplicialComplex, _iter_bits
 from scx.errors import EmptyOutside, NoBoundary, NotPseudomanifold, NotPure, ScxError
@@ -683,6 +687,47 @@ def greedy_shelling_by_rescan(c) -> tuple[int, ...] | None:
         order.append(i)
 
 
+def cliques_by_combinations(c, j) -> Iterator[tuple[str, ...]]:
+    """The j-cliques of ``c`` as label tuples, lexicographic: every j-subset
+    of the sorted labels whose pairs are all edges."""
+    for t in itertools.combinations(c.vertices, j):
+        if all(c.has_face(pair) for pair in itertools.combinations(t, 2)):
+            yield t
+
+
+def cliques_by_recursion(c, j) -> list[tuple[int, ...]]:
+    """The j-cliques of ``c`` as id tuples, from one nested generator per
+    clique vertex over the skeleton's bitmasks, pruned like the library's."""
+    masks = skeleton(c).masks
+
+    def extend(prefix, cand):
+        if len(prefix) == j:
+            yield prefix
+            return
+        for v in _iter_bits(cand):
+            rest = cand & masks[v] & ~((1 << (v + 1)) - 1)
+            if rest.bit_count() >= j - len(prefix) - 1:
+                yield from extend(prefix + (v,), rest)
+
+    return list(extend((), (1 << c.n_vertices) - 1)) if j >= 1 else []
+
+
+def reach_by_bfs(masks, seen: int, allowed: int) -> int:
+    """``graphs._reach`` by a breadth-first search over neighbor lists:
+    the nodes of ``seen``, and those of ``allowed`` that a path inside
+    ``allowed`` joins to one of them, as a bitmask."""
+    n = len(masks)
+    neighbors = [[w for w in range(n) if masks[i] >> w & 1] for i in range(n)]
+    found = {i for i in range(n) if seen >> i & 1}
+    queue = deque(sorted(found))
+    while queue:
+        for w in neighbors[queue.popleft()]:
+            if allowed >> w & 1 and w not in found:
+                found.add(w)
+                queue.append(w)
+    return sum(1 << i for i in found)
+
+
 def classify_by_labels(c) -> BannerClass:
     """Flag / strongly banner / banner of a pure complex, on label tuples.
 
@@ -692,7 +737,7 @@ def classify_by_labels(c) -> BannerClass:
     d = c.dim
 
     def simplex_boundary(k):
-        for t in cliques(c, k + 1):
+        for t in cliques_by_combinations(c, k + 1):
             if all(c.has_face(t[:i] + t[i + 1 :]) for i in range(len(t))):
                 return t
         return None
@@ -701,7 +746,7 @@ def classify_by_labels(c) -> BannerClass:
         c.vertices[:2] if c.n_vertices >= 2 else None
     )
     critical_viol = spanning_viol = None
-    for t in cliques(c, d + 1):
+    for t in cliques_by_combinations(c, d + 1):
         if c.has_face(t):
             continue
         if spanning_viol is None:
@@ -713,7 +758,7 @@ def classify_by_labels(c) -> BannerClass:
     flag_viol = None
     for size in range(3, d + 3):
         found_any = False
-        for t in cliques(c, size):
+        for t in cliques_by_combinations(c, size):
             found_any = True
             if not c.has_face(t):
                 flag_viol = t

@@ -12,6 +12,7 @@ from scx.banner import (
     classify,
     classify_tilde_cliques,
     cliques,
+    cliques_ids,
     contains_simplex_boundary,
     is_critical,
     is_spanning,
@@ -49,6 +50,18 @@ def test_cliques_of_complete_skeleton():
     c = simplex_boundary(3)
     assert list(cliques(c, 4)) == [("v0", "v1", "v2", "v3")]
     assert len(list(cliques(c, 2))) == 6
+
+
+def test_cliques_ids_at_the_edge_sizes():
+    """No clique has no vertex or more vertices than the complex, and the
+    1-cliques are the vertices, on a point, the 0-sphere and a solid
+    triangle; the boundary of a tetrahedron has the one 4-clique."""
+    for c in (simplex(0), simplex_boundary(1), simplex(2)):
+        n = c.n_vertices
+        assert list(cliques_ids(c, 0)) == [], c.facets
+        assert list(cliques_ids(c, 1)) == [(i,) for i in range(n)], c.facets
+        assert list(cliques_ids(c, n + 1)) == [], c.facets
+    assert list(cliques_ids(simplex_boundary(3), 4)) == [(0, 1, 2, 3)]
 
 
 def test_cliques_respect_lexicographic_order():

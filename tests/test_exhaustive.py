@@ -27,11 +27,12 @@ from scx.analysis import (
     verify_corpus,
     verify_property,
 )
-from scx.banner import banner_number, classify, classify_tilde_cliques
+from scx.banner import banner_number, classify, classify_tilde_cliques, cliques_ids
 from scx.complexes import SimplicialComplex, _iter_bits, _maximal, loads
 from scx.errors import EmptyComplex, ScxError
 from scx.generators import catalog
 from scx.graphs import (
+    _reach,
     is_outside_connected,
     skeleton,
     vertex_connectivity,
@@ -43,6 +44,7 @@ from scx.manifold import (
     _may_follow,
     _residue_scan,
     _restriction,
+    _ridge_graph,
     _shelled,
     _vertex_facets,
     facet_graph,
@@ -64,6 +66,8 @@ from oracles import (
     brute_is_flag,
     built_fields,
     classify_by_labels,
+    cliques_by_combinations,
+    cliques_by_recursion,
     greedy_shelling_by_rescan,
     homology_manifold_ascending,
     link_values_bounded_by_links,
@@ -73,6 +77,7 @@ from oracles import (
     outside_connected_by_complexes,
     pair_cuts_by_split_network,
     pseudomanifold_by_ridge_counts,
+    reach_by_bfs,
     relative_betti_by_complexes,
     relative_homology_matches_by_complexes,
     shelling_step_by_meets,
@@ -271,6 +276,34 @@ def test_manifold_verdicts_and_banner_numbers_match_oracles_on_seeded_spheres():
         assert c.vertices[0] == "_apex0" or not cone, name
         betti = (0,) * (c.dim + 1) if cone else sphere_pattern(c.dim, c.dim + 1)
         assert _verdicts_match(c, hm, normal_by_links(c), betti) == banner_number_by_links(c), name
+
+
+def test_cliques_match_the_recursive_walk_on_seeded_spheres():
+    """The explicit-stack clique walk against the recursive generator walk
+    it replaced, in order, for j = 1 ... d + 3 on the seeded inputs with
+    their cones and suspensions, which are too large to enumerate by
+    combinations of labels."""
+    found = 0
+    for name, c in _seeded_spheres():
+        for j in range(1, c.dim + 4):
+            expected = cliques_by_recursion(c, j)
+            assert list(cliques_ids(c, j)) == expected, (name, j)
+            found += len(expected)
+    assert found == 131_912
+
+
+def test_reach_matches_a_plain_bfs_on_every_small_skeleton_and_ridge_graph():
+    """``_reach`` from each node, through every node or all but one, against
+    a breadth-first search, on the distinct skeletons and ridge graphs of
+    the small complexes."""
+    graphs = {skeleton(c).masks for c in SMALL} | {_ridge_graph(c) for c in SMALL}
+    for masks in graphs:
+        full = (1 << len(masks)) - 1
+        for start in range(len(masks)):
+            for allowed in (full, *(full ^ 1 << x for x in range(len(masks)))):
+                expected = reach_by_bfs(masks, 1 << start, allowed)
+                assert _reach(masks, 1 << start, allowed) == expected, (masks, start, allowed)
+    assert len(graphs) == 1415
 
 
 def _closed_ridges(c: SimplicialComplex) -> bool:
@@ -523,6 +556,16 @@ def test_every_small_antichain_passes_or_skips():
         if c.is_pure:
             report = analyze(c, name=f"a{i}")
             assert report_from_json(report_json(report)) == report, c.facets
+
+
+def test_cliques_match_label_combinations_on_every_small_complex_and_antichain():
+    """The clique walk against every j-subset of the sorted labels whose
+    pairs are all edges, in order, for j = 1 ... d + 2."""
+    antichains = [SimplicialComplex([[f"x{v}" for v in s] for s in a]) for a in ANTICHAINS]
+    for c in SMALL + antichains:
+        for j in range(1, c.dim + 3):
+            walked = [tuple(c.vertices[i] for i in t) for t in cliques_ids(c, j)]
+            assert walked == list(cliques_by_combinations(c, j)), (c.facets, j)
 
 
 def test_link_banner_matches_built_links_on_every_small_antichain():
