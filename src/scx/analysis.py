@@ -13,7 +13,7 @@ import json
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .banner import BannerClass, _link_banner, banner_number, classify
-from .complexes import SimplicialComplex, _Record
+from .complexes import SimplicialComplex, _iter_bits, _Record, _vertex_facets
 from .errors import EmptyOutside, NotPure, ScxError, UnknownProperty
 from .generators import catalog, display_name
 from .graphs import _reach, is_outside_connected, skeleton, vertex_connectivity
@@ -21,7 +21,6 @@ from .homology import z2_betti, z2_relative_betti
 from .manifold import (
     _closed_normal,
     _ridge_graph,
-    _vertex_facets,
     is_homology_manifold,
     is_pseudomanifold,
     manifold_class,
@@ -255,9 +254,9 @@ def _antistars_connected(c: SimplicialComplex) -> tuple:
 
 
 def _no_neighborhood_containment(c: SimplicialComplex) -> tuple:
-    # closed neighborhoods as bitmasks; edges in id order, which is label order
+    # closed neighborhoods as bitmasks; edges x < y in id order, which is label order
     masks = skeleton(c).masks
-    edges = sorted(c.faces_ids(2))
+    edges = [(x, y) for x, near in enumerate(masks) for y in _iter_bits(near & -(2 << x))]
     for x, y in edges:
         hx, hy = masks[x] | 1 << x, masks[y] | 1 << y
         if hx & hy in (hx, hy):

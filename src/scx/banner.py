@@ -25,6 +25,7 @@ import itertools
 from typing import Iterable, Iterator
 
 from .complexes import Face, Label, SimplicialComplex, _iter_bits, _memoized, _Record
+from .complexes import _holding, _vertex_facets
 from .errors import NoBoundary, NotAClique, NotPure
 from .graphs import skeleton
 from .manifold import _closed_normal
@@ -117,9 +118,9 @@ def contains_simplex_boundary(c: SimplicialComplex, k: int) -> Face | None:
     """
     if k < 2:
         raise ValueError("subcomplex probe needs k >= 2")
-    faces = c.faces_ids(k)
+    vertex_facets = _vertex_facets(c)
     for t in cliques_ids(c, k + 1):
-        if all(t[:i] + t[i + 1 :] in faces for i in range(len(t))):
+        if all(_holding(vertex_facets, t[:i] + t[i + 1 :]) for i in range(len(t))):
             return c._face_labels(t)
     return None
 
@@ -142,7 +143,7 @@ def classify(c: SimplicialComplex) -> BannerClass:
     (d+1)-clique as a face and no (d+2)-clique, since the (d+1)-subsets of
     one would be cliques, so faces, and span the boundary of a simplex.
     Cliques and faces are sorted id tuples; labels are only for the
-    witness.
+    witness.  A clique is a face when ``complexes._holding`` is non-zero.
     """
     if not c.is_pure:
         raise NotPure("banner classification needs a pure complex")
@@ -152,12 +153,12 @@ def classify(c: SimplicialComplex) -> BannerClass:
             return BannerClass(True, True, True, None)
         witness = BannerWitness("banner", "simplex_boundary", c.vertices[:2])
         return BannerClass(True, False, False, witness)
-    top, ridges = c.faces_ids(d + 1), c.faces_ids(d)
+    vertex_facets = _vertex_facets(c)
     spanning_viol: tuple[int, ...] | None = None
     for t in cliques_ids(c, d + 1):
-        if t in top:
+        if _holding(vertex_facets, t):
             continue
-        if any(t[:i] + t[i + 1 :] in ridges for i in range(len(t))):
+        if any(_holding(vertex_facets, t[:i] + t[i + 1 :]) for i in range(len(t))):
             witness = BannerWitness("banner", "critical_non_spanning_clique", c._face_labels(t))
             return BannerClass(False, False, False, witness)
         if spanning_viol is None:
@@ -171,9 +172,8 @@ def classify(c: SimplicialComplex) -> BannerClass:
         witness = BannerWitness("strongly_banner", "non_spanning_clique", labels)
         return BannerClass(False, False, True, witness)
     for size in range(3, d + 1):
-        faces = c.faces_ids(size)
         for t in cliques_ids(c, size):
-            if t not in faces:
+            if not _holding(vertex_facets, t):
                 witness = BannerWitness("flag", "non_spanning_clique", c._face_labels(t))
                 return BannerClass(False, True, True, witness)
     return BannerClass(True, True, True, None)
@@ -307,20 +307,15 @@ def classify_tilde_cliques(ball: SimplicialComplex, j: int) -> TildeCliques:
         raise NoBoundary("complex is closed; nothing was coned")
     closed = ball._tilde(bd)
     apex = (set(closed.vertices) - set(ball.vertices)).pop()
-    bd_edges = bd.faces(2)
     bd_vertices = set(bd.vertices)
-
     plain: list[Face] = []
     from_boundary: list[Face] = []
     stranded: list[Face] = []
     for t in cliques(closed, j):
-        if apex not in t:
-            plain.append(t)
-            continue
         rest = tuple(v for v in t if v != apex)
-        if all(v in bd_vertices for v in rest) and all(
-            (a, b) in bd_edges for a, b in itertools.combinations(rest, 2)
-        ):
+        if rest == t:
+            plain.append(t)
+        elif set(rest) <= bd_vertices and all(map(bd.has_face, itertools.combinations(rest, 2))):
             from_boundary.append(t)
         else:
             stranded.append(t)

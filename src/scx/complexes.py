@@ -15,15 +15,15 @@ A complex is immutable once built.  The empty complex is
 unrepresentable: every constructor raises ``EmptyComplex`` rather than
 producing one.
 
-Each complex keeps one index from its faces to the facets holding them,
-built one face size at a time on first use (``_holders``).  Its keys are
-the faces (``faces_ids``); its ridge level holds what the pseudomanifold
-test, ``boundary()`` and the facet ridge graph need; and the star of a
-vertex starts from its holders.  Its lists are never mutated.  The
-residues G - F of the facets G holding a face F, which are the facets
-of its link, are computed only by ``_residues``: ``link``, the
-normality scan, the homology-manifold rank scan and the banner status
-of a face link read them.
+A vertex set is a face exactly when the AND of the masks of the facets
+holding each of its vertices (``_vertex_facets``) is non-zero, and that
+AND (``_holding``) is the mask of the facets holding it.  The residues
+G - F of these facets G, the facets of the link of F, are computed only
+by ``_residues``, which ``link``, both manifold scans and the banner
+status of a face link read.  Each face level (``faces_ids``) is a set
+built on first use, except the ridge level, which maps each face with
+``dim`` vertices to its holders (``_ridges``) for the pseudomanifold
+test, the facet ridge graph, the antistar check and ``boundary()``.
 
 Invariants computed from a complex that more than one caller reads (its
 banner class, banner number, pseudomanifold status, normality,
@@ -228,15 +228,12 @@ def _maximal(facets: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return maximal
 
 
-def _face_members(
-    facets: Sequence[tuple[int, ...]], k: int
-) -> dict[tuple[int, ...], list[int]]:
-    """Map each k-vertex face to the indices of the sorted id tuples containing it."""
-    out: dict[tuple[int, ...], list[int]] = {}
-    for i, f in enumerate(facets):
-        for face in itertools.combinations(f, k):
-            out.setdefault(face, []).append(i)
-    return out
+def _holding(vertex_facets: Sequence[int], ids: Iterable[int]) -> int:
+    """The AND of ``vertex_facets`` over ``ids``: the facets holding that face; -1 if empty."""
+    common = -1
+    for i in ids:
+        common &= vertex_facets[i]
+    return common
 
 
 class SimplicialComplex:
@@ -324,7 +321,7 @@ class SimplicialComplex:
         self.dim = max(sizes) - 1
         self.is_pure = len(sizes) == 1
         self.absorbed = absorbed
-        self._face_cache: dict[int, dict[tuple[int, ...], list[int]]] = {}
+        self._face_cache: dict[int, AbstractSet[tuple[int, ...]]] = {}
         self._memo: dict[str, object] = {}
         return self
 
@@ -369,47 +366,55 @@ class SimplicialComplex:
 
     # -- face enumeration -----------------------------------------------
 
-    def _holders(self, k: int) -> dict[tuple[int, ...], list[int]]:
-        """Each k-vertex face, as an id tuple, mapped to the indices into
-        ``_facets`` of the facets holding it; built once per ``k``.
-
-        Level ``dim`` holds the ridges of a pure complex and level 0 maps
-        the empty face to every facet.  The level is stored whole, so no
-        thread sees it half built, and its lists are never mutated.
-        """
-        level = self._face_cache.get(k)
-        if level is None:
-            level = self._face_cache[k] = _face_members(self._facets, k)
-        return level
+    def _ridges(self) -> dict[tuple[int, ...], list[int]]:
+        """Each face with ``dim`` vertices mapped to the indices into ``_facets`` of
+        its holders; stored whole, so no thread sees it half built, and never mutated."""
+        ridges = self._face_cache.get(self.dim)
+        if ridges is None:
+            ridges = {}
+            for i, f in enumerate(self._facets):
+                for r in itertools.combinations(f, self.dim):
+                    ridges.setdefault(r, []).append(i)
+            self._face_cache[self.dim] = ridges
+        return ridges  # type: ignore[return-value]
 
     def faces_ids(self, k: int) -> AbstractSet[tuple[int, ...]]:
         """All faces with exactly ``k`` vertices, as id tuples."""
         if k < 1 or k > self.dim + 1:
             return frozenset()
-        return self._holders(k).keys()
+        if k == self.dim:
+            return self._ridges().keys()
+        level = self._face_cache.get(k)
+        if level is None:
+            facets = self._facets
+            if k == 1:  # every id is a vertex
+                level = frozenset(zip(range(self.n_vertices)))
+            elif k > self.dim:  # the facets of the top size
+                level = frozenset(f for f in facets if len(f) == k)
+            else:
+                level = frozenset(itertools.chain(*(itertools.combinations(f, k) for f in facets)))
+            self._face_cache[k] = level
+        return level
 
     def faces(self, k: int) -> frozenset[Face]:
         """All faces with exactly ``k`` vertices, as label tuples."""
         return frozenset(self._face_labels(f) for f in self.faces_ids(k))
 
     def all_faces(self) -> frozenset[Face]:
-        out: set[Face] = set()
-        for k in range(1, self.dim + 2):
-            out.update(self.faces(k))
-        return frozenset(out)
+        return frozenset().union(*map(self.faces, range(1, self.dim + 2)))
 
     def has_face(self, face: Iterable[Label]) -> bool:
-        mask = 0
-        for v in face:
-            i = self._index.get(str(v))
-            if i is None:
-                return False
-            mask |= 1 << i
-        return any(mask & m == mask for m in self._masks)
+        ids = [self._index.get(str(v)) for v in face]
+        return None not in ids and _holding(_vertex_facets(self), ids) != 0
 
     def f_vector(self) -> FVector:
         """Face counts by dimension, starting with the empty face: (1, f0, ..., fd)."""
-        return (1,) + tuple(len(self.faces_ids(k)) for k in range(1, self.dim + 2))
+        from . import graphs  # graphs imports this module
+
+        d, facets = self.dim, self._facets
+        middle = map(len, map(self.faces_ids, range(3, d + 1)))  # no face set for d <= 3
+        top = len(facets) if self.is_pure else sum(len(f) == d + 1 for f in facets)
+        return (1, self.n_vertices, graphs.skeleton(self).n_edges, *middle, top)[: d + 2]
 
     # -- local subcomplexes ----------------------------------------------
 
@@ -435,15 +440,20 @@ class SimplicialComplex:
         """The vertex bitmasks G - F of the facets G holding the face F with
         sorted ``ids``, in facet order; empty when F is no face.  They are
         the facets of the link of F, and ``[0]`` when F is a facet."""
-        face = _mask(ids)
-        return [self._masks[i] ^ face for i in self._holders(len(ids)).get(ids, ())]
+        face, masks, out = _mask(ids), self._masks, []
+        holding = _holding(_vertex_facets(self), ids) & ((1 << len(masks)) - 1)
+        while holding:  # lowest bit first, so in facet order
+            low = holding & -holding
+            out.append(masks[low.bit_length() - 1] ^ face)
+            holding ^= low
+        return out
 
     def star(self, vertex: Label) -> "SimplicialComplex":
         """The cone over ``link(vertex)`` with apex ``vertex``."""
         i = self._index.get(str(vertex))
         if i is None:
             raise UnknownVertex(f"unknown vertex {vertex!r}")
-        facets = [self._facets[j] for j in self._holders(1)[(i,)]]
+        facets = [self._facets[j] for j in _iter_bits(_vertex_facets(self)[i])]
         return SimplicialComplex.__new__(SimplicialComplex)._absorb(self._labels, facets)
 
     def antistar(self, vertex: Label) -> "SimplicialComplex":
@@ -518,7 +528,7 @@ class SimplicialComplex:
         """
         if not self.is_pure:
             raise NotPure("boundary is defined for pure complexes")
-        rim = [r for r, m in self._holders(self.dim).items() if len(m) == 1]
+        rim = [r for r, m in self._ridges().items() if len(m) == 1]
         if not rim:
             return None
         return SimplicialComplex.__new__(SimplicialComplex)._absorb(self._labels, rim)
@@ -536,6 +546,16 @@ class SimplicialComplex:
         ids = [self._index[v] for v in bd._labels]  # sorted labels map to sorted ids
         rim = [tuple(ids[i] for i in f) for f in bd._facets]
         return self._join([apex], rim, self._facets)
+
+
+@_memoized("vertex_facets")
+def _vertex_facets(c: SimplicialComplex) -> tuple[int, ...]:
+    """For each vertex id of ``c``, the bitmask of the facets holding it; kept in ``c``'s memo."""
+    holding = [0] * c.n_vertices
+    for j, f in enumerate(c._facets):
+        for i in f:
+            holding[i] |= 1 << j
+    return tuple(holding)
 
 
 def from_facets(facets: Iterable[Iterable[Label]]) -> SimplicialComplex:

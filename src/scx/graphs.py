@@ -104,7 +104,7 @@ class SkeletonGraph:
 
     @property
     def n_edges(self) -> int:
-        return sum(m.bit_count() for m in self.masks) // 2
+        return sum(map(int.bit_count, self.masks)) // 2
 
     def id_of(self, label: str) -> int:
         try:

@@ -34,10 +34,7 @@ def _boundary_rank(
 
 def _betti_from_ranks(c: SimplicialComplex, skip_faces, reduced: bool) -> BettiVector:
     top = c.dim + 1
-    layers = [
-        [f for f in c.faces_ids(k) if not skip_faces or f not in skip_faces]
-        for k in range(1, top + 1)
-    ]
+    layers = [[f for f in c.faces_ids(k) if f not in skip_faces] for k in range(1, top + 1)]
     # ranks[k] = rank of the boundary map from cardinality-(k+1) faces down
     ranks = [0] * (top + 1)
     ranks[0] = 1 if reduced else 0  # augmentation onto the empty face
@@ -54,12 +51,12 @@ def _betti_from_ranks(c: SimplicialComplex, skip_faces, reduced: bool) -> BettiV
 @_memoized("z2_betti")
 def z2_betti(c: SimplicialComplex) -> BettiVector:
     """Reduced GF(2) Betti numbers (degree 0 through dim)."""
-    return _betti_from_ranks(c, None, reduced=True)
+    return _betti_from_ranks(c, (), reduced=True)
 
 
 def unreduced_betti(c: SimplicialComplex) -> BettiVector:
     """Unreduced GF(2) Betti numbers; degree 0 counts connected components."""
-    return _betti_from_ranks(c, None, reduced=False)
+    return _betti_from_ranks(c, (), reduced=False)
 
 
 def z2_relative_betti(
@@ -75,11 +72,7 @@ def z2_relative_betti(
     for facet in sub.facets:
         if not c.has_face(facet):
             raise NotSubcomplex(f"facet {facet} does not lie in the ambient complex")
-    sub_ids = frozenset(
-        c._face_ids(f)  # noqa: SLF001 - intra-package id view
-        for k in range(1, sub.dim + 2)
-        for f in sub.faces(k)
-    )
+    sub_ids = frozenset(map(c._face_ids, sub.all_faces()))  # noqa: SLF001 - intra-package id view
     return _betti_from_ranks(c, sub_ids, reduced=False)
 
 

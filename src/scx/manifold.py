@@ -20,11 +20,12 @@ connected exactly when the residues G - F of the facets G containing F
 (``SimplicialComplex._residues``), each joining its vertices, are, and
 the rank scan builds each link from those residues.
 
-The facets containing each ridge are the ridge level of the complex's
-face index (``SimplicialComplex._holders``), as the facets containing
-any smaller face are its lower levels.  The pseudomanifold test counts
-them, the antistar check finds the boundary ridges among them, and the
-facet ridge graph is built from them once.
+The facets containing each ridge are listed in the complex's ridge level
+(``SimplicialComplex._ridges``), the one face level kept with its holders;
+the facets containing any other face are the AND of the vertex-facet masks
+(``complexes._vertex_facets``).  The pseudomanifold test counts the
+ridges' holders, the antistar check finds the boundary ridges among them,
+and the facet ridge graph is built from them once.
 
 ``is_homology_manifold`` first tries one greedy shelling of a closed
 pseudomanifold of dimension d >= 1.  A shelling makes a pure complex a
@@ -64,7 +65,7 @@ import itertools
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .complexes import Face, SimplicialComplex, _iter_bits, _memoized, _Record
+from .complexes import Face, SimplicialComplex, _iter_bits, _memoized, _Record, _vertex_facets
 from .errors import BadSeed, EmptyComplex, NotPseudomanifold, NotPure, SearchBudgetExceeded
 from .graphs import _reach, skeleton
 from .homology import sphere_pattern, z2_betti
@@ -97,19 +98,11 @@ def _ridge_graph(c: SimplicialComplex) -> tuple[int, ...]:
     """For each facet of ``c``, the bitmask of the facets sharing a ridge
     with it, over indices into ``c._facets``; kept in ``c``'s memo."""
     adjacent = [0] * len(c._facets)
-    for members in c._holders(c.dim).values():
+    for members in c._ridges().values():
         for a, b in itertools.combinations(members, 2):
             adjacent[a] |= 1 << b
             adjacent[b] |= 1 << a
     return tuple(adjacent)
-
-
-@_memoized("vertex_facets")
-def _vertex_facets(c: SimplicialComplex) -> tuple[int, ...]:
-    """For each vertex id of ``c``, the bitmask of the facets holding it, over
-    indices into ``c._facets``; kept in ``c``'s memo."""
-    holders = c._holders(1)
-    return tuple(sum(1 << j for j in holders[(i,)]) for i in range(c.n_vertices))
 
 
 def facet_graph(c: SimplicialComplex) -> FacetGraph:
@@ -135,7 +128,7 @@ def is_pseudomanifold(c: SimplicialComplex) -> str:
     """
     if not c.is_pure:
         raise NotPure("pseudomanifold checks need a pure complex")
-    counts = [len(m) for m in c._holders(c.dim).values()]
+    counts = [len(m) for m in c._ridges().values()]
     if any(k > 2 for k in counts) or not is_strongly_connected(c):
         return "no"
     return "closed" if all(k == 2 for k in counts) else "with_boundary"
@@ -157,7 +150,7 @@ def _residue_scan(c: SimplicialComplex) -> NormalityResult:
     """``is_normal`` by the residues of each face, faces by size and then
     id order, which is label order."""
     for k in range(c.dim):  # faces with link dimension d-k >= 1
-        for face in sorted(c._holders(k)):
+        for face in sorted(c.faces_ids(k)) if k else [()]:
             if not _connected(c._residues(face)):
                 return NormalityResult(False, c._face_labels(face))
     return NormalityResult(True, None)
@@ -179,7 +172,7 @@ def verify_barnette_antistar(c: SimplicialComplex) -> tuple[bool, str | None]:
     if c.n_vertices == 1:
         raise EmptyComplex("antistar of the only vertex is empty")
     rim = 0  # each v of a facet G whose ridge G - v lies in no other facet
-    for ridge, members in c._holders(c.dim).items():
+    for ridge, members in c._ridges().items():
         if len(members) == 1:
             rim |= c._residues(ridge)[0]
     adjacent = _ridge_graph(c)

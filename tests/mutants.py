@@ -283,13 +283,25 @@ MUTANTS = (
     Mutant(
         "residues-keep-the-face",
         "src/scx/complexes.py",
-        "        return [self._masks[i] ^ face for i in self._holders(len(ids)).get(ids, ())]",
-        "        return [self._masks[i] for i in self._holders(len(ids)).get(ids, ())]",
+        "            out.append(masks[low.bit_length() - 1] ^ face)",
+        "            out.append(masks[low.bit_length() - 1])",
         "the residues of a face, and so its link, keep the face's own vertices",
         (
             COMPLEXES + "test_link_of_boundary_simplex_vertex",
             COMPLEXES + "test_star_intersect_antistar_is_link_everywhere",
             COMPLEXES + "test_link_facet_sizes_in_pure_complexes",
+        ),
+    ),
+    Mutant(
+        "holding-skips-the-last-vertex",
+        "src/scx/complexes.py",
+        "    for i in ids:\n        common &= vertex_facets[i]\n",
+        "    for i in list(ids)[:-1]:\n        common &= vertex_facets[i]\n",
+        "the AND of the vertex-facet masks leaves out the face's last vertex, so membership"
+        " and holders are those of a smaller face",
+        (
+            EX + "test_face_index_matches_holder_lists_on_every_small_complex_and_antichain",
+            EX + "test_face_index_matches_holder_lists_on_seeded_spheres",
         ),
     ),
     Mutant(

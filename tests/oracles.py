@@ -13,6 +13,9 @@ genuinely separate routes:
 - the reduced Euler characteristic by face counts, against the Betti
   numbers,
 - face counts by raw subset enumeration,
+- faces and the facets holding them by a dict of holder lists built from
+  every k-subset of every facet, the face index that the ANDs of the
+  vertex-facet masks replaced,
 - flagness by scanning all vertex subsets,
 - cliques by ``itertools.combinations`` over the labels, each pair probed
   with ``has_face``, and, for inputs too large for that, by the recursive
@@ -474,6 +477,17 @@ def barnette_antistar_by_complexes(c) -> tuple[bool, str | None]:
         if not strongly_connected_by_pairs(c.antistar(v)):
             return False, v
     return True, None
+
+
+def face_members(facets, k) -> dict[tuple[int, ...], list[int]]:
+    """Map each k-vertex face of the sorted id tuples ``facets`` to the
+    indices of the tuples containing it, ascending; the empty face, for
+    k = 0, to every index."""
+    out: dict[tuple[int, ...], list[int]] = {}
+    for i, f in enumerate(facets):
+        for face in itertools.combinations(f, k):
+            out.setdefault(face, []).append(i)
+    return out
 
 
 def brute_f_vector(c) -> tuple[int, ...]:

@@ -419,21 +419,6 @@ def test_cli_verify_reports_error_rows(monkeypatch, tmp_path, capsys):
     assert len(data["errors"]) == 1
 
 
-def _count_index_levels(monkeypatch) -> list:
-    """Record each face-index level built, as (facets, k), during the test."""
-    from scx import complexes
-
-    built = []
-    body = complexes._face_members
-
-    def counted(facets, k):
-        built.append((facets, k))
-        return body(facets, k)
-
-    monkeypatch.setattr(complexes, "_face_members", counted)
-    return built
-
-
 MEMO_KEYS = ("normal", "shelled", "homology_manifold", "classify", "banner_number", "skeleton", "ridge_graph")
 
 
@@ -447,6 +432,21 @@ class _CountingMemo(dict):
     def __setitem__(self, key, value):
         self.stores[key] += 1
         super().__setitem__(key, value)
+
+
+def _count_index_levels(*complexes) -> None:
+    """Give each complex a face cache that counts its stores per face size;
+    each level is built once on a miss and stored, so a store is a build."""
+    for c in complexes:
+        c._face_cache = _CountingMemo()
+
+
+def _one_ridge_pass(c) -> bool:
+    """Did ``c`` build its ridge level once, each other level at most once,
+    and keep holder lists only at the ridge level?"""
+    cache = c._face_cache
+    lists = {k for k, level in cache.items() if isinstance(level, dict)}
+    return cache.stores[c.dim] == 1 and max(cache.stores.values()) == 1 and lists == {c.dim}
 
 
 def test_verify_corpus_computes_each_invariant_once(monkeypatch):
@@ -493,7 +493,7 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
 
     for module, name in names:
         count(module, name)
-    built = _count_index_levels(monkeypatch)
+    _count_index_levels(*subjects)
     summary = verify_corpus([("octahedral-3-sphere", banner_input), ("cyclic", other), ("torus", torus)])
     rows = {(r.name, r.property_id): (r.verdict, r.detail) for r in summary.rows}
     for name in ("octahedral-3-sphere", "cyclic", "torus"):
@@ -515,23 +515,19 @@ def test_verify_corpus_computes_each_invariant_once(monkeypatch):
     assert counts(torus) == once
     assert banner_input._memo["shelled"] is not None and other._memo["shelled"] is not None
     assert torus._memo["shelled"] is None
-    # built holds each facet tuple, so no id is reused within the run
-    assert len({(id(f), k) for f, k in built}) == len(built)  # each level at most once
-    for c in subjects:
-        assert c.dim in [k for f, k in built if f is c._facets]  # the shared ridge level
+    assert all(_one_ridge_pass(c) for c in subjects)  # the shared ridge level
 
 
-def test_balls_with_boundary_make_one_ridge_pass(monkeypatch):
-    built = _count_index_levels(monkeypatch)
+def test_balls_with_boundary_make_one_ridge_pass():
     for ball in (fan_ball(), ring_ball()):
-        built.clear()
+        _count_index_levels(ball)
         verify_corpus([("ball", ball)])
-        assert [k for f, k in built if f is ball._facets].count(ball.dim) == 1
-        # built holds each facet tuple, so no id is reused within the run
-        assert len({(id(f), k) for f, k in built}) == len(built)
+        assert _one_ridge_pass(ball)
         fresh = from_facets(ball.facets)
+        _count_index_levels(fresh)
         assert fresh.boundary() == ball.boundary()
-        assert list(fresh._face_cache) == [fresh.dim]  # boundary() reads the index
+        assert fresh._face_cache.stores == {fresh.dim: 1}  # boundary() builds only the ridge level
+        assert _one_ridge_pass(fresh)
 
 
 def test_p37_failure_row_on_a_strongly_banner_input(monkeypatch):

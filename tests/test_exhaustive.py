@@ -28,7 +28,14 @@ from scx.analysis import (
     verify_property,
 )
 from scx.banner import banner_number, classify, classify_tilde_cliques, cliques_ids
-from scx.complexes import SimplicialComplex, _iter_bits, _maximal, loads
+from scx.complexes import (
+    SimplicialComplex,
+    _holding,
+    _iter_bits,
+    _mask,
+    _maximal,
+    loads,
+)
 from scx.errors import EmptyComplex, ScxError
 from scx.generators import catalog
 from scx.graphs import (
@@ -68,6 +75,7 @@ from oracles import (
     classify_by_labels,
     cliques_by_combinations,
     cliques_by_recursion,
+    face_members,
     greedy_shelling_by_rescan,
     homology_manifold_ascending,
     link_values_bounded_by_links,
@@ -308,7 +316,46 @@ def test_reach_matches_a_plain_bfs_on_every_small_skeleton_and_ridge_graph():
 
 def _closed_ridges(c: SimplicialComplex) -> bool:
     """Is ``c`` of dimension at least 1 with each ridge in two facets?"""
-    return c.dim >= 1 and all(len(members) == 2 for members in c._holders(c.dim).values())
+    return c.dim >= 1 and all(len(members) == 2 for members in c._ridges().values())
+
+
+def _face_index_matches_members(c: SimplicialComplex, probes) -> int:
+    """Membership by ``has_face``, the residues and ``faces_ids(k)`` against
+    the holder lists of ``face_members``, at every level k = 0 ... d + 2, on
+    each k-vertex id tuple of ``probes(c, k)`` and each face; the ridge
+    level's holder lists equal the oracle's.  Returns the faces seen."""
+    seen, every = 0, (1 << len(c._facets)) - 1
+    for k in range(c.dim + 3):
+        members = face_members(c._facets, k)
+        assert set(c.faces_ids(k)) == (set(members) if k else set()), (c.facets, k)
+        for t in sorted({*probes(c, k), *members}):
+            holders = members.get(t, [])
+            assert c.has_face(c._face_labels(t)) == bool(holders), (c.facets, t)
+            assert c._residues(t) == [c._masks[i] ^ _mask(t) for i in holders], (c.facets, t)
+            mask = _holding(_vertex_facets(c), t) & every
+            assert mask == sum(1 << i for i in holders), (c.facets, t)
+        seen += len(members)
+    assert c._ridges() == face_members(c._facets, c.dim), c.facets
+    return seen
+
+
+def test_face_index_matches_holder_lists_on_every_small_complex_and_antichain():
+    """Every vertex subset of the small complexes and of the antichains,
+    63 of which are not pure, probed at every level."""
+    antichains = [SimplicialComplex([[f"x{v}" for v in s] for s in a]) for a in ANTICHAINS]
+
+    def subsets(c, k):
+        return itertools.combinations(range(c.n_vertices), k)
+
+    seen = sum(_face_index_matches_members(c, subsets) for c in SMALL + antichains)
+    assert seen == 30_676
+
+
+def test_face_index_matches_holder_lists_on_seeded_spheres():
+    """Every clique of the seeded inputs and their cones and suspensions,
+    which are too large to probe every vertex subset of."""
+    seen = sum(_face_index_matches_members(c, cliques_ids) for _, c in _seeded_spheres())
+    assert seen == 80_940
 
 
 def test_greedy_shelling_orders_match_a_full_rescan():
