@@ -13,11 +13,11 @@ import json
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .banner import BannerClass, _link_banner, banner_number, classify
-from .complexes import SimplicialComplex, _iter_bits, _Record, _vertex_facets
+from .complexes import SimplicialComplex, _iter_bits, _mask, _Record, _vertex_facets
 from .errors import EmptyOutside, NotPure, ScxError, UnknownProperty
 from .generators import catalog, display_name
 from .graphs import _reach, is_outside_connected, skeleton, vertex_connectivity
-from .homology import z2_betti, z2_relative_betti
+from .homology import _top_betti_inside, z2_betti, z2_relative_betti
 from .manifold import (
     _closed_normal,
     _ridge_graph,
@@ -284,13 +284,15 @@ def _outsides_connected(c: SimplicialComplex) -> tuple:
 # L4.4-homological compares two numbers computed independently: the top
 # relative Betti number of (c, c[N[v]]) and the connectivity of the skeleton
 # outside N[v] (``is_outside_connected``).  Lefschetz duality is what makes
-# them agree, so the check stays a test of the lemma.  On a homology manifold
-# every ridge lies in exactly two facets, so the top boundary map of the pair
-# is the incidence matrix of a graph: its nodes are the facets not inside
-# N[v] and its edges the ridges not inside N[v] (both facets of such a ridge
-# leave N[v] too).  A GF(2) vector on the nodes is a cycle exactly when it is
-# constant on each component, so the top relative Betti number is the number
-# of components; the full ranks of the pair are taken only on a failure.
+# them agree, so the check stays a test of the lemma.  β_d and β_{d-1} of
+# c[N[v]] must vanish first; ``_top_betti_inside`` ranks c's own facets and
+# ridges inside N[v] for them.  On a homology manifold every ridge lies in
+# exactly two facets, so the top boundary map of the pair is the incidence
+# matrix of a graph: its nodes are the facets not inside N[v] and its edges
+# the ridges not inside N[v] (both facets of such a ridge leave N[v] too).  A
+# GF(2) vector on the nodes is a cycle exactly when it is constant on each
+# component, so the top relative Betti number is the number of components.
+# c[N[v]] is built, and full Betti numbers taken, only for a fail row.
 
 
 def _outside_facet_components(c: SimplicialComplex, near: int) -> int:
@@ -319,13 +321,11 @@ def _outside_facet_components(c: SimplicialComplex, near: int) -> int:
 
 def _relative_homology_matches(c: SimplicialComplex) -> tuple:
     d = c.dim
-    adjacency = skeleton(c).masks
-    for i, v in enumerate(c.vertices):
-        near = adjacency[i] | 1 << i
-        hood = c._induced(near)
-        betti = z2_betti(hood)
-        betti += (0,) * (d + 1 - len(betti))
-        if betti[d] != 0 or betti[d - 1] != 0:
+    nears = [near | 1 << i for i, near in enumerate(skeleton(c).masks)]
+    for v, near, top in zip(c.vertices, nears, _top_betti_inside(c, nears)):
+        if top != (0, 0):
+            betti = z2_betti(c._induced(near))
+            betti += (0,) * (d + 1 - len(betti))
             payload = {"vertex": v, "betti": list(betti)}
             return "fail", f"neighborhood complex of {v} has top homology", payload
         rel_top = _outside_facet_components(c, near)
@@ -334,7 +334,7 @@ def _relative_homology_matches(c: SimplicialComplex) -> tuple:
         except EmptyOutside:
             return "fail", f"every vertex is adjacent to {v}", {"vertex": v}
         if rel_top != 1 or not connected:
-            rel = z2_relative_betti(c, hood)
+            rel = z2_relative_betti(c, c._induced(near))
             if rel[d] != rel_top:
                 raise AssertionError("facet components disagree with the relative Betti number")
             detail = f"relative top Betti {rel_top} vs outside connected {connected} at {v}"
@@ -397,10 +397,9 @@ def _boundary_cone_transfers(c: SimplicialComplex) -> tuple:
     boundary vertices without being a boundary edge: a stranded 3-clique."""
     bd = c.boundary()
     assert bd is not None
-    ids = c._face_ids(bd.vertices)  # id i of bd is id ids[i] of c
-    bd_edges = {(ids[a], ids[b]) for a, b in bd.faces_ids(2)}
-    on_bd = set(ids)
-    if any(a in on_bd and b in on_bd and (a, b) not in bd_edges for a, b in c.faces_ids(2)):
+    ids, masks = c._face_ids(bd.vertices), skeleton(c).masks
+    on_bd = _mask(ids)  # the boundary's edges are edges of c, so more means a stranded one
+    if sum((masks[i] & on_bd).bit_count() for i in ids) > 2 * skeleton(bd).n_edges:
         return "skip", "stranded 3-cliques block the product rule"
     base, rim, closed = classify(c), classify(bd), classify(c._tilde(bd))
     for prop in ("flag", "strongly_banner", "banner"):

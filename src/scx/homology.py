@@ -10,17 +10,19 @@ exact integers.
 from __future__ import annotations
 
 import itertools
+from typing import Iterable, Iterator
 
-from .complexes import SimplicialComplex, _memoized
+from .complexes import SimplicialComplex, _mask, _memoized
 from .errors import NotSubcomplex
 from .kernels import gf2_rank
 
 BettiVector = tuple[int, ...]
 
 
-def _boundary_rank(
-    upper: list[tuple[int, ...]], lower_index: dict[tuple[int, ...], int]
-) -> int:
+def _boundary_rows(upper: Iterable[tuple[int, ...]], lower: Iterable[tuple[int, ...]]) -> list[int]:
+    """One bitmask row per face of ``upper``: bit i for each face of it one
+    vertex smaller that is the i-th face of ``lower``."""
+    lower_index = {g: i for i, g in enumerate(lower)}
     rows = []
     for face in upper:
         mask = 0
@@ -29,23 +31,36 @@ def _boundary_rank(
             if col is not None:
                 mask |= 1 << col
         rows.append(mask)
-    return gf2_rank(rows)
+    return rows
 
 
 def _betti_from_ranks(c: SimplicialComplex, skip_faces, reduced: bool) -> BettiVector:
-    top = c.dim + 1
-    layers = [[f for f in c.faces_ids(k) if f not in skip_faces] for k in range(1, top + 1)]
-    # ranks[k] = rank of the boundary map from cardinality-(k+1) faces down
-    ranks = [0] * (top + 1)
-    ranks[0] = 1 if reduced else 0  # augmentation onto the empty face
-    for k in range(1, top):
-        lower_index = {f: i for i, f in enumerate(layers[k - 1])}
-        ranks[k] = _boundary_rank(layers[k], lower_index)
-    betti = []
-    for m in range(top):  # dimension m holds the cardinality-(m+1) faces
-        upper = ranks[m + 1] if m + 1 < top else 0
-        betti.append(len(layers[m]) - ranks[m] - upper)
-    return tuple(betti)
+    layers = [[f for f in c.faces_ids(k) if f not in skip_faces] for k in range(1, c.dim + 2)]
+    # ranks[m] = rank of the boundary map from the faces with m + 1 vertices
+    # down; ranks[0] is the augmentation onto the empty face
+    ranks = [gf2_rank(_boundary_rows(up, low)) for low, up in zip(layers, layers[1:])]
+    ranks = [int(reduced), *ranks, 0]
+    return tuple(len(layers[m]) - ranks[m] - ranks[m + 1] for m in range(c.dim + 1))
+
+
+def _top_betti_inside(c: SimplicialComplex, nears: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The reduced (β_d, β_{d-1}) of the subcomplex of the pure complex ``c``
+    of dimension d >= 1 induced on each vertex bitmask of ``nears``.
+
+    Its faces, and theirs, are the faces of ``c`` inside the bitmask, so the
+    boundary rows of the facets and the ridges are built once over all of
+    ``c`` and each bitmask ranks the rows of its faces.  For d = 1 the
+    ridges are vertices and level d - 1 the empty face: the augmentation.
+    """
+    ridges = c.faces_ids(c.dim)
+    top = list(zip(c._masks, _boundary_rows(c._facets, ridges)))
+    low = list(zip(map(_mask, ridges), _boundary_rows(ridges, c.faces_ids(c.dim - 1) or [()])))
+    for near in nears:
+        out = ~near
+        top_rows = [row for g, row in top if not g & out]
+        low_rows = [row for g, row in low if not g & out]
+        rank = gf2_rank(top_rows)
+        yield len(top_rows) - rank, len(low_rows) - gf2_rank(low_rows) - rank
 
 
 @_memoized("z2_betti")

@@ -347,6 +347,28 @@ MUTANTS = (
             RECORDS + "test_records_of_two_classes_with_equal_fields_differ",
         ),
     ),
+    Mutant(
+        "top-betti-keeps-an-outside-face",
+        "src/scx/homology.py",
+        "        out = ~near\n",
+        "        out = ~near & ~near - 1  # the lowest vertex outside counts as inside\n",
+        "the rows ranked for c[N[v]] include faces through one vertex outside N[v]",
+        (
+            EX + "test_top_betti_inside_matches_the_built_neighborhood_at_every_vertex",
+            EX + "test_outside_facet_components_match_relative_betti_on_every_small_manifold",
+        ),
+    ),
+    Mutant(
+        "top-betti-without-augmentation",
+        "src/scx/homology.py",
+        "c.faces_ids(c.dim - 1) or [()]",
+        "c.faces_ids(c.dim - 1) or []",
+        "β_0 of c[N[v]] is unreduced for d = 1",
+        (
+            EX + "test_top_betti_inside_matches_the_built_neighborhood_at_every_vertex",
+            EX + "test_outside_facet_components_match_relative_betti_on_every_small_manifold",
+        ),
+    ),
 )
 
 

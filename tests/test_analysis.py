@@ -742,6 +742,15 @@ def test_p38iii_builds_one_boundary_and_one_tilde(monkeypatch):
         monkeypatch.undo()
 
 
+def test_p38iii_decides_the_skip_without_an_edge_level():
+    """The stranded-edge scan counts the ball's skeleton edges between
+    boundary vertices against the boundary's own, so the ball keeps only
+    the ridge level that ``boundary()`` reads."""
+    c = ring_ball()
+    assert verify_property("P3.8iii", c).detail == "stranded 3-cliques block the product rule"
+    assert set(c._face_cache) == {c.dim}
+
+
 def test_verify_corpus_rejects_bad_property():
     with pytest.raises(UnknownProperty):
         verify_corpus(properties=["nope"])

@@ -14,6 +14,7 @@ import functools
 import itertools
 import random
 import runpy
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -44,7 +45,7 @@ from scx.graphs import (
     skeleton,
     vertex_connectivity,
 )
-from scx.homology import sphere_pattern, z2_betti
+from scx.homology import _top_betti_inside, sphere_pattern, z2_betti
 from scx.kernels import unit_maxflow
 from scx.manifold import (
     _first_deviating_face,
@@ -575,6 +576,28 @@ def test_outside_facet_components_match_relative_betti_on_every_small_manifold()
             counts.add(count)
         assert _relative_homology_matches(c) == relative_homology_matches_by_complexes(c), c.facets
     assert counts == {0, 1}
+
+
+def test_top_betti_inside_matches_the_built_neighborhood_at_every_vertex():
+    """L4.4-homological's (β_d, β_{d-1}) of c[N[v]], ranked on the faces of
+    c, against ``z2_betti`` of the built neighborhood complex at every
+    vertex of every small complex with d >= 1 and of the seeded inputs with
+    their cones and suspensions.  The whole-check oracle stops at the first
+    failing vertex, so it alone would miss a wrong pair after it.  The
+    simplex boundaries, the triangle among them, give β_d = 1."""
+    pairs = Counter()
+    for c in [c for c in SMALL if c.dim >= 1] + [c for _, c in _seeded_spheres()]:
+        d = c.dim
+        nears = [near | 1 << i for i, near in enumerate(skeleton(c).masks)]
+        got = list(_top_betti_inside(c, nears))
+        assert len(got) == c.n_vertices, c.facets
+        for near, pair in zip(nears, got):
+            betti = z2_betti(c._induced(near))
+            betti += (0,) * (d + 1 - len(betti))
+            assert pair == (betti[d], betti[d - 1]), (c.facets, near)
+            pairs[pair] += 1
+    assert (sum(pairs.values()), pairs[0, 0]) == (12_504, 7_540)
+    assert {(1, 0), (0, 1), (1, 1)} <= set(pairs)
 
 
 def test_every_small_complex_verifies_analyzes_and_round_trips():
